@@ -20,7 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-
 from . import metrics, streams
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .network import ConvSpec, DenseSpec, Network
@@ -28,7 +27,7 @@ from .plasticity import ExpansionPolicy
 from .similarity import CLAMPED, LITERAL
 from .spiking import HARD_RESET, LITERAL_EQ3, LIFConfig
 from .trainer import (ReplayBuffer, TrainConfig, cil_evaluate, learn_task,
-                      til_evaluate)
+                      repeated_class, til_evaluate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,14 +176,12 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _classes_disjoint(tasks):
-    seen = set()
-    for t in tasks:
-        for c in t.classes:
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+def _cil_report(network, tasks):
+    """CIL accuracy, or why it is skipped when class labels repeat."""
+    if repeated_class(tasks) is not None:
+        return {"accuracy": None,
+                "skipped": "class labels repeat across tasks (TIL-only stream)"}
+    return {"accuracy": cil_evaluate(network, tasks)}
 
 
 def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
@@ -276,11 +273,7 @@ def run(config_path, seed=None, out=None, literal_eq3=False,
         matrix.add_row(accs)
         logs.append(log)
     til = til_evaluate(network, tasks)
-    if _classes_disjoint(tasks):
-        cil = {"accuracy": cil_evaluate(network, tasks)}
-    else:
-        cil = {"accuracy": None,
-               "skipped": "class labels repeat across tasks (TIL-only stream)"}
+    cil = _cil_report(network, tasks)
     timings["total"] = time.perf_counter() - t_start
     report = _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
                             matrix, til, cil, timings, tcfg.lif.window)
@@ -308,11 +301,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
             )
     t0 = time.perf_counter()
     til = til_evaluate(network, tasks)
-    if _classes_disjoint(tasks):
-        cil = {"accuracy": cil_evaluate(network, tasks)}
-    else:
-        cil = {"accuracy": None,
-               "skipped": "class labels repeat across tasks (TIL-only stream)"}
+    cil = _cil_report(network, tasks)
     matrix = metrics.AccuracyMatrix()
     matrix.entries = [list(til[0])]  # evaluation-only: final accuracies
     timings = {"evaluate": time.perf_counter() - t0}

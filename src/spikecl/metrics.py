@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from .errors import ContractError
 
 E_MAC_PJ = 4.6
@@ -39,17 +38,8 @@ def count_active(network, task_id):
     """
     mask = network.masks[task_id]
     conns = sum(int(c.sum()) for c in mask.conn)
-    neurons = 0
-    last = len(network.layers) - 1
-    for li in range(len(network.layers)):
-        for u in range(network.layers[li].width):
-            if not mask.active[li][u]:
-                continue
-            if li == last:
-                if mask.head_active[u]:
-                    neurons += 1
-            elif mask.conn[li + 1][:, u].any():
-                neurons += 1
+    has_out = [c.any(axis=0) for c in mask.conn[1:]] + [mask.head_active]
+    neurons = sum(int((a & o).sum()) for a, o in zip(mask.active, has_out))
     head = network.heads[task_id]
     conns += int(mask.head_active.sum()) * head.w.shape[0]
     return conns, neurons
@@ -58,15 +48,8 @@ def count_active(network, task_id):
 def flops_estimate(network, task_id):
     """Multiply-accumulates for one masked forward pass (single timestep)."""
     mask = network.masks[task_id]
-    total = 0
-    for li, layer in enumerate(network.layers):
-        bits = int(mask.conn[li].sum())
-        if layer.kind == "conv":
-            h, w = network._spatial[li]
-            k = layer.spec.kernel
-            total += bits * k * k * h * w
-        else:
-            total += bits * layer.block
+    total = sum(int(c.sum()) * layer.macs_per_bit
+                for c, layer in zip(mask.conn, network.layers))
     head = network.heads[task_id]
     total += int(mask.head_active.sum()) * head.w.shape[0]
     return total

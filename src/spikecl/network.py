@@ -1,5 +1,13 @@
 """Expandable layered spiking network with per-task neuron populations.
 
+A ``Network`` starts with zero-width layers whose geometry (kind, input
+units, columns per input unit, output spatial shape) is fixed by the
+architecture and input shape.  ``Network.expand`` is the only code that
+creates weights: it grows one population per layer for a task, and the first
+task is that same growth starting from nothing.  ``Network.load`` builds the
+same empty network and fills in the saved arrays after checking their shapes
+against that geometry.
+
 Each layer owns one dense weight array covering every unit ever created.
 Per-task subnetworks are expressed as masks:
 
@@ -13,19 +21,20 @@ Per-task subnetworks are expressed as masks:
 
 Convolutional layers treat a channel as one unit; connection bits between a
 conv layer and the following dense layer are kept at channel level and
-expanded to the flattened column block when applied.
+``Layer.weight_mask`` expands them to the flattened column block.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
-from .tensor import Tensor, conv2d, no_grad
+from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
 FORMAT_VERSION = 1
 
@@ -43,6 +52,10 @@ class DenseSpec:
     units: int
 
 
+def _spec_units(spec):
+    return spec.channels if isinstance(spec, ConvSpec) else spec.units
+
+
 @dataclass
 class NeuronPopulation:
     task_id: int
@@ -58,16 +71,32 @@ class NeuronPopulation:
         return range(self.start, self.stop)
 
 
+def _he_init(rng, shape, fan_in):
+    std = np.sqrt(2.0 / max(fan_in, 1))
+    return rng.normal(0.0, std, size=shape)
+
+
 class Layer:
-    def __init__(self, kind, spec, w, b, block=1):
+    """One feature layer: its weights and the fixed geometry they live in.
+
+    ``block`` is the number of weight columns per input unit (H*W of the
+    previous conv output at a conv->dense seam, else 1) and ``out_shape`` the
+    spatial shape of one unit's output: (H, W) for conv, () for dense.  A new
+    layer has width zero; ``grow`` adds units.
+    """
+
+    def __init__(self, kind, spec, in_units, block, out_shape):
         self.kind = kind  # "conv" | "dense"
         self.spec = spec
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
-        self.block = block  # columns per input unit (H*W at conv->dense seam)
-        self.trainable_w = np.ones(self.w.shape, dtype=bool)
-        self.trainable_b = np.ones(self.b.shape, dtype=bool)
-        self.exist = np.ones((self.width, self.in_units), dtype=bool)
+        self.block = block
+        self.out_shape = tuple(out_shape)
+        kernel = (spec.kernel, spec.kernel) if kind == "conv" else ()
+        self.w = Tensor(np.zeros((0, in_units * block) + kernel),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros(0), requires_grad=True)
+        self.trainable_w = np.zeros(self.w.shape, dtype=bool)
+        self.trainable_b = np.zeros(0, dtype=bool)
+        self.exist = np.zeros((0, in_units), dtype=bool)
         self.populations = []
 
     @property
@@ -76,17 +105,46 @@ class Layer:
 
     @property
     def in_units(self):
-        if self.kind == "conv":
-            return self.w.shape[1]
         return self.w.shape[1] // self.block
 
-    def frozen_units(self, task_id):
-        """Units belonging to populations older than ``task_id``."""
-        out = []
-        for pop in self.populations:
-            if pop.task_id < task_id:
-                out.extend(pop.units())
-        return out
+    @property
+    def macs_per_bit(self):
+        """Multiply-accumulates one connection bit costs per forward step."""
+        return (self.block * math.prod(self.w.shape[2:])
+                * math.prod(self.out_shape))
+
+    def weight_mask(self, conn):
+        """Expand (width, in_units) connection bits to broadcast over ``w``."""
+        cols = np.repeat(conn, self.block, axis=1)
+        return cols.reshape(cols.shape + (1,) * (self.w.data.ndim - 2))
+
+    def unit_mask(self, active):
+        """Reshape per-unit bits to broadcast over (batch, width, *out_shape)."""
+        return active.reshape((1, -1) + (1,) * len(self.out_shape))
+
+    def grow(self, rng, n_new, n_new_in):
+        """Freeze every existing entry and add ``n_new`` trainable units.
+
+        ``n_new_in`` units were just added to the layer below; new units read
+        every input unit, old units never gain input synapses.
+        """
+        old_out, old_in = self.width, self.in_units
+        new_in = old_in + n_new_in
+        row = (new_in * self.block,) + self.w.shape[2:]
+        w = np.zeros((old_out + n_new,) + row)
+        w[:old_out, : old_in * self.block] = self.w.data
+        if n_new:
+            w[old_out:] = _he_init(rng, (n_new,) + row, math.prod(row))
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(np.concatenate([self.b.data, np.zeros(n_new)]),
+                        requires_grad=True)
+        self.trainable_w = np.zeros(w.shape, dtype=bool)
+        self.trainable_w[old_out:] = True
+        self.trainable_b = np.arange(old_out + n_new) >= old_out
+        exist = np.zeros((old_out + n_new, new_in), dtype=bool)
+        exist[:old_out, :old_in] = self.exist
+        exist[old_out:] = True
+        self.exist = exist
 
 
 class TaskMask:
@@ -120,11 +178,6 @@ class TaskHead:
         self.cil_b = Tensor(self.b.data.copy(), requires_grad=True)
 
 
-def _he_init(rng, shape, fan_in):
-    std = np.sqrt(2.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=shape)
-
-
 class Network:
     """The expandable SNN plus all per-task bookkeeping."""
 
@@ -134,7 +187,7 @@ class Network:
         if not isinstance(arch[-1], DenseSpec):
             raise ConfigError("final feature layer must be dense")
         for spec in arch:
-            n = spec.channels if isinstance(spec, ConvSpec) else spec.units
+            n = _spec_units(spec)
             if n <= 0:
                 raise ConfigError(f"layer sizes must be positive, got {n}")
         seen_dense = False
@@ -147,69 +200,30 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.lif = lif
         self.seed = int(seed)
-        self.layers = []
         self.masks = {}
         self.heads = {}
         self.anchors = {}  # task_id -> {class: mean feature vector}
         self.current_task = None
-        self._spatial = self._spatial_dims()
+        # geometry is fixed here: expansion is by unit (channel), never spatial
+        self.layers = []
+        units, spatial = self.input_shape[0], self.input_shape[1:]
+        for spec in self.arch:
+            if isinstance(spec, ConvSpec):
+                out = _conv_geometry(*spatial, spec.kernel, spec.kernel,
+                                     spec.stride, spec.padding)
+                layer = Layer("conv", spec, units, 1, out)
+            else:
+                layer = Layer("dense", spec, units, math.prod(spatial), ())
+            self.layers.append(layer)
+            units, spatial = layer.width, layer.out_shape
 
     # -- construction --------------------------------------------------------
 
-    def _spatial_dims(self):
-        """(H, W) after each conv layer; fixed because expansion is by channel."""
-        from .tensor import _conv_geometry
-
-        dims = []
-        h, w = self.input_shape[1], self.input_shape[2]
-        for spec in self.arch:
-            if isinstance(spec, ConvSpec):
-                h, w = _conv_geometry(h, w, spec.kernel, spec.kernel,
-                                      spec.stride, spec.padding)
-            dims.append((h, w))
-        return dims
-
-    def _init_layers(self, task0):
-        rng = np.random.default_rng([self.seed, 0])
-        prev_units = self.input_shape[0]
-        prev_kind = "conv"
-        for li, spec in enumerate(self.arch):
-            if isinstance(spec, ConvSpec):
-                k = spec.kernel
-                w = _he_init(rng, (spec.channels, prev_units, k, k),
-                             prev_units * k * k)
-                layer = Layer("conv", spec, w, np.zeros(spec.channels))
-                prev_units = spec.channels
-                prev_kind = "conv"
-            else:
-                block = 1
-                if prev_kind == "conv":
-                    h, wd = self._spatial[li - 1] if li else (self.input_shape[1],
-                                                             self.input_shape[2])
-                    block = h * wd
-                in_cols = prev_units * block
-                w = _he_init(rng, (spec.units, in_cols), in_cols)
-                layer = Layer("dense", spec, w, np.zeros(spec.units), block=block)
-                prev_units = spec.units
-                prev_kind = "dense"
-            layer.populations.append(NeuronPopulation(task0.id, li, 0, layer.width))
-            self.layers.append(layer)
-        self.masks[task0.id] = TaskMask(
-            task0.id,
-            [np.ones(l.width, dtype=bool) for l in self.layers],
-            [l.exist.copy() for l in self.layers],
-            np.ones(self.layers[-1].width, dtype=bool),
-        )
-        feat = self.layers[-1].width
-        self.heads[task0.id] = TaskHead(
-            task0.id, task0.classes,
-            _he_init(rng, (len(task0.classes), feat), feat),
-            np.zeros(len(task0.classes)),
-        )
-        self.current_task = task0.id
-
     def expand(self, task, counts):
-        """Add one population per layer for ``task`` and open its mask."""
+        """Add one population per layer for ``task`` and open its mask.
+
+        On an empty network this builds the first task's layers.
+        """
         if task.id in self.masks:
             raise ContractError(f"task {task.id} already present")
         if len(counts) != len(self.layers):
@@ -222,38 +236,8 @@ class Network:
             n_new = int(counts[li])
             if n_new < 0:
                 raise ContractError("expansion counts must be non-negative")
-            old_out, old_in = layer.width, layer.in_units
-            new_in = old_in + prev_new
-            # freeze everything that existed before this task
-            layer.trainable_w[...] = False
-            layer.trainable_b[...] = False
-            if layer.kind == "conv":
-                k = layer.spec.kernel
-                w = np.zeros((old_out + n_new, new_in, k, k))
-                w[:old_out, :old_in] = layer.w.data
-                if n_new:
-                    w[old_out:] = _he_init(rng, (n_new, new_in, k, k),
-                                           new_in * k * k)
-                tw = np.zeros(w.shape, dtype=bool)
-                tw[old_out:] = True
-            else:
-                blk = layer.block
-                w = np.zeros((old_out + n_new, new_in * blk))
-                w[:old_out, : old_in * blk] = layer.w.data
-                if n_new:
-                    w[old_out:] = _he_init(rng, (n_new, new_in * blk),
-                                           new_in * blk)
-                tw = np.zeros(w.shape, dtype=bool)
-                tw[old_out:] = True
-            b = np.concatenate([layer.b.data, np.zeros(n_new)])
-            tb = np.zeros(b.shape, dtype=bool)
-            tb[old_out:] = True
-            exist = np.zeros((old_out + n_new, new_in), dtype=bool)
-            exist[:old_out, :old_in] = layer.exist
-            exist[old_out:] = True  # new units fully connected to layer l-1
-            layer.w = Tensor(w, requires_grad=True)
-            layer.b = Tensor(b, requires_grad=True)
-            layer.trainable_w, layer.trainable_b, layer.exist = tw, tb, exist
+            old_out = layer.width
+            layer.grow(rng, n_new, prev_new)
             layer.populations.append(
                 NeuronPopulation(task.id, li, old_out, old_out + n_new)
             )
@@ -263,7 +247,7 @@ class Network:
             for li, layer in enumerate(self.layers):
                 a = np.zeros(layer.width, dtype=bool)
                 a[: mask.active[li].size] = mask.active[li]
-                c = np.zeros((layer.width, layer.in_units), dtype=bool)
+                c = np.zeros(layer.exist.shape, dtype=bool)
                 c[: mask.conn[li].shape[0], : mask.conn[li].shape[1]] = mask.conn[li]
                 mask.active[li], mask.conn[li] = a, c
             ha = np.zeros(self.layers[-1].width, dtype=bool)
@@ -304,34 +288,23 @@ class Network:
 
         def step(x, states):
             if states is None:
-                b = x.shape[0]
-                states = []
-                for li, layer in enumerate(self.layers):
-                    if layer.kind == "conv":
-                        h, w = self._spatial[li]
-                        states.append(SpikeState.zeros((b, layer.width, h, w)))
-                    else:
-                        states.append(SpikeState.zeros((b, layer.width)))
+                states = [SpikeState.zeros((x.shape[0], l.width) + l.out_shape)
+                          for l in self.layers]
             h = x
             new_states = []
-            prev_kind = "conv"
             for li, layer in enumerate(self.layers):
+                weff = layer.w.mask_mul(layer.weight_mask(mask.conn[li]))
                 if layer.kind == "conv":
-                    weff = layer.w.mask_mul(mask.conn[li][:, :, None, None])
                     cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
-                    cur = cur.add_bias(layer.b)
-                    cur = cur.mask_mul(mask.active[li].reshape(1, -1, 1, 1))
                 else:
-                    if prev_kind == "conv":
+                    if len(h.shape) > 2:
                         h = h.reshape(h.shape[0], -1)
-                    cols = np.repeat(mask.conn[li], layer.block, axis=1)
-                    weff = layer.w.mask_mul(cols)
-                    cur = h.matmul(weff.transpose()).add_bias(layer.b)
-                    cur = cur.mask_mul(mask.active[li].reshape(1, -1))
+                    cur = h.matmul(weff.transpose())
+                cur = cur.add_bias(layer.b)
+                cur = cur.mask_mul(layer.unit_mask(mask.active[li]))
                 state = lif_step(states[li], cur, cfg)
                 new_states.append(state)
                 h = state.spikes
-                prev_kind = layer.kind
             return h, new_states
 
         return step
@@ -427,23 +400,22 @@ class Network:
         self._deactivate_orphans(task_id)
 
     def _deactivate_orphans(self, task_id):
-        """Old units with no outgoing bits in the mask become inactive."""
+        """Old units with no outgoing bits in the mask become inactive.
+
+        Deactivating a unit clears its input bits, which can only orphan units
+        of the layer below, so one pass from the last layer down is complete.
+        """
         mask = self.masks[task_id]
-        changed = True
-        while changed:
-            changed = False
-            for li, layer in enumerate(self.layers):
-                last = li == len(self.layers) - 1
-                for u in layer.frozen_units(task_id):
-                    if not mask.active[li][u]:
-                        continue
-                    has_out = (
-                        bool(mask.head_active[u]) if last
-                        else bool(mask.conn[li + 1][:, u].any())
-                    )
-                    if not has_out:
-                        self.prune_units(task_id, [(li, u)])
-                        changed = True
+        has_out = mask.head_active
+        for li in reversed(range(len(self.layers))):
+            old = np.zeros(self.layers[li].width, dtype=bool)
+            for pop in self.layers[li].populations:
+                if pop.task_id < task_id:
+                    old[pop.start:pop.stop] = True
+            orphan = old & mask.active[li] & ~has_out
+            mask.active[li][orphan] = False
+            mask.conn[li][orphan] = False
+            has_out = mask.conn[li].any(axis=0)
 
     # -- persistence ---------------------------------------------------------
 
@@ -500,6 +472,7 @@ class Network:
 
     @staticmethod
     def load(path):
+        """Rebuild a saved network, checking every array against the geometry."""
         try:
             data = np.load(path)
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -509,62 +482,85 @@ class Network:
             raise FormatError(
                 f"checkpoint version {meta.get('version')} unsupported"
             )
-        arch = []
-        for s in meta["arch"]:
-            if s["kind"] == "conv":
-                arch.append(ConvSpec(s["channels"], s["kernel"], s["stride"],
-                                     s["padding"]))
-            else:
-                arch.append(DenseSpec(s["units"]))
-        lif = LIFConfig(**meta["lif"])
-        net = Network(arch, meta["input_shape"], lif, meta["seed"])
-        net.current_task = meta["current_task"]
-        # rebuild layers directly from the arrays
-        prev_units = net.input_shape[0]
-        prev_kind = "conv"
-        for li, spec in enumerate(arch):
-            w = data[f"layer{li}/w"]
-            b = data[f"layer{li}/b"]
-            if isinstance(spec, ConvSpec):
-                layer = Layer("conv", spec, w, b)
-                prev_kind = "conv"
-            else:
-                block = 1
-                if prev_kind == "conv":
-                    h, wd = net._spatial[li - 1] if li else net.input_shape[1:]
-                    block = h * wd
-                layer = Layer("dense", spec, w, b, block=block)
-                prev_kind = "dense"
-            layer.trainable_w = data[f"layer{li}/trainable_w"]
-            layer.trainable_b = data[f"layer{li}/trainable_b"]
-            layer.exist = data[f"layer{li}/exist"]
-            net.layers.append(layer)
-        for tid, layer_idx, start, stop in meta["populations"]:
-            net.layers[layer_idx].populations.append(
-                NeuronPopulation(tid, layer_idx, start, stop)
-            )
-        for tstr, info in meta["tasks"].items():
-            t = int(tstr)
-            mask = TaskMask(
+        try:
+            arch = [
+                ConvSpec(s["channels"], s["kernel"], s["stride"], s["padding"])
+                if s["kind"] == "conv" else DenseSpec(s["units"])
+                for s in meta["arch"]
+            ]
+            net = Network(arch, meta["input_shape"], LIFConfig(**meta["lif"]),
+                          meta["seed"])
+            net.current_task = meta["current_task"]
+            for tid, li, start, stop in meta["populations"]:
+                net.layers[li].populations.append(
+                    NeuronPopulation(tid, li, start, stop))
+            classes = {int(t): info["classes"]
+                       for t, info in meta["tasks"].items()}
+            anchor_classes = {int(t): c
+                              for t, c in meta["anchor_classes"].items()}
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise FormatError(f"checkpoint {path} has malformed metadata: "
+                              f"{exc!r}") from exc
+
+        def array(name, shape):
+            if name not in data.files:
+                raise FormatError(f"checkpoint {path} lacks array {name}")
+            arr = data[name]
+            if arr.shape != tuple(shape):
+                raise FormatError(f"checkpoint array {name} has shape "
+                                  f"{arr.shape}, expected {tuple(shape)}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"checkpoint array {name} is not finite")
+            return arr
+
+        in_units = net.input_shape[0]
+        for li, layer in enumerate(net.layers):
+            width = 0
+            for pop in layer.populations:
+                if pop.start != width or pop.stop < pop.start:
+                    raise FormatError(
+                        f"checkpoint {path}: layer {li} populations do not "
+                        f"tile its units")
+                width = pop.stop
+            w_shape = (width, in_units * layer.block) + layer.w.shape[2:]
+            layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
+            layer.b = Tensor(array(f"layer{li}/b", (width,)), requires_grad=True)
+            layer.trainable_w = array(f"layer{li}/trainable_w", w_shape)
+            layer.trainable_b = array(f"layer{li}/trainable_b", (width,))
+            layer.exist = array(f"layer{li}/exist", (width, in_units))
+            in_units = width
+        feat = net.layers[-1].width
+        for t, cls in classes.items():
+            net.masks[t] = TaskMask(
                 t,
-                [data[f"task{t}/active{li}"] for li in range(len(net.layers))],
-                [data[f"task{t}/conn{li}"] for li in range(len(net.layers))],
-                data[f"task{t}/head_active"],
+                [array(f"task{t}/active{li}", (l.width,))
+                 for li, l in enumerate(net.layers)],
+                [array(f"task{t}/conn{li}", l.exist.shape)
+                 for li, l in enumerate(net.layers)],
+                array(f"task{t}/head_active", (feat,)),
             )
-            net.masks[t] = mask
-            head = TaskHead(t, info["classes"], data[f"task{t}/head_w"],
-                            data[f"task{t}/head_b"])
-            head.cil_w = Tensor(data[f"task{t}/cil_w"], requires_grad=True)
-            head.cil_b = Tensor(data[f"task{t}/cil_b"], requires_grad=True)
+            head_shape = (len(cls), feat)
+            head = TaskHead(t, cls, array(f"task{t}/head_w", head_shape),
+                            array(f"task{t}/head_b", head_shape[:1]))
+            head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape),
+                                requires_grad=True)
+            head.cil_b = Tensor(array(f"task{t}/cil_b", head_shape[:1]),
+                                requires_grad=True)
             net.heads[t] = head
-        for tstr, classes in meta["anchor_classes"].items():
-            t = int(tstr)
-            net.anchors[t] = {c: data[f"anchor{t}/{c}"] for c in classes}
+        for t, cls in anchor_classes.items():
+            net.anchors[t] = {}
+            for c in cls:
+                name = f"anchor{t}/{c}"
+                vec = data[name] if name in data.files else None
+                if vec is None or vec.ndim != 1 or vec.size > feat:
+                    raise FormatError(f"checkpoint {path}: anchor {name} is "
+                                      f"missing or wider than {feat} features")
+                net.anchors[t][c] = vec
         return net
 
 
 def init_first_task(arch, input_shape, task0, lif=None, seed=0):
-    """Build the initial dense network owned entirely by the first task."""
+    """Build the network and grow the first task's populations from nothing."""
     net = Network(arch, input_shape, lif or LIFConfig(), seed)
-    net._init_layers(task0)
+    net.expand(task0, [_spec_units(s) for s in net.arch])
     return net

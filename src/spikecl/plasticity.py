@@ -122,13 +122,8 @@ def accumulate_gradients(state, network, task_id):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:
             continue
-        g = np.abs(layer.w.grad)
-        conn = mask.conn[li]
-        if layer.kind == "conv":
-            per_unit = (g * conn[:, :, None, None]).sum(axis=(1, 2, 3))
-        else:
-            cols = np.repeat(conn, layer.block, axis=1)
-            per_unit = (g * cols).sum(axis=1)
+        g = np.abs(layer.w.grad) * layer.weight_mask(mask.conn[li])
+        per_unit = g.sum(axis=tuple(range(1, g.ndim)))
         state.grad_accum[li] += per_unit[ids]
 
 
@@ -147,9 +142,8 @@ def update_relatedness(state, network, epoch=None):
         ids = state.unit_ids[li]
         if ids.size == 0:
             continue
-        alive = np.array([
-            (li, u) not in state.pruned and mask.active[li][u] for u in ids
-        ])
+        pruned = [u for l, u in state.pruned if l == li]
+        alive = mask.active[li][ids] & ~np.isin(ids, pruned)
         if not alive.any():
             state.grad_accum[li][:] = 0.0
             continue
@@ -159,9 +153,7 @@ def update_relatedness(state, network, epoch=None):
             0.99 * state.r[li][alive]
             - decay * (2.0 * norm[alive] - state.unit_rho[li][alive])
         )
-        for k in np.flatnonzero(alive):
-            if state.r[li][k] < 0.0:
-                doomed.add((li, int(ids[k])))
+        doomed.update((li, int(u)) for u in ids[alive & (state.r[li] < 0.0)])
         state.grad_accum[li][:] = 0.0
     state.epoch = epoch + 1
     return doomed

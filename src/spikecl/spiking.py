@@ -18,7 +18,7 @@ differences; it exists for gradient-checking, not for training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class LIFConfig:
         if self.reset_mode not in (HARD_RESET, LITERAL_EQ3):
             raise ConfigError(f"unknown reset mode {self.reset_mode!r}")
 
-    def with_window(self, t):
-        return replace(self, window=t)
-
 
 @dataclass
 class SpikeState:
@@ -67,7 +64,8 @@ class SpikeState:
 def surrogate_grad(u_centered, lam):
     """Triangular surrogate derivative at centered potential u = U - v_th."""
     u = np.abs(np.asarray(u_centered, dtype=np.float64))
-    return np.where(u > 1.0 / lam, 0.0, -lam * lam * u + lam)
+    # clamping at 0 (not testing |u| > 1/lam) keeps edge rounding non-negative
+    return np.maximum(lam - lam * lam * u, 0.0)
 
 
 def smooth_spike_value(u_centered, lam):

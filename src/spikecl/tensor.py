@@ -34,10 +34,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled():
-    return _grad_enabled
-
-
 class Tensor:
     """Dense float64 array plus optional autodiff bookkeeping."""
 
@@ -440,11 +436,6 @@ def gradients(loss, params):
         p.grad = None
     backward(loss)
     return {p: (p.grad if p.grad is not None else np.zeros(p.shape)) for p in params}
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
 
 
 # -- finite-difference oracle -------------------------------------------------

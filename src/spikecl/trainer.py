@@ -258,16 +258,24 @@ def til_evaluate(network, tasks):
     return accs, sum(accs) / len(accs)
 
 
-def _check_disjoint(tasks):
+def repeated_class(tasks):
+    """(class, first task, later task) for a label two tasks share, else None."""
     seen = {}
     for t in tasks:
         for c in t.classes:
-            if c in seen and seen[c] != t.id:
-                raise DataError(
-                    f"class {c} appears in tasks {seen[c]} and {t.id}; "
-                    f"class-incremental evaluation needs disjoint labels"
-                )
-            seen[c] = t.id
+            if seen.setdefault(c, t.id) != t.id:
+                return c, seen[c], t.id
+    return None
+
+
+def _check_disjoint(tasks):
+    clash = repeated_class(tasks)
+    if clash is not None:
+        c, first, later = clash
+        raise DataError(
+            f"class {c} appears in tasks {first} and {later}; "
+            f"class-incremental evaluation needs disjoint labels"
+        )
 
 
 def _union_classes(tasks):

@@ -1,6 +1,7 @@
 """Command-line runner: config parsing, report layout, exit codes, determinism."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +154,102 @@ class TestEvaluate:
         r0 = evaluate(ckpt, cfg, out=tmp_path / "e0")
         r1 = evaluate(ckpt, cfg, seed=1, out=tmp_path / "e1")
         assert r0["til"] != r1["til"]
+
+
+PERMUTED_CONFIG = """\
+[stream]
+kind = permuted
+tasks = 2
+train_images = {d}/train-images
+train_labels = {d}/train-labels
+test_images = {d}/test-images
+test_labels = {d}/test-labels
+
+[network]
+arch = dense8
+input_shape = 1x3x3
+
+[lif]
+window = 2
+
+[train]
+epochs = 1
+batch_size = 8
+
+[similarity]
+probe_size = 16
+
+[replay]
+capacity = 20
+calib_epochs = 1
+"""
+
+
+def _write_idx(path, array, magic):
+    dims = struct.pack(">" + "I" * array.ndim, *array.shape)
+    path.write_bytes(struct.pack(">I", magic) + dims
+                     + array.astype(np.uint8).tobytes())
+
+
+class TestTilOnlyStream:
+    def test_permuted_stream_skips_cil_in_run_and_evaluate(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for split, n in (("train", 16), ("test", 8)):
+            labels = np.arange(n) % 2
+            images = rng.integers(0, 60, size=(n, 3, 3))
+            images += 150 * labels.reshape(-1, 1, 1)
+            _write_idx(tmp_path / f"{split}-images", images, 0x803)
+            _write_idx(tmp_path / f"{split}-labels", labels, 0x801)
+        cfg = tmp_path / "permuted.ini"
+        cfg.write_text(PERMUTED_CONFIG.format(d=tmp_path))
+        skipped = {"accuracy": None,
+                   "skipped": "class labels repeat across tasks "
+                              "(TIL-only stream)"}
+        report = run(cfg, out=tmp_path / "run")
+        assert report["cil"] == skipped
+        assert len(report["til"]["per_task"]) == 2
+        again = evaluate(tmp_path / "run" / "checkpoint.npz", cfg,
+                         out=tmp_path / "eval")
+        assert again["cil"] == skipped
+        assert again["til"] == report["til"]
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("saved")
+    cfg = _write_config(tmp)
+    run(cfg)
+    with np.load(tmp / "out" / "checkpoint.npz") as data:
+        arrays = dict(data)
+    return tmp, cfg, arrays
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("name", ["task1/conn1", "layer1/w",
+                                      "task0/head_w"])
+    def test_column_cut_exits_config_error(self, saved_run, tmp_path, capsys,
+                                           name):
+        _, cfg, arrays = saved_run
+        arrays = dict(arrays, **{name: arrays[name][:, :-1]})
+        bad = tmp_path / "cut.npz"
+        np.savez(bad, **arrays)
+        assert main(["evaluate", str(bad), str(cfg),
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
+    def test_missing_array_exits_config_error(self, saved_run, tmp_path,
+                                              capsys):
+        _, cfg, arrays = saved_run
+        arrays = {k: v for k, v in arrays.items() if k != "task1/head_b"}
+        bad = tmp_path / "truncated.npz"
+        np.savez(bad, **arrays)
+        assert main(["evaluate", str(bad), str(cfg),
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert "task1/head_b" in capsys.readouterr().err
+
+    def test_intact_copy_still_evaluates(self, saved_run, tmp_path):
+        _, cfg, arrays = saved_run
+        good = tmp_path / "copy.npz"
+        np.savez(good, **arrays)
+        assert main(["evaluate", str(good), str(cfg),
+                     "--out", str(tmp_path / "eval")]) == EXIT_OK

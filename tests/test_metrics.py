@@ -49,6 +49,41 @@ class TestCountActive:
         assert neurons == 3
 
 
+    def test_matches_per_unit_loop_on_random_masks(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            shape = (2, 3, 3)
+            stream = default_synthetic_stream(n_tasks=2, shape=shape,
+                                              n_train=8, n_test=4, seed=seed)
+            net = init_first_task([DenseSpec(6), DenseSpec(5), DenseSpec(4)],
+                                  shape, stream[0], seed=seed)
+            net.expand(stream[1], rng.integers(0, 4, size=3))
+            mask = net.masks[1]
+            for a, c in zip(mask.active, mask.conn):
+                a &= rng.random(a.shape) < 0.7
+                c &= rng.random(c.shape) < 0.3
+            mask.head_active &= rng.random(mask.head_active.shape) < 0.5
+            assert count_active(net, 1) == _count_active_loop(net, 1)
+
+
+def _count_active_loop(network, task_id):
+    """Oracle: visit every unit and look for an outgoing bit."""
+    mask = network.masks[task_id]
+    conns = sum(int(c.sum()) for c in mask.conn)
+    neurons = 0
+    last = len(network.layers) - 1
+    for li in range(len(network.layers)):
+        for u in range(network.layers[li].width):
+            if not mask.active[li][u]:
+                continue
+            if li == last:
+                neurons += bool(mask.head_active[u])
+            else:
+                neurons += bool(mask.conn[li + 1][:, u].any())
+    conns += int(mask.head_active.sum()) * network.heads[task_id].w.shape[0]
+    return conns, neurons
+
+
 class TestFlops:
     def test_dense_layer_fifty(self):
         net = _dense_net()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikecl.errors import ConfigError, ContractError
+from spikecl.errors import ConfigError, ContractError, FormatError
 from spikecl.network import (ConvSpec, DenseSpec, Network, init_first_task)
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
@@ -207,45 +207,180 @@ class TestPruning:
         net.prune_connections(1, edges)
         assert not mask.active[0][2]
 
+    def test_orphan_pass_matches_fixpoint_loop(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            t0 = _task(0, shape=SHAPE)
+            net = init_first_task([DenseSpec(6), DenseSpec(5), DenseSpec(4)],
+                                  SHAPE, t0, seed=seed)
+            for tid in (1, 2):
+                t = _task(tid, shape=SHAPE, seed=5)
+                net.expand(t, rng.integers(0, 4, size=3))
+            mask = net.masks[2]
+            for c in mask.conn:
+                c &= rng.random(c.shape) < 0.4
+            mask.head_active &= rng.random(mask.head_active.shape) < 0.5
+            expected = mask.copy()
+            _orphans_fixpoint_loop(net, expected, 2)
+            net._deactivate_orphans(2)
+            for a, b in zip(mask.active + mask.conn,
+                            expected.active + expected.conn):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(mask.head_active, expected.head_active)
+
+
+def _orphans_fixpoint_loop(net, mask, task_id):
+    """Oracle: rescan every old unit until no deactivation changes the mask."""
+    last = len(net.layers) - 1
+    changed = True
+    while changed:
+        changed = False
+        for li, layer in enumerate(net.layers):
+            old = [u for p in layer.populations if p.task_id < task_id
+                   for u in p.units()]
+            for u in old:
+                if not mask.active[li][u]:
+                    continue
+                if li == last:
+                    has_out = bool(mask.head_active[u])
+                else:
+                    has_out = bool(mask.conn[li + 1][:, u].any())
+                if not has_out:
+                    mask.active[li][u] = False
+                    mask.conn[li][u, :] = False
+                    if li == last:
+                        mask.head_active[u] = False
+                    else:
+                        mask.conn[li + 1][:, u] = False
+                    changed = True
+
+
+def _conv_expanded(seed=0):
+    shape = (1, 5, 5)
+    t0 = _task(0, shape=shape)
+    net = init_first_task([ConvSpec(3, 3, 2, 1), DenseSpec(4)], shape, t0,
+                          lif=LIFConfig(window=2), seed=seed)
+    t1 = _task(1, shape=shape, seed=5)
+    net.expand(t1, [2, 2])
+    return net, t0, t1
+
+
+def _first_task_draws(arch, shape, n_classes, seed):
+    """The He-normal draws of the first task, in order: layers, then head."""
+    rng = np.random.default_rng([seed, 0])
+    units, spatial, draws = shape[0], shape[1:], []
+    for spec in arch:
+        if isinstance(spec, ConvSpec):
+            k = spec.kernel
+            row = (units, k, k)
+            spatial = tuple((n + 2 * spec.padding - k) // spec.stride + 1
+                            for n in spatial)
+            units = spec.channels
+        else:
+            row = (units * int(np.prod(spatial)),)
+            spatial, units = (), spec.units
+        std = np.sqrt(2.0 / int(np.prod(row)))
+        draws.append(rng.normal(0.0, std, size=(units,) + row))
+    draws.append(rng.normal(0.0, np.sqrt(2.0 / units), size=(n_classes, units)))
+    return draws
+
+
+class TestFirstTaskIsExpansion:
+    @pytest.mark.parametrize("arch,shape", [
+        ([ConvSpec(4, 3, 2, 1), ConvSpec(4, 3, 2, 1), DenseSpec(16),
+          DenseSpec(8)], (1, 9, 9)),
+        ([DenseSpec(6), DenseSpec(4)], (2, 3, 3)),
+    ])
+    def test_weights_follow_the_first_task_draw_order(self, arch, shape):
+        net = init_first_task(arch, shape, _task(0, shape=shape), seed=3)
+        draws = _first_task_draws(arch, shape, 2, seed=3)
+        for layer, w in zip(net.layers, draws):
+            np.testing.assert_array_equal(layer.w.data, w)
+            assert layer.trainable_w.all() and layer.exist.all()
+            assert not layer.b.data.any()
+        np.testing.assert_array_equal(net.heads[0].w.data, draws[-1])
+
+    def test_empty_network_has_geometry_and_no_units(self):
+        net = Network([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (2, 5, 5),
+                      LIFConfig(), 0)
+        conv, dense = net.layers
+        assert (conv.width, conv.in_units, conv.block, conv.out_shape) == \
+               (0, 2, 1, (3, 3))
+        assert (dense.width, dense.in_units, dense.block, dense.out_shape) == \
+               (0, 0, 9, ())
+        assert not net.masks and not net.heads
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
-        net, t0, t1 = TestPruning()._expanded(seed=2)
-        net.anchors[0] = {c: np.random.default_rng(0).normal(size=4)
-                          for c in t0.classes}
-        net.prune_units(1, [(0, 1)])
-        path = tmp_path / "ckpt.npz"
-        net.save(path)
-        loaded = Network.load(path)
-        for la, lb in zip(net.layers, loaded.layers):
-            np.testing.assert_array_equal(la.w.data, lb.w.data)
-            np.testing.assert_array_equal(la.b.data, lb.b.data)
-            np.testing.assert_array_equal(la.trainable_w, lb.trainable_w)
-            np.testing.assert_array_equal(la.exist, lb.exist)
-            assert [(p.task_id, p.start, p.stop) for p in la.populations] == \
-                   [(p.task_id, p.start, p.stop) for p in lb.populations]
-        for t in net.masks:
-            for a, b in zip(net.masks[t].active, loaded.masks[t].active):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(net.masks[t].conn, loaded.masks[t].conn):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(net.masks[t].head_active,
-                                          loaded.masks[t].head_active)
-            np.testing.assert_array_equal(net.heads[t].w.data,
-                                          loaded.heads[t].w.data)
-        for c in net.anchors[0]:
-            np.testing.assert_array_equal(net.anchors[0][c],
-                                          loaded.anchors[0][c])
-        # forward is bit-identical through the round trip
-        x = Tensor(t0.train_x[:3])
-        a, _ = net.forward_task(x, 0)
-        b, _ = loaded.forward_task(x, 0)
-        np.testing.assert_array_equal(a.data, b.data)
+        for name, build in (("dense", TestPruning()._expanded),
+                            ("conv", _conv_expanded)):
+            net, t0, t1 = build(seed=2)
+            net.anchors[0] = {c: np.random.default_rng(0).normal(size=4)
+                              for c in t0.classes}
+            net.prune_units(1, [(0, 1)])
+            path = tmp_path / f"{name}.npz"
+            net.save(path)
+            loaded = Network.load(path)
+            for la, lb in zip(net.layers, loaded.layers):
+                np.testing.assert_array_equal(la.w.data, lb.w.data)
+                np.testing.assert_array_equal(la.b.data, lb.b.data)
+                np.testing.assert_array_equal(la.trainable_w, lb.trainable_w)
+                np.testing.assert_array_equal(la.exist, lb.exist)
+                pops = [[(p.task_id, p.start, p.stop) for p in l.populations]
+                        for l in (la, lb)]
+                assert pops[0] == pops[1]
+            for t in net.masks:
+                for a, b in zip(net.masks[t].active, loaded.masks[t].active):
+                    np.testing.assert_array_equal(a, b)
+                for a, b in zip(net.masks[t].conn, loaded.masks[t].conn):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(net.masks[t].head_active,
+                                              loaded.masks[t].head_active)
+                np.testing.assert_array_equal(net.heads[t].w.data,
+                                              loaded.heads[t].w.data)
+            for c in net.anchors[0]:
+                np.testing.assert_array_equal(net.anchors[0][c],
+                                              loaded.anchors[0][c])
+            # forward is bit-identical through the round trip
+            for t, task in ((0, t0), (1, t1)):
+                x = Tensor(task.train_x[:3])
+                a, _ = net.forward_task(x, t)
+                b, _ = loaded.forward_task(x, t)
+                np.testing.assert_array_equal(a.data, b.data)
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):
-        from spikecl.errors import FormatError
-
         path = tmp_path / "bad.npz"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(FormatError, match="cannot read"):
             Network.load(path)
+
+    @pytest.mark.parametrize("name,change", [
+        ("layer0/w", "cut column"), ("layer0/exist", "cut row"),
+        ("task1/active1", "cut row"), ("task1/cil_b", "cut row"),
+        ("anchor0/0", "widen"), ("layer1/b", "drop"), ("task0/cil_w", "nan"),
+    ])
+    def test_shape_mismatch_or_missing_array_rejected(self, tmp_path, name,
+                                                      change):
+        net, t0, _ = _conv_expanded()
+        net.anchors[0] = {c: np.zeros(4) for c in t0.classes}
+        net.save(tmp_path / "ok.npz")
+        with np.load(tmp_path / "ok.npz") as data:
+            arrays = dict(data)
+        edits = {"cut column": lambda a: a[:, :-1], "cut row": lambda a: a[:-1],
+                 "widen": lambda a: np.zeros(99),
+                 "nan": lambda a: np.where(a == a.flat[0], np.nan, a)}
+        if change == "drop":
+            del arrays[name]
+        else:
+            arrays[name] = edits[change](arrays[name])
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(FormatError, match=name):
+            Network.load(tmp_path / "bad.npz")
+
+    def test_populations_must_tile_units(self, tmp_path):
+        net, _ = _dense_net()
+        net.layers[1].populations[0].start = 1
+        net.save(tmp_path / "bad.npz")
+        with pytest.raises(FormatError, match="tile"):
+            Network.load(tmp_path / "bad.npz")

@@ -137,6 +137,58 @@ class TestUpdateRelatedness:
         assert state.r[0][0] == 0.0  # untouched
 
 
+    def test_matches_per_unit_loop_on_random_masks(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = [7, 5]
+            ids = [np.sort(rng.choice(9, size=k, replace=False)) for k in n]
+            rho = [rng.uniform(0.0, 1.5, size=k) for k in n]
+            active = [rng.random(9) < 0.7 for _ in n]
+            r0 = [rng.normal(size=k) for k in n]
+            g0 = [rng.uniform(0.0, 3.0, size=k) for k in n]
+            pruned = {(li, int(u)) for li in range(2) for u in ids[li]
+                      if rng.random() < 0.2}
+            states = []
+            for _ in range(2):
+                state = RelatednessState(1, ids, rho, [r.copy() for r in r0],
+                                         [g.copy() for g in g0])
+                state.pruned = set(pruned)
+                states.append(state)
+            net = _StubNetwork(1, active)
+            doomed = update_relatedness(states[0], net, epoch=seed % 3)
+            expected = _update_relatedness_loop(states[1], net, epoch=seed % 3)
+            assert doomed == expected
+            for a, b in zip(states[0].r + states[0].grad_accum,
+                            states[1].r + states[1].grad_accum):
+                np.testing.assert_array_equal(a, b)
+
+
+def _update_relatedness_loop(state, network, epoch):
+    """Oracle: the per-unit loop form of the relatedness update."""
+    doomed = set()
+    decay = math.exp(-epoch / 2.0)
+    mask = network.masks[state.task_id]
+    for li, ids in enumerate(state.unit_ids):
+        alive = np.array([
+            (li, u) not in state.pruned and mask.active[li][u] for u in ids
+        ])
+        if not alive.any():
+            state.grad_accum[li][:] = 0.0
+            continue
+        norm = np.zeros(len(ids))
+        norm[alive] = normalize_gradients(state.grad_accum[li][alive])
+        state.r[li][alive] = (
+            0.99 * state.r[li][alive]
+            - decay * (2.0 * norm[alive] - state.unit_rho[li][alive])
+        )
+        for k in np.flatnonzero(alive):
+            if state.r[li][k] < 0.0:
+                doomed.add((li, int(ids[k])))
+        state.grad_accum[li][:] = 0.0
+    state.epoch = epoch + 1
+    return doomed
+
+
 class TestBiasSchedule:
     def test_negatively_correlated_with_depth(self):
         values = [bias_schedule(l) for l in range(4)]
