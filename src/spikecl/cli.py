@@ -176,9 +176,9 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _cil_report(network, tasks):
+def _cil_report(network, tasks, disjoint):
     """CIL accuracy, or why it is skipped when class labels repeat."""
-    if repeated_class(tasks) is not None:
+    if not disjoint:
         return {"accuracy": None,
                 "skipped": "class labels repeat across tasks (TIL-only stream)"}
     return {"accuracy": cil_evaluate(network, tasks)}
@@ -259,7 +259,9 @@ def run(config_path, seed=None, out=None, literal_eq3=False,
         out = cfg.get("run", "out", fallback="runs/latest")
     tasks = build_stream(cfg, seed)
     tcfg = build_train_config(cfg, seed, literal_eq3, literal_eq7)
-    buffer = ReplayBuffer(tcfg.replay_capacity)
+    # class-incremental replay only means something when labels are disjoint
+    disjoint = repeated_class(tasks) is None
+    buffer = ReplayBuffer(tcfg.replay_capacity) if disjoint else None
     network = None
     logs = []
     matrix = metrics.AccuracyMatrix()
@@ -273,7 +275,7 @@ def run(config_path, seed=None, out=None, literal_eq3=False,
         matrix.add_row(accs)
         logs.append(log)
     til = til_evaluate(network, tasks)
-    cil = _cil_report(network, tasks)
+    cil = _cil_report(network, tasks, disjoint)
     timings["total"] = time.perf_counter() - t_start
     report = _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
                             matrix, til, cil, timings, tcfg.lif.window)
@@ -301,7 +303,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
             )
     t0 = time.perf_counter()
     til = til_evaluate(network, tasks)
-    cil = _cil_report(network, tasks)
+    cil = _cil_report(network, tasks, repeated_class(tasks) is None)
     matrix = metrics.AccuracyMatrix()
     matrix.entries = [list(til[0])]  # evaluation-only: final accuracies
     timings = {"evaluate": time.perf_counter() - t0}

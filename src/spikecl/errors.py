@@ -5,6 +5,10 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class NumericalError(ShapeError):
+    """A tensor or an operation's result holds a non-finite value."""
+
+
 class ConfigError(ValueError):
     """A configuration value or combination of values is invalid."""
 

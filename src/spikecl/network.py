@@ -3,25 +3,27 @@
 A ``Network`` starts with zero-width layers whose geometry (kind, input
 units, columns per input unit, output spatial shape) is fixed by the
 architecture and input shape.  ``Network.expand`` is the only code that
-creates weights: it grows one population per layer for a task, and the first
-task is that same growth starting from nothing.  ``Network.load`` builds the
-same empty network and fills in the saved arrays after checking their shapes
-against that geometry.
+creates weights: it appends one population per layer for a task, the first
+task included.  ``Network.load`` builds the same empty network and fills in
+the saved arrays after checking their shapes against that geometry.
 
-Each layer owns one dense weight array covering every unit ever created.
-Per-task subnetworks are expressed as masks:
+Each layer owns one dense weight array covering every unit ever created.  A
+task only ever adds units, so the subnetwork it was learned on is the leading
+block (prefix) of every layer as it stood then, and its state keeps that
+shape for good:
 
 * ``exist``   -- which synapses physically exist (an old unit never gains
-  input synapses, so its row only covers columns that existed when its task
-  was trained);
+  input synapses);
 * ``trainable`` -- which entries the optimizer may touch (rows of the
   current task's populations only);
-* ``TaskMask``  -- per-task active units and connection bits; pruning clears
-  bits here and never touches other tasks' masks.
+* ``TaskMask``  -- per-task active units and connection bits over its
+  prefix; pruning clears bits here and never touches other tasks' masks.
+  The task's head and feature anchors have its prefix's feature width.
 
-Convolutional layers treat a channel as one unit; connection bits between a
-conv layer and the following dense layer are kept at channel level and
-``Layer.weight_mask`` expands them to the flattened column block.
+A task's forward crops the shared weights to its prefix.  Convolutional
+layers treat a channel as one unit; connection bits between a conv layer and
+the following dense layer are kept at channel level and ``Layer.weight_mask``
+expands them to the flattened column block.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,15 @@ class Layer:
 
 
 class TaskMask:
-    def __init__(self, task_id, active, conn, head_active):
-        self.task_id = task_id
+    """Active units and connection bits of one task, at its prefix widths."""
+
+    def __init__(self, active, conn, head_active):
         self.active = active  # list of bool (width,) per layer
         self.conn = conn  # list of bool (width, in_units) per layer
         self.head_active = head_active  # bool (final width,)
 
     def copy(self):
         return TaskMask(
-            self.task_id,
             [a.copy() for a in self.active],
             [c.copy() for c in self.conn],
             self.head_active.copy(),
@@ -170,8 +172,7 @@ class TaskHead:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
         # CIL inference uses calibrated copies so the TIL head stays frozen.
-        self.cil_w = Tensor(w.copy(), requires_grad=True)
-        self.cil_b = Tensor(b.copy(), requires_grad=True)
+        self.sync_cil()
 
     def sync_cil(self):
         self.cil_w = Tensor(self.w.data.copy(), requires_grad=True)
@@ -203,7 +204,6 @@ class Network:
         self.masks = {}
         self.heads = {}
         self.anchors = {}  # task_id -> {class: mean feature vector}
-        self.current_task = None
         # geometry is fixed here: expansion is by unit (channel), never spatial
         self.layers = []
         units, spatial = self.input_shape[0], self.input_shape[1:]
@@ -242,27 +242,8 @@ class Network:
                 NeuronPopulation(task.id, li, old_out, old_out + n_new)
             )
             prev_new = n_new
-        # pad stored masks with inactive bits for the new units
-        for mask in self.masks.values():
-            for li, layer in enumerate(self.layers):
-                a = np.zeros(layer.width, dtype=bool)
-                a[: mask.active[li].size] = mask.active[li]
-                c = np.zeros(layer.exist.shape, dtype=bool)
-                c[: mask.conn[li].shape[0], : mask.conn[li].shape[1]] = mask.conn[li]
-                mask.active[li], mask.conn[li] = a, c
-            ha = np.zeros(self.layers[-1].width, dtype=bool)
-            ha[: mask.head_active.size] = mask.head_active
-            mask.head_active = ha
         feat = self.layers[-1].width
-        for head in self.heads.values():
-            w = np.zeros((head.w.shape[0], feat))
-            w[:, : head.w.shape[1]] = head.w.data
-            head.w = Tensor(w, requires_grad=True)
-            cw = np.zeros((head.cil_w.shape[0], feat))
-            cw[:, : head.cil_w.shape[1]] = head.cil_w.data
-            head.cil_w = Tensor(cw, requires_grad=True)
         self.masks[task.id] = TaskMask(
-            task.id,
             [np.ones(l.width, dtype=bool) for l in self.layers],
             [l.exist.copy() for l in self.layers],
             np.ones(feat, dtype=bool),
@@ -272,7 +253,6 @@ class Network:
             _he_init(rng, (len(task.classes), feat), feat),
             np.zeros(len(task.classes)),
         )
-        self.current_task = task.id
 
     # -- forward -------------------------------------------------------------
 
@@ -282,25 +262,36 @@ class Network:
         return self.masks[task_id]
 
     def step_fn(self, task_id, cfg=None):
-        """Single-timestep closure over the feature layers for ``task_id``."""
+        """Single-timestep closure over the feature layers for ``task_id``.
+
+        Weights are cropped to the task's prefix and masked once per window.
+        """
         mask = self._require_mask(task_id)
         cfg = cfg or self.lif
+        params = []
+        for layer, conn in zip(self.layers, mask.conn):
+            rows, cols = conn.shape
+            weff = layer.w.crop(rows, cols * layer.block).mask_mul(
+                layer.weight_mask(conn))
+            if layer.kind == "dense":
+                weff = weff.transpose()
+            params.append((weff, layer.b.crop(rows)))
 
         def step(x, states):
             if states is None:
-                states = [SpikeState.zeros((x.shape[0], l.width) + l.out_shape)
-                          for l in self.layers]
+                states = [SpikeState.zeros((x.shape[0], a.size) + l.out_shape)
+                          for a, l in zip(mask.active, self.layers)]
             h = x
             new_states = []
             for li, layer in enumerate(self.layers):
-                weff = layer.w.mask_mul(layer.weight_mask(mask.conn[li]))
+                weff, bias = params[li]
                 if layer.kind == "conv":
                     cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
                 else:
                     if len(h.shape) > 2:
                         h = h.reshape(h.shape[0], -1)
-                    cur = h.matmul(weff.transpose())
-                cur = cur.add_bias(layer.b)
+                    cur = h.matmul(weff)
+                cur = cur.add_bias(bias)
                 cur = cur.mask_mul(layer.unit_mask(mask.active[li]))
                 state = lif_step(states[li], cur, cfg)
                 new_states.append(state)
@@ -399,6 +390,11 @@ class Network:
             mask.conn[dst_layer][dst_unit, src_unit] = False
         self._deactivate_orphans(task_id)
 
+    def _widths(self, task_id):
+        """Per-layer widths once ``task_id`` was learned: the task's prefix."""
+        return [max((p.stop for p in l.populations if p.task_id <= task_id),
+                    default=0) for l in self.layers]
+
     def _deactivate_orphans(self, task_id):
         """Old units with no outgoing bits in the mask become inactive.
 
@@ -407,11 +403,9 @@ class Network:
         """
         mask = self.masks[task_id]
         has_out = mask.head_active
+        old_widths = self._widths(task_id - 1)
         for li in reversed(range(len(self.layers))):
-            old = np.zeros(self.layers[li].width, dtype=bool)
-            for pop in self.layers[li].populations:
-                if pop.task_id < task_id:
-                    old[pop.start:pop.stop] = True
+            old = np.arange(mask.active[li].size) < old_widths[li]
             orphan = old & mask.active[li] & ~has_out
             mask.active[li][orphan] = False
             mask.conn[li][orphan] = False
@@ -424,7 +418,6 @@ class Network:
             "version": FORMAT_VERSION,
             "seed": self.seed,
             "input_shape": list(self.input_shape),
-            "current_task": self.current_task,
             "lif": {
                 "tau": self.lif.tau, "v_th": self.lif.v_th, "lam": self.lif.lam,
                 "window": self.lif.window, "reset_mode": self.lif.reset_mode,
@@ -490,7 +483,6 @@ class Network:
             ]
             net = Network(arch, meta["input_shape"], LIFConfig(**meta["lif"]),
                           meta["seed"])
-            net.current_task = meta["current_task"]
             for tid, li, start, stop in meta["populations"]:
                 net.layers[li].populations.append(
                     NeuronPopulation(tid, li, start, stop))
@@ -529,14 +521,15 @@ class Network:
             layer.trainable_b = array(f"layer{li}/trainable_b", (width,))
             layer.exist = array(f"layer{li}/exist", (width, in_units))
             in_units = width
-        feat = net.layers[-1].width
         for t, cls in classes.items():
+            rows = net._widths(t)
+            cols = [net.input_shape[0]] + rows[:-1]
+            feat = rows[-1]
             net.masks[t] = TaskMask(
-                t,
-                [array(f"task{t}/active{li}", (l.width,))
-                 for li, l in enumerate(net.layers)],
-                [array(f"task{t}/conn{li}", l.exist.shape)
-                 for li, l in enumerate(net.layers)],
+                [array(f"task{t}/active{li}", (r,))
+                 for li, r in enumerate(rows)],
+                [array(f"task{t}/conn{li}", rc)
+                 for li, rc in enumerate(zip(rows, cols))],
                 array(f"task{t}/head_active", (feat,)),
             )
             head_shape = (len(cls), feat)
@@ -548,14 +541,8 @@ class Network:
                                 requires_grad=True)
             net.heads[t] = head
         for t, cls in anchor_classes.items():
-            net.anchors[t] = {}
-            for c in cls:
-                name = f"anchor{t}/{c}"
-                vec = data[name] if name in data.files else None
-                if vec is None or vec.ndim != 1 or vec.size > feat:
-                    raise FormatError(f"checkpoint {path}: anchor {name} is "
-                                      f"missing or wider than {feat} features")
-                net.anchors[t][c] = vec
+            feat = net._widths(t)[-1]
+            net.anchors[t] = {c: array(f"anchor{t}/{c}", (feat,)) for c in cls}
         return net
 
 

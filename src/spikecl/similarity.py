@@ -99,14 +99,6 @@ def similarity_score(kl, mode=CLAMPED):
     raise ContractError(f"unknown similarity mode {mode!r}")
 
 
-def _pad_to(vec, width):
-    if vec.size >= width:
-        return vec
-    out = np.zeros(width)
-    out[: vec.size] = vec
-    return out
-
-
 def _split_by_class(x, y, classes):
     out = {}
     for c in classes:
@@ -146,12 +138,8 @@ def similarity_vector(network, task, gamma=0.9, mode=CLAMPED,
             else:
                 query[c] = feats[idx[:half]]
                 ref[c] = feats[idx[half:]]
-        # stored anchors predate later expansions; under mask p the extra
-        # units are inactive, so zero-padding aligns the widths exactly
-        width = feats.shape[1]
-        anchors_p = FeatureAnchor(p, {
-            c: _pad_to(v, width) for c, v in network.anchors[p].items()
-        })
+        # features under task p have p's width, as its stored anchors do
+        anchors_p = FeatureAnchor(p, network.anchors[p])
         anchors_tp = compute_anchors(ref, task.id)
         kl, _ = kl_estimate(query, anchors_p, anchors_tp, gamma)
         records.append(SimilarityRecord(task.id, p, kl,

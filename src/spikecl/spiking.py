@@ -105,14 +105,14 @@ def lif_step(state, input_current, cfg):
     return SpikeState(membrane, spike(membrane, cfg))
 
 
-def run_window(step, x, cfg, initial_states=None):
+def run_window(step, x, cfg):
     """Unroll ``cfg.window`` timesteps, re-presenting ``x`` each step.
 
     ``step(x, states)`` must return ``(output Tensor, new states)``.  The
     result is the mean of the per-step outputs (the spike rate when outputs
     are spikes).
     """
-    states = initial_states
+    states = None
     total = None
     for _ in range(cfg.window):
         out, states = step(x, states)

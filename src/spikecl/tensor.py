@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalError, ShapeError
 
 _grad_enabled = True
 
@@ -42,7 +42,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
-            raise ShapeError("tensor contains non-finite values")
+            raise NumericalError("tensor contains non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -58,7 +58,7 @@ class Tensor:
         out._parents = ()
         out._backward = None
         if not np.all(np.isfinite(data)):
-            raise ShapeError("operation produced non-finite values")
+            raise NumericalError("operation produced non-finite values")
         out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
@@ -72,12 +72,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -158,6 +152,20 @@ class Tensor:
                 _accum(self, out.grad.reshape(self.shape))
 
         return Tensor._make(new, (self,), backward)
+
+    def crop(self, *extent):
+        """Leading block ``[:n0, :n1, ...]``; ``self`` when that is everything."""
+        if extent == self.shape[: len(extent)]:
+            return self
+        block = tuple(slice(0, n) for n in extent)
+
+        def backward(out):
+            if self.requires_grad:
+                grad = np.zeros(self.shape)
+                grad[block] = out.grad
+                _accum(self, grad)
+
+        return Tensor._make(self.data[block], (self,), backward)
 
     def transpose(self):
         if self.data.ndim != 2:

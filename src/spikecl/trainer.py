@@ -14,11 +14,12 @@ TIL accuracy is exactly stable by construction.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, TrainingError
+from .errors import ContractError, DataError, NumericalError, TrainingError
 from .network import init_first_task
 from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          association, build_relatedness, expansion_counts,
@@ -159,13 +160,32 @@ def _local_labels(task, y):
     return np.asarray([lut[v] for v in y], dtype=np.int64)
 
 
+@contextmanager
+def _diverged(cfg, task, epoch=None):
+    """Re-raise a non-finite value as a TrainingError saying where it arose."""
+    try:
+        yield
+    except NumericalError as exc:
+        at = "" if epoch is None else f", epoch {epoch}"
+        raise TrainingError(f"training diverged (seed {cfg.seed}, task "
+                            f"{task.id}{at}): {exc}") from exc
+
+
 def learn_task(network, task, cfg, buffer=None):
-    """Run the full per-task procedure; returns (network, log dict)."""
+    """Run the full per-task procedure; returns (network, log dict).
+
+    Non-finite values end in a ``TrainingError`` naming seed, task and epoch.
+    """
     if network is not None and task.id != max(network.masks) + 1:
         raise ContractError(
             f"tasks must arrive in id order; got {task.id} after "
             f"{sorted(network.masks)}"
         )
+    with _diverged(cfg, task):
+        return _learn_task(network, task, cfg, buffer)
+
+
+def _learn_task(network, task, cfg, buffer):
     log = {"task": task.id, "similarity": [], "association": None,
            "expansion": None, "losses": [], "pruning_rates": {},
            "train_accuracy": None}
@@ -201,30 +221,26 @@ def learn_task(network, task, cfg, buffer=None):
     optim = Adam(params, _trainable_masks(network, task.id), lr=cfg.lr)
     x, y = task.train_x, _local_labels(task, task.train_y)
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, task.id, epoch])
-        epoch_loss = 0.0
-        n_batches = 0
-        for idx in _batches(x.shape[0], cfg.batch_size, rng):
-            logits, _ = network.forward_task(Tensor(x[idx]), task.id)
-            loss = cross_entropy(logits, y[idx])
-            if not np.isfinite(loss.data):
-                raise TrainingError(
-                    f"loss diverged (seed {cfg.seed}, task {task.id}, "
-                    f"epoch {epoch})"
-                )
-            optim.zero_grad()
-            gradients(loss, params)
+        with _diverged(cfg, task, epoch):
+            rng = np.random.default_rng([cfg.seed, task.id, epoch])
+            epoch_loss = 0.0
+            n_batches = 0
+            for idx in _batches(x.shape[0], cfg.batch_size, rng):
+                logits, _ = network.forward_task(Tensor(x[idx]), task.id)
+                loss = cross_entropy(logits, y[idx])
+                optim.zero_grad()
+                gradients(loss, params)
+                if state is not None:
+                    accumulate_gradients(state, network, task.id)
+                optim.step()
+                epoch_loss += float(loss.data)
+                n_batches += 1
+            log["losses"].append(epoch_loss / max(n_batches, 1))
             if state is not None:
-                accumulate_gradients(state, network, task.id)
-            optim.step()
-            epoch_loss += float(loss.data)
-            n_batches += 1
-        log["losses"].append(epoch_loss / max(n_batches, 1))
-        if state is not None:
-            doomed = update_relatedness(state, network, epoch)
-            report = apply_pruning(network, task.id, doomed, state)
-            log["pruning_rates"] = pruning_rates(report)
-        optim.zero_grad()
+                doomed = update_relatedness(state, network, epoch)
+                report = apply_pruning(network, task.id, doomed, state)
+                log["pruning_rates"] = pruning_rates(report)
+            optim.zero_grad()
 
     # store the task's feature anchors for later similarity assessment
     anchors = {}
@@ -276,13 +292,6 @@ def _check_disjoint(tasks):
             f"class {c} appears in tasks {first} and {later}; "
             f"class-incremental evaluation needs disjoint labels"
         )
-
-
-def _union_classes(tasks):
-    out = []
-    for t in tasks:
-        out.extend(t.classes)
-    return sorted(out)
 
 
 def _cil_logits(network, tasks, x, cil=True):

@@ -34,7 +34,7 @@ window = 2
 [train]
 epochs = 4
 batch_size = 16
-lr = 0.01
+lr = {lr}
 
 [similarity]
 probe_size = 48
@@ -48,9 +48,9 @@ CSV_NAMES = ("accuracy_matrix.csv", "similarity.csv", "pruning_rates.csv",
              "energy.csv")
 
 
-def _write_config(tmp_path, tasks=2, name="run.ini", out="out"):
+def _write_config(tmp_path, tasks=2, name="run.ini", out="out", lr=0.01):
     path = tmp_path / name
-    path.write_text(CONFIG.format(out=tmp_path / out, tasks=tasks))
+    path.write_text(CONFIG.format(out=tmp_path / out, tasks=tasks, lr=lr))
     return path
 
 
@@ -112,6 +112,13 @@ class TestRun:
 
         monkeypatch.setattr(cli, "learn_task", boom)
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_TRAINING
+
+    def test_diverging_run_exits_three(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, tasks=3, lr=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(cfg)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "training error" in err and "seed 0, task 0, epoch 0" in err
 
     def test_main_exit_ok(self, tmp_path):
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_OK
@@ -192,7 +199,17 @@ def _write_idx(path, array, magic):
 
 
 class TestTilOnlyStream:
-    def test_permuted_stream_skips_cil_in_run_and_evaluate(self, tmp_path):
+    def test_permuted_stream_skips_cil_in_run_and_evaluate(self, tmp_path,
+                                                            monkeypatch):
+        import spikecl.trainer as trainer
+
+        original, calibrations = trainer.calibrate_heads, []
+
+        def counted(*args, **kwargs):
+            calibrations.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "calibrate_heads", counted)
         rng = np.random.default_rng(0)
         for split, n in (("train", 16), ("test", 8)):
             labels = np.arange(n) % 2
@@ -208,6 +225,7 @@ class TestTilOnlyStream:
         report = run(cfg, out=tmp_path / "run")
         assert report["cil"] == skipped
         assert len(report["til"]["per_task"]) == 2
+        assert calibrations == []  # no replay on a TIL-only stream
         again = evaluate(tmp_path / "run" / "checkpoint.npz", cfg,
                          out=tmp_path / "eval")
         assert again["cil"] == skipped
@@ -225,6 +243,28 @@ def saved_run(tmp_path_factory):
 
 
 class TestCheckpointValidation:
+    @pytest.mark.parametrize("change,message", [
+        ("version 1", "checkpoint version 1 unsupported"),
+        ("task0/conn1", "task0/conn1 has shape (9, 12)"),
+    ])
+    def test_old_format_or_wider_prefix_exits_config_error(
+            self, saved_run, tmp_path, capsys, change, message):
+        _, cfg, arrays = saved_run
+        arrays = dict(arrays)
+        if change == "version 1":
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            meta["version"] = 1
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                               dtype=np.uint8)
+        else:  # one row wider than task 0's prefix of layer 1
+            conn = arrays[change]
+            arrays[change] = np.vstack([conn, conn[:1]])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        assert main(["evaluate", str(bad), str(cfg),
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["task1/conn1", "layer1/w",
                                       "task0/head_w"])
     def test_column_cut_exits_config_error(self, saved_run, tmp_path, capsys,

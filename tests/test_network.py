@@ -81,6 +81,24 @@ class TestExpand:
         net.expand(t1, [3, 2])
         assert [l.width for l in net.layers] == [widths[0] + 3, widths[1] + 2]
 
+    def test_old_task_state_keeps_its_shape_and_values(self):
+        net, t0 = _dense_net()
+        net.anchors[0] = {c: np.arange(4.0) + c for c in t0.classes}
+        mask, head = net.masks[0], net.heads[0]
+
+        def state():
+            return (mask.active + mask.conn
+                    + [mask.head_active, head.w.data, head.cil_w.data]
+                    + [net.anchors[0][c] for c in t0.classes])
+
+        before = [a.copy() for a in state()]
+        for tid, counts in ((1, [3, 2]), (2, [1, 1])):
+            net.expand(_task(tid, shape=SHAPE, seed=5), counts)
+        assert [l.width for l in net.layers] == [10, 7]
+        for a, b in zip(before, state()):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
     def test_duplicate_task_rejected(self):
         net, t0 = _dense_net()
         with pytest.raises(ContractError, match="already"):
@@ -206,6 +224,24 @@ class TestPruning:
         mask.conn[1][:4, 2] = False  # also pretend old wiring lost it
         net.prune_connections(1, edges)
         assert not mask.active[0][2]
+
+    def test_prune_connections_on_an_older_task(self):
+        net, t0, t1 = self._expanded()
+        net.expand(_task(2, shape=SHAPE, seed=6), [1, 1])
+        mask = net.masks[1]
+        shapes = [c.shape for c in mask.conn]
+        x = Tensor(t0.train_x[:4])
+        task0_before, _ = net.forward_task(x, 0)
+        # old layer-0 unit 2 feeds task 1 only through new units 4 and 5
+        mask.conn[1][:4, 2] = False
+        net.prune_connections(1, [(1, 4, 2), (1, 5, 2)])
+        assert [c.shape for c in mask.conn] == shapes
+        assert not mask.active[0][2] and not mask.conn[0][2].any()
+        assert mask.active[0][:2].all() and mask.active[0][3:].all()
+        logits, feats = net.forward_task(Tensor(t1.train_x[:4]), 1)
+        assert logits.shape == (4, 2) and feats.shape == (4, 6)
+        task0_after, _ = net.forward_task(x, 0)
+        np.testing.assert_array_equal(task0_before.data, task0_after.data)
 
     def test_orphan_pass_matches_fixpoint_loop(self):
         for seed in range(20):

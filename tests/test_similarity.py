@@ -145,7 +145,6 @@ class TestSimilarityVector:
         net, t0, specs, shape = _toy_network_with_anchors()
         # add a dissimilar second anchor set under an identical mask
         net.masks[1] = net.masks[0].copy()
-        net.masks[1].task_id = 1
         far = synthetic_stream([SyntheticTaskSpec(
             [GaussianClass(0, np.full(9, -3.0), 0.02),
              GaussianClass(1, np.full(9, 4.0), 0.02)], 120, 40)],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ContractError, ShapeError
+from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.tensor import (Tensor, backward, concat_cols, conv2d,
                             cross_entropy, finite_diff_check, gradients,
                             no_grad)
@@ -180,6 +180,19 @@ class TestFiniteDiffCheck:
 
         assert finite_diff_check(f, [w], step=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("extent", [(2, 3), (3, 4)])
+    def test_crop_matches_finite_differences(self, extent):
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+        coef = rng.normal(size=extent + (2,))
+
+        def f():
+            block = w.crop(*extent)
+            return (block.mask_mul(coef) * block).sum()
+
+        assert (w.crop(*extent) is w) == (extent == w.shape[:2])
+        assert finite_diff_check(f, [w], step=1e-5) < 1e-8
+
 
 class TestOpsAndErrors:
     def test_elementwise_shape_mismatch(self):
@@ -189,6 +202,9 @@ class TestOpsAndErrors:
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeError, match="non-finite"):
             Tensor([np.inf])
+        with pytest.raises(NumericalError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            Tensor(np.array([1e308])) * 10.0
 
     def test_add_bias_conv_form(self):
         x = Tensor(np.zeros((2, 3, 4, 4)))
