@@ -70,7 +70,8 @@ def energy_report(network, task_id, mode="snn", window=None):
     conns, neurons = count_active(network, task_id)
     flops = flops_estimate(network, task_id)
     window = window or network.lif.window
-    total_conns = sum(int(l.exist.sum()) for l in network.layers)
+    total_conns = sum(int(network.synapses(li).sum())
+                      for li in range(len(network.layers)))
     total_conns += network.layers[-1].width * network.heads[task_id].w.shape[0]
     rate = 1.0 - conns / total_conns if total_conns else 0.0
     return EnergyReport(conns, neurons, flops,

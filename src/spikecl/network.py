@@ -12,11 +12,12 @@ task only ever adds units, so the subnetwork it was learned on is the leading
 block (prefix) of every layer as it stood then, and its state keeps that
 shape for good:
 
-* ``exist``   -- which synapses physically exist (an old unit never gains
-  input synapses);
-* ``trainable`` -- which entries the optimizer may touch (rows of the
-  current task's populations only);
-* ``TaskMask``  -- per-task active units and connection bits over its
+* which synapses exist -- derived from populations: a row of task p's
+  population reads the input units of p's prefix, so an old unit never
+  gains input synapses;
+* which entries are trainable -- derived from populations: the rows of the
+  latest task's population only;
+* ``TaskMask`` -- per-task active units and connection bits over its
   prefix; pruning clears bits here and never touches other tasks' masks.
   The task's head and feature anchors have its prefix's feature width.
 
@@ -38,7 +39,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,6 @@ class NeuronPopulation:
     def size(self):
         return self.stop - self.start
 
-    def units(self):
-        return range(self.start, self.stop)
-
 
 def _he_init(rng, shape, fan_in):
     std = np.sqrt(2.0 / max(fan_in, 1))
@@ -96,9 +94,6 @@ class Layer:
         self.w = Tensor(np.zeros((0, in_units * block) + kernel),
                         requires_grad=True)
         self.b = Tensor(np.zeros(0), requires_grad=True)
-        self.trainable_w = np.zeros(self.w.shape, dtype=bool)
-        self.trainable_b = np.zeros(0, dtype=bool)
-        self.exist = np.zeros((0, in_units), dtype=bool)
         self.populations = []
 
     @property
@@ -125,7 +120,7 @@ class Layer:
         return active.reshape((1, -1) + (1,) * len(self.out_shape))
 
     def grow(self, rng, n_new, n_new_in):
-        """Freeze every existing entry and add ``n_new`` trainable units.
+        """Add ``n_new`` units after the existing ones.
 
         ``n_new_in`` units were just added to the layer below; new units read
         every input unit, old units never gain input synapses.
@@ -140,13 +135,6 @@ class Layer:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.concatenate([self.b.data, np.zeros(n_new)]),
                         requires_grad=True)
-        self.trainable_w = np.zeros(w.shape, dtype=bool)
-        self.trainable_w[old_out:] = True
-        self.trainable_b = np.arange(old_out + n_new) >= old_out
-        exist = np.zeros((old_out + n_new, new_in), dtype=bool)
-        exist[:old_out, :old_in] = self.exist
-        exist[old_out:] = True
-        self.exist = exist
 
 
 class TaskMask:
@@ -245,7 +233,7 @@ class Network:
         feat = self.layers[-1].width
         self.masks[task.id] = TaskMask(
             [np.ones(l.width, dtype=bool) for l in self.layers],
-            [l.exist.copy() for l in self.layers],
+            [self.synapses(li) for li in range(len(self.layers))],
             np.ones(feat, dtype=bool),
         )
         self.heads[task.id] = TaskHead(
@@ -342,12 +330,6 @@ class Network:
 
     # -- pruning -------------------------------------------------------------
 
-    def _unit_task(self, layer_index, unit):
-        for pop in self.layers[layer_index].populations:
-            if pop.start <= unit < pop.stop:
-                return pop.task_id
-        raise KeyError(f"unit {unit} out of range in layer {layer_index}")
-
     def prune_units(self, task_id, doomed):
         """Disconnect old units from ``task_id``'s subnetwork entirely.
 
@@ -356,8 +338,9 @@ class Network:
         stays intact.
         """
         mask = self._require_mask(task_id)
+        lo, hi = self._widths(task_id - 1), self._widths(task_id)
         for li, u in doomed:
-            if self._unit_task(li, u) == task_id:
+            if lo[li] <= u < hi[li]:
                 raise ContractError(
                     f"cannot prune unit {u} of layer {li}: it belongs to the "
                     f"current task {task_id}"
@@ -377,12 +360,13 @@ class Network:
         outgoing bits are deactivated (cascading upstream).
         """
         mask = self._require_mask(task_id)
+        lo, hi = self._widths(task_id - 1), self._widths(task_id)
         for edge in edges:
             dst_layer, dst_unit, src_unit = edge
             if dst_layer == "head":
                 mask.head_active[src_unit] = False
                 continue
-            if self._unit_task(dst_layer, dst_unit) != task_id:
+            if not lo[dst_layer] <= dst_unit < hi[dst_layer]:
                 raise ContractError(
                     f"edge into layer {dst_layer} unit {dst_unit} does not "
                     f"target task {task_id}'s populations"
@@ -394,6 +378,18 @@ class Network:
         """Per-layer widths once ``task_id`` was learned: the task's prefix."""
         return [max((p.stop for p in l.populations if p.task_id <= task_id),
                     default=0) for l in self.layers]
+
+    def _in_widths(self, task_id):
+        """Per-layer input units a row of ``task_id``'s populations reads."""
+        return [self.input_shape[0]] + self._widths(task_id)[:-1]
+
+    def synapses(self, li):
+        """(width, in_units) bits of layer ``li``: which synapses exist."""
+        layer = self.layers[li]
+        exist = np.zeros((layer.width, layer.in_units), dtype=bool)
+        for pop in layer.populations:
+            exist[pop.start:pop.stop, :self._in_widths(pop.task_id)[li]] = True
+        return exist
 
     def _deactivate_orphans(self, task_id):
         """Old units with no outgoing bits in the mask become inactive.
@@ -444,9 +440,6 @@ class Network:
         for li, layer in enumerate(self.layers):
             arrays[f"layer{li}/w"] = layer.w.data
             arrays[f"layer{li}/b"] = layer.b.data
-            arrays[f"layer{li}/trainable_w"] = layer.trainable_w
-            arrays[f"layer{li}/trainable_b"] = layer.trainable_b
-            arrays[f"layer{li}/exist"] = layer.exist
         for t, mask in self.masks.items():
             for li in range(len(self.layers)):
                 arrays[f"task{t}/active{li}"] = mask.active[li]
@@ -517,13 +510,9 @@ class Network:
             w_shape = (width, in_units * layer.block) + layer.w.shape[2:]
             layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
             layer.b = Tensor(array(f"layer{li}/b", (width,)), requires_grad=True)
-            layer.trainable_w = array(f"layer{li}/trainable_w", w_shape)
-            layer.trainable_b = array(f"layer{li}/trainable_b", (width,))
-            layer.exist = array(f"layer{li}/exist", (width, in_units))
             in_units = width
         for t, cls in classes.items():
-            rows = net._widths(t)
-            cols = [net.input_shape[0]] + rows[:-1]
+            rows, cols = net._widths(t), net._in_widths(t)
             feat = rows[-1]
             net.masks[t] = TaskMask(
                 [array(f"task{t}/active{li}", (r,))

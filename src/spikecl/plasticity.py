@@ -76,7 +76,6 @@ class RelatednessState:
     r: list = field(default_factory=list)
     grad_accum: list = field(default_factory=list)
     epoch: int = 0
-    pruned: set = field(default_factory=set)  # (layer, unit), never re-enters
 
     def __post_init__(self):
         if not self.r:
@@ -96,18 +95,15 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
     s_by_task = {r.old_task: r.s for r in sims}
     unit_ids, unit_rho = [], []
     for li, layer in enumerate(network.layers):
-        ids, rho = [], []
-        for pop in layer.populations:
-            if pop.task_id >= task_id:
-                continue
-            # similarity to the population's own task; populations from task 0
-            # of a stream with no record default to the maximum dissimilarity
-            s = s_by_task.get(pop.task_id, 1.0)
-            for u in pop.units():
-                ids.append(u)
-                rho.append(beta - s + bias_schedule(li, bias0, bias_slope))
-        unit_ids.append(np.asarray(ids, dtype=np.int64))
-        unit_rho.append(np.asarray(rho, dtype=np.float64))
+        old = [p for p in layer.populations if p.task_id < task_id]
+        bias = bias_schedule(li, bias0, bias_slope)
+        # similarity to the population's own task; populations from task 0
+        # of a stream with no record default to the maximum dissimilarity
+        unit_ids.append(np.concatenate(
+            [np.arange(p.start, p.stop, dtype=np.int64) for p in old]))
+        unit_rho.append(np.concatenate(
+            [np.full(p.size, beta - s_by_task.get(p.task_id, 1.0) + bias)
+             for p in old]))
     return RelatednessState(task_id, unit_ids, unit_rho)
 
 
@@ -142,8 +138,7 @@ def update_relatedness(state, network, epoch=None):
         ids = state.unit_ids[li]
         if ids.size == 0:
             continue
-        pruned = [u for l, u in state.pruned if l == li]
-        alive = mask.active[li][ids] & ~np.isin(ids, pruned)
+        alive = mask.active[li][ids]
         if not alive.any():
             state.grad_accum[li][:] = 0.0
             continue
@@ -159,7 +154,7 @@ def update_relatedness(state, network, epoch=None):
     return doomed
 
 
-def apply_pruning(network, task_id, doomed, state=None):
+def apply_pruning(network, task_id, doomed):
     """Disconnect doomed old units from the task; returns per-population rates.
 
     The report maps source task -> {layer -> (pruned, population size)} so the
@@ -167,8 +162,6 @@ def apply_pruning(network, task_id, doomed, state=None):
     """
     if doomed:
         network.prune_units(task_id, sorted(doomed))
-    if state is not None:
-        state.pruned |= set(doomed)
     report = {}
     for li, layer in enumerate(network.layers):
         for pop in layer.populations:

@@ -8,7 +8,6 @@ reproducible from their parameters and seed alone.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ class TaskDescriptor:
                 )
 
 
-# -- IDX / CSV ingestion -------------------------------------------------------
+# -- IDX ingestion -------------------------------------------------------------
 
 IDX_IMAGES = 0x00000803
 IDX_LABELS = 0x00000801
@@ -73,26 +72,6 @@ def load_idx(path):
         pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
         return pixels.reshape(n, 1, h, w).astype(np.float64) / 255.0
     raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
-
-
-def load_labeled_csv(path, shape):
-    """CSV with header row 'label, pixel columns'; pixels in [0, 255]."""
-    c, h, w = shape
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "label":
-            raise FormatError(f"{path}: first column of header must be 'label'")
-        for row in reader:
-            ys.append(int(row[0]))
-            xs.append([float(v) for v in row[1:]])
-    x = np.asarray(xs, dtype=np.float64)
-    if x.shape[1] != c * h * w:
-        raise FormatError(
-            f"{path}: rows have {x.shape[1]} pixels, expected {c * h * w}"
-        )
-    return x.reshape(-1, c, h, w) / 255.0, np.asarray(ys, dtype=np.int64)
 
 
 # -- stream builders -----------------------------------------------------------

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, NumericalError, ShapeError
 
 _grad_enabled = True
 
@@ -284,8 +284,6 @@ def _unbroadcast(grad, shape):
 
 
 def _conv_geometry(h, w, kh, kw, stride, padding):
-    from .errors import ConfigError
-
     ho, rh = divmod(h + 2 * padding - kh, stride)
     wo, rw = divmod(w + 2 * padding - kw, stride)
     if rh or rw or ho < 0 or wo < 0:

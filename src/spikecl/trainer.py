@@ -59,16 +59,17 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with per-parameter update masks; masked-out entries never move."""
+    """Adam with frozen leading rows: rows before a parameter's first
+    trainable row (``first_rows[id(p)]``, default 0) never move."""
 
-    def __init__(self, params, masks=None, lr=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, params, first_rows=None, lr=1e-3, beta1=0.9,
+                 beta2=0.999, eps=1e-8):
         self.entries = []
-        masks = masks or {}
+        first_rows = first_rows or {}
         for p in params:
-            self.entries.append(
-                (p, masks.get(id(p)), np.zeros(p.shape), np.zeros(p.shape))
-            )
+            r0 = first_rows.get(id(p), 0)
+            self.entries.append((p, r0, np.zeros_like(p.data[r0:]),
+                                 np.zeros_like(p.data[r0:])))
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
 
@@ -76,16 +77,13 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, mask, m, v in self.entries:
+        for p, r0, m, v in self.entries:
             if p.grad is None:
                 continue
-            m += (1 - self.beta1) * (p.grad - m)
-            v += (1 - self.beta2) * (p.grad ** 2 - v)
-            upd = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            if mask is None:
-                p.data -= upd
-            else:
-                p.data[mask] -= upd[mask]
+            g = p.grad[r0:]
+            m += (1 - self.beta1) * (g - m)
+            v += (1 - self.beta2) * (g ** 2 - v)
+            p.data[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
     def zero_grad(self):
         for p, _, _, _ in self.entries:
@@ -147,12 +145,13 @@ def _batches(n, batch_size, rng):
         yield order[i : i + batch_size]
 
 
-def _trainable_masks(network, task_id):
-    masks = {}
+def _trainable_rows(network):
+    """First trainable row of each layer parameter: the latest population."""
+    rows = {}
     for layer in network.layers:
-        masks[id(layer.w)] = layer.trainable_w
-        masks[id(layer.b)] = layer.trainable_b
-    return masks
+        r0 = layer.populations[-1].start
+        rows[id(layer.w)] = rows[id(layer.b)] = r0
+    return rows
 
 
 def _local_labels(task, y):
@@ -218,7 +217,7 @@ def _learn_task(network, task, cfg, buffer):
         log["expansion"] = counts
 
     params = network.parameters(task.id)
-    optim = Adam(params, _trainable_masks(network, task.id), lr=cfg.lr)
+    optim = Adam(params, _trainable_rows(network), lr=cfg.lr)
     x, y = task.train_x, _local_labels(task, task.train_y)
     for epoch in range(cfg.epochs):
         with _diverged(cfg, task, epoch):
@@ -238,7 +237,7 @@ def _learn_task(network, task, cfg, buffer):
             log["losses"].append(epoch_loss / max(n_batches, 1))
             if state is not None:
                 doomed = update_relatedness(state, network, epoch)
-                report = apply_pruning(network, task.id, doomed, state)
+                report = apply_pruning(network, task.id, doomed)
                 log["pruning_rates"] = pruning_rates(report)
             optim.zero_grad()
 

@@ -245,15 +245,16 @@ def saved_run(tmp_path_factory):
 class TestCheckpointValidation:
     @pytest.mark.parametrize("change,message", [
         ("version 1", "checkpoint version 1 unsupported"),
+        ("version 2", "checkpoint version 2 unsupported"),
         ("task0/conn1", "task0/conn1 has shape (9, 12)"),
     ])
     def test_old_format_or_wider_prefix_exits_config_error(
             self, saved_run, tmp_path, capsys, change, message):
         _, cfg, arrays = saved_run
         arrays = dict(arrays)
-        if change == "version 1":
+        if change.startswith("version"):
             meta = json.loads(bytes(arrays["__meta__"]).decode())
-            meta["version"] = 1
+            meta["version"] = int(change.split()[1])
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                                dtype=np.uint8)
         else:  # one row wider than task 0's prefix of layer 1

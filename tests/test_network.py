@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from spikecl.errors import ConfigError, ContractError, FormatError
-from spikecl.network import (ConvSpec, DenseSpec, Network, init_first_task)
+from spikecl.metrics import count_active, energy_report
+from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
+                             init_first_task)
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import Tensor, cross_entropy, gradients
-from spikecl.trainer import Adam, _trainable_masks
+from spikecl.trainer import Adam, _trainable_rows
 
 
 def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
@@ -108,12 +110,10 @@ class TestExpand:
         net, t0 = _dense_net()
         t1 = _task(1, shape=SHAPE, seed=5)
         net.expand(t1, [3, 2])
-        frozen_before = [
-            (l.w.data[~l.trainable_w].copy(), l.b.data[~l.trainable_b].copy())
-            for l in net.layers
-        ]
+        starts = [l.populations[-1].start for l in net.layers]
+        before = [(l.w.data.copy(), l.b.data.copy()) for l in net.layers]
         params = net.parameters(1)
-        optim = Adam(params, _trainable_masks(net, 1), lr=0.1)
+        optim = Adam(params, _trainable_rows(net), lr=0.1)
         x = Tensor(t1.train_x[:4])
         labels = np.zeros(4, dtype=int)
         for _ in range(3):
@@ -121,15 +121,12 @@ class TestExpand:
             optim.zero_grad()
             gradients(cross_entropy(logits, labels), params)
             optim.step()
-        for layer, (wf, bf) in zip(net.layers, frozen_before):
-            np.testing.assert_array_equal(layer.w.data[~layer.trainable_w], wf)
-            np.testing.assert_array_equal(layer.b.data[~layer.trainable_b], bf)
-        # and the trainable (new) entries did move
-        assert any(
-            not np.array_equal(l.w.data[l.trainable_w],
-                               np.zeros(l.trainable_w.sum()))
-            for l in net.layers
-        )
+        # rows of task 0's populations are frozen, task 1's rows moved
+        for layer, r0, (w, b) in zip(net.layers, starts, before):
+            np.testing.assert_array_equal(layer.w.data[:r0], w[:r0])
+            np.testing.assert_array_equal(layer.b.data[:r0], b[:r0])
+        assert any(not np.array_equal(l.w.data[r0:], w[r0:])
+                   for l, r0, (w, _) in zip(net.layers, starts, before))
 
 
 class TestForward:
@@ -273,7 +270,7 @@ def _orphans_fixpoint_loop(net, mask, task_id):
         changed = False
         for li, layer in enumerate(net.layers):
             old = [u for p in layer.populations if p.task_id < task_id
-                   for u in p.units()]
+                   for u in range(p.start, p.stop)]
             for u in old:
                 if not mask.active[li][u]:
                     continue
@@ -330,9 +327,9 @@ class TestFirstTaskIsExpansion:
     def test_weights_follow_the_first_task_draw_order(self, arch, shape):
         net = init_first_task(arch, shape, _task(0, shape=shape), seed=3)
         draws = _first_task_draws(arch, shape, 2, seed=3)
-        for layer, w in zip(net.layers, draws):
+        for li, (layer, w) in enumerate(zip(net.layers, draws)):
             np.testing.assert_array_equal(layer.w.data, w)
-            assert layer.trainable_w.all() and layer.exist.all()
+            assert layer.populations[-1].start == 0 and net.synapses(li).all()
             assert not layer.b.data.any()
         np.testing.assert_array_equal(net.heads[0].w.data, draws[-1])
 
@@ -347,6 +344,77 @@ class TestFirstTaskIsExpansion:
         assert not net.masks and not net.heads
 
 
+class _GrownBookkeeping:
+    """Oracle: the ``exist``/``trainable_*`` arrays ``Layer.grow`` once kept,
+    updated incrementally on every expansion."""
+
+    def __init__(self, net):
+        self.exist = [np.zeros((0, l.in_units), dtype=bool) for l in net.layers]
+        self.trainable_w = [np.zeros(l.w.shape, dtype=bool) for l in net.layers]
+        self.trainable_b = [np.zeros(0, dtype=bool) for _ in net.layers]
+
+    def grow(self, net, counts):
+        """Mirror ``net.expand(task, counts)``, called right after it."""
+        n_new_in = 0
+        for li, layer in enumerate(net.layers):
+            n_new = int(counts[li])
+            old_out, old_in = self.exist[li].shape
+            self.trainable_w[li] = np.zeros(layer.w.shape, dtype=bool)
+            self.trainable_w[li][old_out:] = True
+            self.trainable_b[li] = np.arange(old_out + n_new) >= old_out
+            exist = np.zeros((old_out + n_new, old_in + n_new_in), dtype=bool)
+            exist[:old_out, :old_in] = self.exist[li]
+            exist[old_out:] = True
+            self.exist[li] = exist
+            n_new_in = n_new
+
+
+class TestDerivedState:
+    @pytest.mark.parametrize("arch,shape", [
+        ([DenseSpec(5), DenseSpec(4), DenseSpec(3)], SHAPE),
+        ([ConvSpec(3, 3, 2, 1), ConvSpec(2, 3, 2, 1), DenseSpec(4),
+          DenseSpec(3)], (1, 5, 5)),
+    ])
+    def test_matches_incremental_bookkeeping(self, arch, shape):
+        tasks = default_synthetic_stream(n_tasks=4, classes_per_task=2,
+                                         shape=shape, n_train=4, n_test=2,
+                                         seed=0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            net = Network(arch, shape, LIFConfig(window=2), seed)
+            oracle = _GrownBookkeeping(net)
+            for t in tasks[: rng.integers(2, 5)]:
+                counts = ([_spec_units(s) for s in arch] if t.id == 0
+                          else rng.integers(0, 4, size=len(arch)))
+                if t.id:
+                    counts[rng.integers(len(arch))] = 0
+                net.expand(t, counts)
+                oracle.grow(net, counts)
+                rows = _trainable_rows(net)
+                for li, layer in enumerate(net.layers):
+                    np.testing.assert_array_equal(net.synapses(li),
+                                                  oracle.exist[li])
+                    trainable = np.arange(layer.width) >= rows[id(layer.w)]
+                    assert rows[id(layer.b)] == rows[id(layer.w)]
+                    np.testing.assert_array_equal(trainable,
+                                                  oracle.trainable_b[li])
+                    np.testing.assert_array_equal(
+                        np.broadcast_to(trainable.reshape(
+                            (-1,) + (1,) * (layer.w.data.ndim - 1)),
+                            layer.w.shape),
+                        oracle.trainable_w[li])
+            last = max(net.masks)
+            doomed = [(li, u) for li in range(len(arch))
+                      for u in range(net._widths(last - 1)[li])
+                      if rng.random() < 0.3]
+            net.prune_units(last, doomed)
+            total = (sum(int(e.sum()) for e in oracle.exist)
+                     + net.layers[-1].width * len(tasks[0].classes))
+            for t in net.masks:
+                rate = 1.0 - count_active(net, t)[0] / total
+                assert energy_report(net, t).pruning_rate == rate
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         for name, build in (("dense", TestPruning()._expanded),
@@ -357,12 +425,13 @@ class TestPersistence:
             net.prune_units(1, [(0, 1)])
             path = tmp_path / f"{name}.npz"
             net.save(path)
+            with np.load(path) as data:  # no exist/trainable_* arrays
+                assert {f.split("/")[1] for f in data.files
+                        if f.startswith("layer")} == {"w", "b"}
             loaded = Network.load(path)
             for la, lb in zip(net.layers, loaded.layers):
                 np.testing.assert_array_equal(la.w.data, lb.w.data)
                 np.testing.assert_array_equal(la.b.data, lb.b.data)
-                np.testing.assert_array_equal(la.trainable_w, lb.trainable_w)
-                np.testing.assert_array_equal(la.exist, lb.exist)
                 pops = [[(p.task_id, p.start, p.stop) for p in l.populations]
                         for l in (la, lb)]
                 assert pops[0] == pops[1]
@@ -392,7 +461,7 @@ class TestPersistence:
             Network.load(path)
 
     @pytest.mark.parametrize("name,change", [
-        ("layer0/w", "cut column"), ("layer0/exist", "cut row"),
+        ("layer0/w", "cut column"), ("task1/conn0", "cut row"),
         ("task1/active1", "cut row"), ("task1/cil_b", "cut row"),
         ("anchor0/0", "widen"), ("layer1/b", "drop"), ("task0/cil_w", "nan"),
     ])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecl.errors import ContractError
-from spikecl.network import DenseSpec, init_first_task
+from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.plasticity import (ExpansionPolicy, RelatednessState, apply_pruning,
                                 association, bias_schedule, build_relatedness,
                                 expansion_counts, normalize_gradients,
@@ -129,7 +129,7 @@ class TestUpdateRelatedness:
 
     def test_pruned_units_skip_normalization(self):
         state, net = _one_layer_state([1.0, 1.0, 1.0], [9.0, 1.0, 2.0])
-        state.pruned.add((0, 0))
+        net.masks[1].active[0][0] = False
         update_relatedness(state, net, epoch=0)
         # normalization ran over units 1,2 only: accum 1 -> 0, accum 2 -> 1
         assert state.r[0][1] == pytest.approx(1.0)
@@ -148,12 +148,11 @@ class TestUpdateRelatedness:
             g0 = [rng.uniform(0.0, 3.0, size=k) for k in n]
             pruned = {(li, int(u)) for li in range(2) for u in ids[li]
                       if rng.random() < 0.2}
-            states = []
-            for _ in range(2):
-                state = RelatednessState(1, ids, rho, [r.copy() for r in r0],
-                                         [g.copy() for g in g0])
-                state.pruned = set(pruned)
-                states.append(state)
+            for li, u in pruned:
+                active[li][u] = False
+            states = [RelatednessState(1, ids, rho, [r.copy() for r in r0],
+                                       [g.copy() for g in g0])
+                      for _ in range(2)]
             net = _StubNetwork(1, active)
             doomed = update_relatedness(states[0], net, epoch=seed % 3)
             expected = _update_relatedness_loop(states[1], net, epoch=seed % 3)
@@ -169,9 +168,7 @@ def _update_relatedness_loop(state, network, epoch):
     decay = math.exp(-epoch / 2.0)
     mask = network.masks[state.task_id]
     for li, ids in enumerate(state.unit_ids):
-        alive = np.array([
-            (li, u) not in state.pruned and mask.active[li][u] for u in ids
-        ])
+        alive = np.array([mask.active[li][u] for u in ids])
         if not alive.any():
             state.grad_accum[li][:] = 0.0
             continue
@@ -219,6 +216,47 @@ class TestBuildRelatedness:
         assert state.unit_rho[0][0] == pytest.approx(1.0 - 0.3 + 0.2)
         assert state.unit_rho[1][0] == pytest.approx(1.0 - 0.3 + 0.1)
         assert all(np.all(r == 0.0) for r in state.r)
+
+    @pytest.mark.parametrize("arch,shape", [
+        ([DenseSpec(5), DenseSpec(4), DenseSpec(3)], (1, 2, 2)),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5)),
+    ])
+    def test_matches_per_unit_loop(self, arch, shape):
+        stream = default_synthetic_stream(n_tasks=4, classes_per_task=2,
+                                          shape=shape, n_train=4, n_test=2,
+                                          seed=0)
+        net = init_first_task(arch, shape, stream[0], seed=0)
+        net.expand(stream[1], [2, 0, 1][: len(arch)])  # a size-0 population
+        net.expand(stream[2], [0, 3, 2][: len(arch)])
+        net.expand(stream[3], [1, 1, 1][: len(arch)])
+        sims = [SimilarityRecord(3, 0, 0.1, 0.3, 0.9),
+                SimilarityRecord(3, 2, 0.2, 0.55, 0.9)]  # task 1: no record
+        for task_id in (1, 2, 3):
+            state = build_relatedness(net, task_id, sims, beta=0.8,
+                                      bias0=0.3, bias_slope=0.15)
+            ids, rho = _build_relatedness_loop(net, task_id, sims, 0.8, 0.3,
+                                               0.15)
+            for a, b in zip(state.unit_ids + state.unit_rho, ids + rho):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+
+def _build_relatedness_loop(network, task_id, sims, beta, bias0, bias_slope):
+    """Oracle: the per-unit loop that built ``unit_ids``/``unit_rho``."""
+    s_by_task = {r.old_task: r.s for r in sims}
+    unit_ids, unit_rho = [], []
+    for li, layer in enumerate(network.layers):
+        ids, rho = [], []
+        for pop in layer.populations:
+            if pop.task_id >= task_id:
+                continue
+            s = s_by_task.get(pop.task_id, 1.0)
+            for u in range(pop.start, pop.stop):
+                ids.append(u)
+                rho.append(beta - s + bias_schedule(li, bias0, bias_slope))
+        unit_ids.append(np.asarray(ids, dtype=np.int64))
+        unit_rho.append(np.asarray(rho, dtype=np.float64))
+    return unit_ids, unit_rho
 
 
 class TestApplyPruning:

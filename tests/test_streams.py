@@ -9,9 +9,8 @@ import pytest
 from spikecl.errors import ConfigError, DataError, FormatError
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec, TaskDescriptor,
                              default_synthetic_stream, gaussian_kl, load_idx,
-                             load_labeled_csv, mixed_alternating,
-                             permuted_stream, rotate_images, rotated_stream,
-                             split_stream, synthetic_stream)
+                             mixed_alternating, permuted_stream, rotate_images,
+                             rotated_stream, split_stream, synthetic_stream)
 
 
 def _idx_images(path, images):
@@ -57,14 +56,6 @@ class TestLoadIdx:
         p.write_bytes(struct.pack(">II", 0xdead, 0))
         with pytest.raises(FormatError, match="magic"):
             load_idx(p)
-
-    def test_csv_ingestion(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("label,p0,p1,p2,p3\n1,0,255,0,255\n0,255,0,255,0\n")
-        x, y = load_labeled_csv(p, (1, 2, 2))
-        assert x.shape == (2, 1, 2, 2)
-        np.testing.assert_array_equal(y, [1, 0])
-        assert x.max() == 1.0
 
 
 def _toy_images(n=20, seed=0):

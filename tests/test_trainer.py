@@ -31,17 +31,15 @@ class TestAdam:
     def test_masked_entries_never_move(self):
         rng = np.random.default_rng(0)
         p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[:2] = True
-        frozen = p.data[~mask].copy()
-        optim = Adam([p], {id(p): mask}, lr=0.1)
+        before = p.data.copy()
+        optim = Adam([p], {id(p): 2}, lr=0.1)
         for _ in range(5):
             loss = (p * p).sum()
             optim.zero_grad()
             gradients(loss, [p])
             optim.step()
-        np.testing.assert_array_equal(p.data[~mask], frozen)
-        assert not np.array_equal(p.data[mask], frozen[: mask.sum()])
+        np.testing.assert_array_equal(p.data[:2], before[:2])
+        assert not np.array_equal(p.data[2:], before[2:])
 
 
 class TestReplayBuffer:
