@@ -21,11 +21,12 @@ import time
 from pathlib import Path
 
 from . import metrics, streams
-from .errors import ConfigError, DataError, FormatError, TrainingError
+from .errors import (ConfigError, ContractError, DataError, FormatError,
+                     TrainingError)
 from .network import ConvSpec, DenseSpec, Network
 from .plasticity import ExpansionPolicy
-from .similarity import CLAMPED, LITERAL
-from .spiking import HARD_RESET, LITERAL_EQ3, LIFConfig
+from .similarity import CLAMPED
+from .spiking import HARD_RESET, LIFConfig
 from .trainer import (ReplayBuffer, TrainConfig, cil_evaluate, learn_task,
                       repeated_class, til_evaluate)
 
@@ -35,7 +36,10 @@ EXIT_TRAINING = 3
 
 
 def _parse_shape(text):
-    parts = [int(p) for p in text.lower().split("x")]
+    try:
+        parts = [int(p) for p in text.lower().split("x")]
+    except ValueError:
+        parts = []
     if len(parts) != 3 or any(p <= 0 for p in parts):
         raise ConfigError(f"shape must be CxHxW with positive extents: {text!r}")
     return tuple(parts)
@@ -61,7 +65,19 @@ def parse_arch(text):
     return arch
 
 
-def _load_file_dataset(sec, shape):
+def _value(cfg, section, key, default, convert=float):
+    """``[section] key`` converted, or ``default`` when it is not set."""
+    text = cfg.get(section, key, fallback=None)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def _load_file_dataset(cfg):
+    sec = cfg["stream"]
     for key in ("train_images", "train_labels", "test_images", "test_labels"):
         if key not in sec:
             raise ConfigError(f"[stream] missing key {key!r} for kind "
@@ -72,82 +88,81 @@ def _load_file_dataset(sec, shape):
     ty = streams.load_idx(sec["train_labels"])
     ex = streams.load_idx(sec["test_images"])
     ey = streams.load_idx(sec["test_labels"])
-    lim_tr = sec.getint("limit_train", fallback=tx.shape[0])
-    lim_te = sec.getint("limit_test", fallback=ex.shape[0])
+    lim_tr = _value(cfg, "stream", "limit_train", tx.shape[0], int)
+    lim_te = _value(cfg, "stream", "limit_test", ex.shape[0], int)
     return tx[:lim_tr], ty[:lim_tr], ex[:lim_te], ey[:lim_te]
 
 
 def build_stream(cfg, seed):
-    sec = cfg["stream"]
-    kind = sec.get("kind", "synthetic")
+    if not cfg.has_section("stream"):
+        raise ConfigError("config has no [stream] section")
+    kind = cfg.get("stream", "kind", fallback="synthetic")
     shape = _parse_shape(cfg.get("network", "input_shape", fallback="1x9x9"))
     if kind == "synthetic":
         return streams.default_synthetic_stream(
-            n_tasks=sec.getint("tasks", 5),
-            classes_per_task=sec.getint("classes_per_task", 2),
+            n_tasks=_value(cfg, "stream", "tasks", 5, int),
+            classes_per_task=_value(cfg, "stream", "classes_per_task", 2, int),
             shape=shape,
-            n_train=sec.getint("n_train", 400),
-            n_test=sec.getint("n_test", 200),
-            spread=sec.getfloat("spread", 2.0),
-            var=sec.getfloat("variance", 0.05),
+            n_train=_value(cfg, "stream", "n_train", 400, int),
+            n_test=_value(cfg, "stream", "n_test", 200, int),
+            spread=_value(cfg, "stream", "spread", 2.0),
+            var=_value(cfg, "stream", "variance", 0.05),
             seed=seed,
         )
-    data = _load_file_dataset(sec, shape)
+    data = _load_file_dataset(cfg)
     if kind == "permuted":
-        tasks, _ = streams.permuted_stream(*data, k=sec.getint("tasks", 5),
-                                           seed=seed)
+        tasks, _ = streams.permuted_stream(
+            *data, k=_value(cfg, "stream", "tasks", 5, int), seed=seed)
         return tasks
     if kind == "split":
-        return streams.split_stream(*data,
-                                    classes_per_task=sec.getint(
-                                        "classes_per_task", 2))
+        return streams.split_stream(
+            *data,
+            classes_per_task=_value(cfg, "stream", "classes_per_task", 2, int))
     if kind == "rotated":
-        angles = [float(a) for a in sec.get("angles", "0,15,30,45,60").split(",")]
+        angles = _value(cfg, "stream", "angles", [0.0, 15.0, 30.0, 45.0, 60.0],
+                        lambda text: [float(a) for a in text.split(",")])
         return streams.rotated_stream(*data, angles=angles)
     raise ConfigError(f"unknown stream kind {kind!r}")
 
 
-def build_train_config(cfg, seed, literal_eq3=False, literal_eq7=False):
-    lif_sec = cfg["lif"] if cfg.has_section("lif") else {}
+def build_train_config(cfg, seed):
+    """The training settings of an INI; any invalid value is a ConfigError."""
     lif = LIFConfig(
-        tau=float(lif_sec.get("tau", 0.2)),
-        v_th=float(lif_sec.get("v_th", 0.5)),
-        lam=float(lif_sec.get("lambda", 2.0)),
-        window=int(lif_sec.get("window", 4)),
-        reset_mode=LITERAL_EQ3 if literal_eq3
-        else lif_sec.get("reset_mode", HARD_RESET),
+        tau=_value(cfg, "lif", "tau", 0.2),
+        v_th=_value(cfg, "lif", "v_th", 0.5),
+        lam=_value(cfg, "lif", "lambda", 2.0),
+        window=_value(cfg, "lif", "window", 4, int),
+        reset_mode=cfg.get("lif", "reset_mode", fallback=HARD_RESET),
     )
-    exp_sec = cfg["expansion"] if cfg.has_section("expansion") else {}
-    max_per_layer = tuple(
-        int(v) for v in exp_sec.get("max_per_layer", "").split(",") if v.strip()
-    )
-    policy = ExpansionPolicy(float(exp_sec.get("alpha", 5.0)), max_per_layer)
-    sim_sec = cfg["similarity"] if cfg.has_section("similarity") else {}
-    reuse_sec = cfg["reuse"] if cfg.has_section("reuse") else {}
-    train_sec = cfg["train"] if cfg.has_section("train") else {}
-    replay_sec = cfg["replay"] if cfg.has_section("replay") else {}
-    return TrainConfig(
-        arch=parse_arch(cfg.get("network", "arch",
-                                fallback="conv8k3s2p1,conv16k3s2p1,dense64")),
-        input_shape=_parse_shape(cfg.get("network", "input_shape",
-                                         fallback="1x9x9")),
-        epochs=int(train_sec.get("epochs", 20)),
-        batch_size=int(train_sec.get("batch_size", 32)),
-        lr=float(train_sec.get("lr", 1e-3)),
-        lif=lif,
-        policy=policy,
-        gamma=float(sim_sec.get("gamma", 0.9)),
-        sim_mode=LITERAL if literal_eq7 else sim_sec.get("mode", CLAMPED),
-        probe_size=int(sim_sec.get("probe_size", 512)),
-        beta=float(reuse_sec.get("beta", 1.0)),
-        bias0=float(reuse_sec.get("bias0", 0.2)),
-        bias_slope=float(reuse_sec.get("bias_slope", 0.1)),
-        replay_capacity=int(replay_sec.get("capacity", 2000)),
-        replay_mix=float(replay_sec.get("mix", 1.0)),
-        calib_epochs=int(replay_sec.get("calib_epochs", 15)),
-        calib_lr=float(replay_sec.get("calib_lr", 1e-2)),
-        seed=seed,
-    )
+    arch = parse_arch(cfg.get("network", "arch",
+                              fallback="conv8k3s2p1,conv16k3s2p1,dense64"))
+    shape = _parse_shape(cfg.get("network", "input_shape", fallback="1x9x9"))
+    caps = _value(cfg, "expansion", "max_per_layer", (), lambda text: tuple(
+        int(v) for v in text.split(",") if v.strip()))
+    try:
+        return TrainConfig(
+            arch=arch,
+            input_shape=shape,
+            epochs=_value(cfg, "train", "epochs", 20, int),
+            batch_size=_value(cfg, "train", "batch_size", 32, int),
+            lr=_value(cfg, "train", "lr", 1e-3),
+            lif=lif,
+            policy=ExpansionPolicy(_value(cfg, "expansion", "alpha", 5.0),
+                                   caps),
+            gamma=_value(cfg, "similarity", "gamma", 0.9),
+            sim_mode=cfg.get("similarity", "mode", fallback=CLAMPED),
+            probe_size=_value(cfg, "similarity", "probe_size", 512, int),
+            beta=_value(cfg, "reuse", "beta", 1.0),
+            bias0=_value(cfg, "reuse", "bias0", 0.2),
+            bias_slope=_value(cfg, "reuse", "bias_slope", 0.1),
+            replay_capacity=_value(cfg, "replay", "capacity", 2000, int),
+            replay_mix=_value(cfg, "replay", "mix", 1.0),
+            calib_epochs=_value(cfg, "replay", "calib_epochs", 15, int),
+            calib_lr=_value(cfg, "replay", "calib_lr", 1e-2),
+            seed=seed,
+        )
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_config(path):
@@ -250,15 +265,14 @@ def _echo(cfg, seed, out):
     return echo
 
 
-def run(config_path, seed=None, out=None, literal_eq3=False,
-        literal_eq7=False):
+def run(config_path, seed=None, out=None):
     cfg = _read_config(config_path)
     if seed is None:
-        seed = cfg.getint("run", "seed", fallback=0)
+        seed = _value(cfg, "run", "seed", 0, int)
     if out is None:
         out = cfg.get("run", "out", fallback="runs/latest")
     tasks = build_stream(cfg, seed)
-    tcfg = build_train_config(cfg, seed, literal_eq3, literal_eq7)
+    tcfg = build_train_config(cfg, seed)
     # class-incremental replay only means something when labels are disjoint
     disjoint = repeated_class(tasks) is None
     buffer = ReplayBuffer(tcfg.replay_capacity) if disjoint else None
@@ -274,7 +288,8 @@ def run(config_path, seed=None, out=None, literal_eq3=False,
         accs, _ = til_evaluate(network, tasks[: task.id + 1])
         matrix.add_row(accs)
         logs.append(log)
-    til = til_evaluate(network, tasks)
+    # the last row evaluated every task on the final network
+    til = matrix.final(), matrix.average_final()
     cil = _cil_report(network, tasks, disjoint)
     timings["total"] = time.perf_counter() - t_start
     report = _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
@@ -285,7 +300,7 @@ def run(config_path, seed=None, out=None, literal_eq3=False,
 def evaluate(checkpoint_path, config_path, seed=None, out=None):
     cfg = _read_config(config_path)
     if seed is None:
-        seed = cfg.getint("run", "seed", fallback=0)
+        seed = _value(cfg, "run", "seed", 0, int)
     if out is None:
         out = cfg.get("run", "out", fallback="runs/latest-eval")
     network = Network.load(checkpoint_path)
@@ -325,15 +340,10 @@ def main(argv=None):
     for p in (p_run, p_eval):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    p_run.add_argument("--literal-eq3", action="store_true",
-                       help="use the un-reset membrane update form")
-    p_run.add_argument("--literal-eq7", action="store_true",
-                       help="use the unclamped similarity map")
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            run(args.config, args.seed, args.out, args.literal_eq3,
-                args.literal_eq7)
+            run(args.config, args.seed, args.out)
         else:
             evaluate(args.checkpoint, args.config, args.seed, args.out)
     except (ConfigError, DataError, FormatError) as exc:

@@ -32,9 +32,9 @@ class EnergyReport:
 def count_active(network, task_id):
     """(connections, neurons) active under the task's mask, head included.
 
-    A unit is active iff it has at least one outgoing connection bit (final
-    feature units count their head bit).  Head synapses from active feature
-    units count as connections.
+    A unit is active iff it has at least one outgoing connection bit (an
+    active final feature unit feeds the head).  Head synapses from active
+    feature units count as connections.
     """
     mask = network.masks[task_id]
     conns = sum(int(c.sum()) for c in mask.conn)

@@ -18,8 +18,9 @@ shape for good:
 * which entries are trainable -- derived from populations: the rows of the
   latest task's population only;
 * ``TaskMask`` -- per-task active units and connection bits over its
-  prefix; pruning clears bits here and never touches other tasks' masks.
-  The task's head and feature anchors have its prefix's feature width.
+  prefix; pruning deactivates whole units here and never touches other
+  tasks' masks.  The head reads exactly the active final-layer units, and
+  the task's head and feature anchors have its prefix's feature width.
 
 A task's forward crops the shared weights to its prefix.  Convolutional
 layers treat a channel as one unit; connection bits between a conv layer and
@@ -39,7 +40,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,18 @@ class Layer:
 class TaskMask:
     """Active units and connection bits of one task, at its prefix widths."""
 
-    def __init__(self, active, conn, head_active):
+    def __init__(self, active, conn):
         self.active = active  # list of bool (width,) per layer
         self.conn = conn  # list of bool (width, in_units) per layer
-        self.head_active = head_active  # bool (final width,)
+
+    @property
+    def head_active(self):
+        """Head input bits: the final feature layer's active units."""
+        return self.active[-1]
 
     def copy(self):
-        return TaskMask(
-            [a.copy() for a in self.active],
-            [c.copy() for c in self.conn],
-            self.head_active.copy(),
-        )
+        return TaskMask([a.copy() for a in self.active],
+                        [c.copy() for c in self.conn])
 
 
 class TaskHead:
@@ -234,7 +236,6 @@ class Network:
         self.masks[task.id] = TaskMask(
             [np.ones(l.width, dtype=bool) for l in self.layers],
             [self.synapses(li) for li in range(len(self.layers))],
-            np.ones(feat, dtype=bool),
         )
         self.heads[task.id] = TaskHead(
             task.id, task.classes,
@@ -349,30 +350,6 @@ class Network:
             mask.conn[li][u, :] = False
             if li + 1 < len(self.layers):
                 mask.conn[li + 1][:, u] = False
-            if li == len(self.layers) - 1:
-                mask.head_active[u] = False
-
-    def prune_connections(self, task_id, edges):
-        """Clear individual connection bits toward ``task_id``'s populations.
-
-        Each edge is (dst_layer, dst_unit, src_unit); ``dst_layer`` may be the
-        string "head" with ``dst_unit`` ignored.  Old units left with no
-        outgoing bits are deactivated (cascading upstream).
-        """
-        mask = self._require_mask(task_id)
-        lo, hi = self._widths(task_id - 1), self._widths(task_id)
-        for edge in edges:
-            dst_layer, dst_unit, src_unit = edge
-            if dst_layer == "head":
-                mask.head_active[src_unit] = False
-                continue
-            if not lo[dst_layer] <= dst_unit < hi[dst_layer]:
-                raise ContractError(
-                    f"edge into layer {dst_layer} unit {dst_unit} does not "
-                    f"target task {task_id}'s populations"
-                )
-            mask.conn[dst_layer][dst_unit, src_unit] = False
-        self._deactivate_orphans(task_id)
 
     def _widths(self, task_id):
         """Per-layer widths once ``task_id`` was learned: the task's prefix."""
@@ -390,22 +367,6 @@ class Network:
         for pop in layer.populations:
             exist[pop.start:pop.stop, :self._in_widths(pop.task_id)[li]] = True
         return exist
-
-    def _deactivate_orphans(self, task_id):
-        """Old units with no outgoing bits in the mask become inactive.
-
-        Deactivating a unit clears its input bits, which can only orphan units
-        of the layer below, so one pass from the last layer down is complete.
-        """
-        mask = self.masks[task_id]
-        has_out = mask.head_active
-        old_widths = self._widths(task_id - 1)
-        for li in reversed(range(len(self.layers))):
-            old = np.arange(mask.active[li].size) < old_widths[li]
-            orphan = old & mask.active[li] & ~has_out
-            mask.active[li][orphan] = False
-            mask.conn[li][orphan] = False
-            has_out = mask.conn[li].any(axis=0)
 
     # -- persistence ---------------------------------------------------------
 
@@ -444,7 +405,6 @@ class Network:
             for li in range(len(self.layers)):
                 arrays[f"task{t}/active{li}"] = mask.active[li]
                 arrays[f"task{t}/conn{li}"] = mask.conn[li]
-            arrays[f"task{t}/head_active"] = mask.head_active
             head = self.heads[t]
             arrays[f"task{t}/head_w"] = head.w.data
             arrays[f"task{t}/head_b"] = head.b.data
@@ -513,15 +473,13 @@ class Network:
             in_units = width
         for t, cls in classes.items():
             rows, cols = net._widths(t), net._in_widths(t)
-            feat = rows[-1]
             net.masks[t] = TaskMask(
                 [array(f"task{t}/active{li}", (r,))
                  for li, r in enumerate(rows)],
                 [array(f"task{t}/conn{li}", rc)
                  for li, rc in enumerate(zip(rows, cols))],
-                array(f"task{t}/head_active", (feat,)),
             )
-            head_shape = (len(cls), feat)
+            head_shape = (len(cls), rows[-1])
             head = TaskHead(t, cls, array(f"task{t}/head_w", head_shape),
                             array(f"task{t}/head_b", head_shape[:1]))
             head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape),

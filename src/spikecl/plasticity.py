@@ -107,18 +107,19 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
     return RelatednessState(task_id, unit_ids, unit_rho)
 
 
-def accumulate_gradients(state, network, task_id):
+def accumulate_gradients(state, network):
     """Add |input-synapse gradients| of frozen units (current batch) to G.
 
-    Only synapses still connected under the task's mask count.  Must be called
-    after a backward pass and before the optimizer clears gradients.
+    Only synapses still connected under the task's mask count: the forward
+    multiplies the weights by the connection mask, so the gradient of every
+    disconnected synapse is zero.  Must be called after a backward pass and
+    before the optimizer clears gradients.
     """
-    mask = network.masks[task_id]
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:
             continue
-        g = np.abs(layer.w.grad) * layer.weight_mask(mask.conn[li])
+        g = np.abs(layer.w.grad)
         per_unit = g.sum(axis=tuple(range(1, g.ndim)))
         state.grad_accum[li] += per_unit[ids]
 

@@ -55,6 +55,12 @@ def compute_anchors(features_by_class, task_id=0):
     return FeatureAnchor(task_id, means)
 
 
+def check_gamma(gamma):
+    """Reject a ``gamma`` outside (0, 1]."""
+    if not 0.0 < gamma < 1.0 + 1e-12:
+        raise ContractError(f"gamma must lie in (0, 1], got {gamma}")
+
+
 def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):
     """Nearest-anchor divergence between new-task features and an old task.
 
@@ -64,8 +70,7 @@ def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):
     distances floored at 1e-9.  Returns (kl, degenerate_flag); the flag is set
     when both distance terms vanish for every class.
     """
-    if not 0.0 < gamma < 1.0 + 1e-12:
-        raise ContractError(f"gamma must lie in (0, 1], got {gamma}")
+    check_gamma(gamma)
     if not anchors_p.means or not anchors_tp.means:
         raise ContractError("both anchor sets must be nonempty")
     old = np.stack(list(anchors_p.means.values()))

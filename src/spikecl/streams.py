@@ -82,14 +82,18 @@ def _descriptor(tid, classes, train, test):
                           test[0], test[1])
 
 
+def _check_positive(what, n):
+    if n < 1:
+        raise ConfigError(f"{what} must be >= 1, got {n}")
+
+
 def permuted_stream(train_x, train_y, test_x, test_y, k, seed=0):
     """k tasks, task i applying a fixed pixel permutation (task 0 = identity).
 
     Class lists repeat across tasks; such streams are TIL-only (CIL would see
     colliding global labels).
     """
-    if k < 1:
-        raise ConfigError(f"task count must be >= 1, got {k}")
+    _check_positive("task count", k)
     rng = np.random.default_rng(seed)
     classes = sorted(np.unique(np.concatenate([train_y, test_y])).tolist())
     n_pix = int(np.prod(train_x.shape[1:]))
@@ -112,6 +116,7 @@ def permuted_stream(train_x, train_y, test_x, test_y, k, seed=0):
 def split_stream(train_x, train_y, test_x, test_y, classes_per_task,
                  seed=None):
     """Disjoint class groups, one task each, in label order (or seeded shuffle)."""
+    _check_positive("classes per task", classes_per_task)
     classes = sorted(np.unique(np.concatenate([train_y, test_y])).tolist())
     if len(classes) % classes_per_task:
         raise ConfigError(
@@ -246,6 +251,10 @@ def default_synthetic_stream(n_tasks=5, classes_per_task=2, shape=(1, 9, 9),
                              n_train=400, n_test=200, spread=2.0, var=0.05,
                              seed=0):
     """Linearly separable Gaussian stream with disjoint class ids per task."""
+    _check_positive("task count", n_tasks)
+    _check_positive("classes per task", classes_per_task)
+    _check_positive("training samples per class", n_train)
+    _check_positive("test samples per class", n_test)
     d = int(np.prod(shape))
     rng = np.random.default_rng(seed)
     specs = []

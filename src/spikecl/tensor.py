@@ -418,17 +418,20 @@ def backward(loss):
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo, seen = [], set()
-
-    def visit(t):
-        if id(t) in seen or not t.requires_grad:
-            return
-        seen.add(id(t))
-        for p in t._parents:
-            visit(p)
-        topo.append(t)
-
-    visit(loss)
+    # Iterative post-order walk: a recursive closure is a reference cycle
+    # that keeps the whole graph alive until the cycle collector runs.
+    topo, seen = [], {id(loss)}
+    stack = [(loss, iter(loss._parents))] if loss.requires_grad else []
+    while stack:
+        t, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen and p.requires_grad:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            topo.append(t)
     loss.grad = np.asarray(1.0)
     for t in reversed(topo):
         if t._backward is not None:

@@ -24,7 +24,8 @@ from .network import init_first_task
 from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          association, build_relatedness, expansion_counts,
                          pruning_rates, update_relatedness)
-from .similarity import CLAMPED, compute_anchors, similarity_vector
+from .similarity import (CLAMPED, LITERAL, check_gamma, compute_anchors,
+                         similarity_vector)
 from .spiking import LIFConfig
 from .tensor import Tensor, concat_cols, cross_entropy, gradients, no_grad
 
@@ -51,11 +52,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "replay_capacity", "calib_epochs"):
+        for name in ("epochs", "batch_size", "probe_size", "replay_capacity",
+                     "calib_epochs"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
         if self.lr <= 0 or self.calib_lr <= 0:
             raise ContractError("learning rates must be positive")
+        if self.sim_mode not in (CLAMPED, LITERAL):
+            raise ContractError(f"unknown similarity mode {self.sim_mode!r}")
+        check_gamma(self.gamma)
+        caps = self.policy.max_per_layer
+        if caps and len(caps) != len(self.arch):
+            raise ContractError(
+                f"expected {len(self.arch)} expansion counts, got {len(caps)}")
 
 
 class Adam:
@@ -230,7 +239,7 @@ def _learn_task(network, task, cfg, buffer):
                 optim.zero_grad()
                 gradients(loss, params)
                 if state is not None:
-                    accumulate_gradients(state, network, task.id)
+                    accumulate_gradients(state, network)
                 optim.step()
                 epoch_loss += float(loss.data)
                 n_batches += 1

@@ -1,5 +1,6 @@
 """Command-line runner: config parsing, report layout, exit codes, determinism."""
 
+import configparser
 import json
 import struct
 from pathlib import Path
@@ -7,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, evaluate, main,
-                         parse_arch, run, _parse_shape)
+from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING,
+                         build_train_config, evaluate, main, parse_arch, run,
+                         _parse_shape)
 from spikecl.errors import ConfigError, TrainingError
 from spikecl.network import ConvSpec, DenseSpec
+from spikecl.similarity import LITERAL
+from spikecl.spiking import LITERAL_EQ3
 
 CONFIG = """\
 [run]
@@ -69,8 +73,9 @@ class TestParseArch:
 
     def test_shape_parsing(self):
         assert _parse_shape("1x9x9") == (1, 9, 9)
-        with pytest.raises(ConfigError, match="CxHxW"):
-            _parse_shape("9x9")
+        for text in ("9x9", "1xax9"):
+            with pytest.raises(ConfigError, match="CxHxW"):
+                _parse_shape(text)
 
 
 class TestRun:
@@ -122,6 +127,78 @@ class TestRun:
 
     def test_main_exit_ok(self, tmp_path):
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_OK
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("train", "epochs", "abc", "[train] epochs = 'abc'"),
+        ("train", "batch_size", "1e3", "[train] batch_size = '1e3'"),
+        ("stream", "spread", "x", "[stream] spread = 'x'"),
+        ("network", "input_shape", "1xax3", "CxHxW"),
+        ("train", "epochs", "0", "epochs must be positive"),
+        ("replay", "capacity", "0", "replay_capacity must be positive"),
+        ("expansion", "alpha", "0", "alpha must be positive"),
+        ("stream", "classes_per_task", "0", "classes per task must be >= 1"),
+        ("stream", "tasks", "0", "task count must be >= 1"),
+        ("stream", "n_train", "0", "training samples per class must be >= 1"),
+        ("stream", "n_test", "0", "test samples per class must be >= 1"),
+        ("similarity", "probe_size", "0", "probe_size must be positive"),
+        ("stream", None, None, "no [stream] section"),
+        ("similarity", "mode", "bogus", "unknown similarity mode 'bogus'"),
+        ("similarity", "gamma", "0", "gamma must lie in (0, 1]"),
+        ("expansion", "max_per_layer", "4", "expected 2 expansion counts"),
+    ], ids=["epochs=abc", "batch_size=1e3", "spread=x", "input_shape=1xax3",
+            "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
+            "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
+            "no-stream-section", "mode=bogus", "gamma=0",
+            "max_per_layer-length"])
+    def test_bad_value_exits_config_error_before_training(
+            self, tmp_path, capsys, monkeypatch, section, key, value, message):
+        import spikecl.cli as cli
+
+        learned = []
+        monkeypatch.setattr(cli, "learn_task",
+                            lambda *args: learned.append(args))
+        cfg = configparser.ConfigParser()
+        cfg.read_string(CONFIG.format(out=tmp_path / "out", tasks=2, lr=0.01))
+        if key is None:
+            cfg.remove_section(section)
+        else:
+            if not cfg.has_section(section):
+                cfg.add_section(section)
+            cfg[section][key] = value
+        path = tmp_path / "bad.ini"
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert learned == []
+
+    def test_literal_forms_come_from_ini_keys(self, tmp_path):
+        cfg = configparser.ConfigParser()
+        cfg.read_string(CONFIG.format(out=tmp_path, tasks=2, lr=0.01))
+        cfg["lif"]["reset_mode"] = "literal-eq3"
+        cfg["similarity"]["mode"] = "literal"
+        tcfg = build_train_config(cfg, seed=0)
+        assert tcfg.lif.reset_mode == LITERAL_EQ3
+        assert tcfg.sim_mode == LITERAL
+
+    def test_final_til_reuses_the_last_matrix_row(self, tmp_path,
+                                                  monkeypatch):
+        import spikecl.cli as cli
+
+        original, calls = cli.til_evaluate, []
+
+        def counted(network, tasks):
+            calls.append(len(tasks))
+            return original(network, tasks)
+
+        monkeypatch.setattr(cli, "til_evaluate", counted)
+        report = run(_write_config(tmp_path, tasks=3))
+        assert calls == [1, 2, 3]
+        final = report["accuracy_matrix"][-1]
+        assert report["til"] == {"per_task": final,
+                                 "average": sum(final) / len(final)}
 
     def test_report_echo_reproducibility_fields(self, tmp_path):
         report = run(_write_config(tmp_path))
@@ -246,6 +323,7 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("change,message", [
         ("version 1", "checkpoint version 1 unsupported"),
         ("version 2", "checkpoint version 2 unsupported"),
+        ("version 3", "checkpoint version 3 unsupported"),
         ("task0/conn1", "task0/conn1 has shape (9, 12)"),
     ])
     def test_old_format_or_wider_prefix_exits_config_error(

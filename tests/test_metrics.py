@@ -62,7 +62,6 @@ class TestCountActive:
             for a, c in zip(mask.active, mask.conn):
                 a &= rng.random(a.shape) < 0.7
                 c &= rng.random(c.shape) < 0.3
-            mask.head_active &= rng.random(mask.head_active.shape) < 0.5
             assert count_active(net, 1) == _count_active_loop(net, 1)
 
 

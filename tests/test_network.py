@@ -170,122 +170,23 @@ class TestPruning:
         net.expand(t1, [3, 2])
         return net, t0, t1
 
-    def test_zero_weight_edge_prune_is_invisible(self):
-        net, _, t1 = self._expanded()
-        # new unit 4 of layer 1 (dense) reads old unit 0 of layer 0
-        net.layers[1].w.data[4, 0] = 0.0
-        x = Tensor(t1.train_x[:4])
-        before, _ = net.forward_task(x, 1)
-        net.prune_connections(1, [(1, 4, 0)])
-        after, _ = net.forward_task(x, 1)
-        np.testing.assert_array_equal(before.data, after.data)
-
-    def test_pruning_all_edges_isolates_population(self):
-        net, _, _ = self._expanded()
-        mask = net.masks[1]
-        edges = [(1, dst, src) for dst in range(6, 6)  # no-op placeholder
-                 ]
-        # clear every outgoing edge of every task-0 unit toward task 1
-        edges = [(1, dst, src) for dst in range(4, 6) for src in range(6)]
-        edges += [("head", None, src) for src in range(4)]
-        net.prune_connections(1, edges)
-        assert not any(mask.active[0][:6])
-        assert not any(mask.active[1][:4])
-        # task 0's own mask untouched
-        assert net.masks[0].active[0][:6].all()
-
     def test_old_task_logits_unchanged_after_pruning(self):
         net, t0, _ = self._expanded()
         x = Tensor(t0.train_x[:4])
         before, _ = net.forward_task(x, 0)
-        net.prune_connections(1, [(1, 4, 0), (1, 5, 2), ("head", None, 1)])
-        net.prune_units(1, [(0, 3)])
+        net.prune_units(1, [(0, 3), (1, 1)])
         after, _ = net.forward_task(x, 0)
         np.testing.assert_array_equal(before.data, after.data)
+        # the head reads exactly the active final-layer units
+        mask = net.masks[1]
+        assert vars(mask).keys() == {"active", "conn"}
+        assert mask.head_active is mask.active[-1]
+        assert not mask.head_active[1] and mask.head_active[[0, 2, 3]].all()
 
     def test_cannot_prune_current_task_units(self):
         net, _, _ = self._expanded()
         with pytest.raises(ContractError, match="belongs to the current task"):
             net.prune_units(1, [(0, 6)])  # unit 6 is task 1's new unit
-
-    def test_edge_must_target_current_task(self):
-        net, _, _ = self._expanded()
-        with pytest.raises(ContractError, match="does not target"):
-            net.prune_connections(1, [(1, 0, 0)])  # dst unit 0 is task 0's
-
-    def test_orphan_cascade(self):
-        net, _, _ = self._expanded()
-        mask = net.masks[1]
-        # cut layer-0 old unit 2 off from everything downstream it can reach
-        edges = [(1, dst, 2) for dst in range(4, 6)]
-        mask.conn[1][:4, 2] = False  # also pretend old wiring lost it
-        net.prune_connections(1, edges)
-        assert not mask.active[0][2]
-
-    def test_prune_connections_on_an_older_task(self):
-        net, t0, t1 = self._expanded()
-        net.expand(_task(2, shape=SHAPE, seed=6), [1, 1])
-        mask = net.masks[1]
-        shapes = [c.shape for c in mask.conn]
-        x = Tensor(t0.train_x[:4])
-        task0_before, _ = net.forward_task(x, 0)
-        # old layer-0 unit 2 feeds task 1 only through new units 4 and 5
-        mask.conn[1][:4, 2] = False
-        net.prune_connections(1, [(1, 4, 2), (1, 5, 2)])
-        assert [c.shape for c in mask.conn] == shapes
-        assert not mask.active[0][2] and not mask.conn[0][2].any()
-        assert mask.active[0][:2].all() and mask.active[0][3:].all()
-        logits, feats = net.forward_task(Tensor(t1.train_x[:4]), 1)
-        assert logits.shape == (4, 2) and feats.shape == (4, 6)
-        task0_after, _ = net.forward_task(x, 0)
-        np.testing.assert_array_equal(task0_before.data, task0_after.data)
-
-    def test_orphan_pass_matches_fixpoint_loop(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            t0 = _task(0, shape=SHAPE)
-            net = init_first_task([DenseSpec(6), DenseSpec(5), DenseSpec(4)],
-                                  SHAPE, t0, seed=seed)
-            for tid in (1, 2):
-                t = _task(tid, shape=SHAPE, seed=5)
-                net.expand(t, rng.integers(0, 4, size=3))
-            mask = net.masks[2]
-            for c in mask.conn:
-                c &= rng.random(c.shape) < 0.4
-            mask.head_active &= rng.random(mask.head_active.shape) < 0.5
-            expected = mask.copy()
-            _orphans_fixpoint_loop(net, expected, 2)
-            net._deactivate_orphans(2)
-            for a, b in zip(mask.active + mask.conn,
-                            expected.active + expected.conn):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(mask.head_active, expected.head_active)
-
-
-def _orphans_fixpoint_loop(net, mask, task_id):
-    """Oracle: rescan every old unit until no deactivation changes the mask."""
-    last = len(net.layers) - 1
-    changed = True
-    while changed:
-        changed = False
-        for li, layer in enumerate(net.layers):
-            old = [u for p in layer.populations if p.task_id < task_id
-                   for u in range(p.start, p.stop)]
-            for u in old:
-                if not mask.active[li][u]:
-                    continue
-                if li == last:
-                    has_out = bool(mask.head_active[u])
-                else:
-                    has_out = bool(mask.conn[li + 1][:, u].any())
-                if not has_out:
-                    mask.active[li][u] = False
-                    mask.conn[li][u, :] = False
-                    if li == last:
-                        mask.head_active[u] = False
-                    else:
-                        mask.conn[li + 1][:, u] = False
-                    changed = True
 
 
 def _conv_expanded(seed=0):
@@ -425,9 +326,10 @@ class TestPersistence:
             net.prune_units(1, [(0, 1)])
             path = tmp_path / f"{name}.npz"
             net.save(path)
-            with np.load(path) as data:  # no exist/trainable_* arrays
+            with np.load(path) as data:  # no exist/trainable_*/head_active
                 assert {f.split("/")[1] for f in data.files
                         if f.startswith("layer")} == {"w", "b"}
+                assert not any("head_active" in f for f in data.files)
             loaded = Network.load(path)
             for la, lb in zip(net.layers, loaded.layers):
                 np.testing.assert_array_equal(la.w.data, lb.w.data)

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from spikecl.errors import ContractError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
-from spikecl.plasticity import (ExpansionPolicy, RelatednessState, apply_pruning,
+from spikecl.plasticity import (ExpansionPolicy, RelatednessState,
+                                accumulate_gradients, apply_pruning,
                                 association, bias_schedule, build_relatedness,
                                 expansion_counts, normalize_gradients,
                                 pruning_rates, update_relatedness)
 from spikecl.similarity import SimilarityRecord
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
+from spikecl.tensor import Tensor, cross_entropy, gradients
+from spikecl.trainer import Adam, _trainable_rows
 
 
 def _records(values):
@@ -257,6 +260,51 @@ def _build_relatedness_loop(network, task_id, sims, beta, bias0, bias_slope):
         unit_ids.append(np.asarray(ids, dtype=np.int64))
         unit_rho.append(np.asarray(rho, dtype=np.float64))
     return unit_ids, unit_rho
+
+
+class TestAccumulateGradients:
+    @pytest.mark.parametrize("arch,shape", [
+        ([DenseSpec(5), DenseSpec(4), DenseSpec(3)], (1, 2, 2)),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5)),
+    ])
+    def test_matches_masked_accumulation_after_pruning(self, arch, shape):
+        stream = default_synthetic_stream(n_tasks=3, classes_per_task=2,
+                                          shape=shape, n_train=8, n_test=2,
+                                          seed=0)
+        net = init_first_task(arch, shape, stream[0],
+                              lif=LIFConfig(window=2), seed=0)
+        net.expand(stream[1], [2] * len(arch))
+        net.expand(stream[2], [2] * len(arch))
+        sims = [SimilarityRecord(2, 0, 0.1, 0.3, 0.9),
+                SimilarityRecord(2, 1, 0.2, 0.5, 0.9)]
+        state = build_relatedness(net, 2, sims)
+        oracle = build_relatedness(net, 2, sims)
+        net.prune_units(2, [(0, 0), (0, 4), (len(arch) - 1, 1)])
+        params = net.parameters(2)
+        optim = Adam(params, _trainable_rows(net), lr=0.05)
+        x = Tensor(stream[2].train_x)
+        labels = (stream[2].train_y - stream[2].classes[0]).astype(int)
+        for _ in range(3):
+            logits, _ = net.forward_task(x, 2)
+            optim.zero_grad()
+            gradients(cross_entropy(logits, labels), params)
+            accumulate_gradients(state, net)
+            _accumulate_masked(oracle, net, 2)
+            optim.step()
+        for a, b in zip(state.grad_accum, oracle.grad_accum):
+            np.testing.assert_array_equal(a, b)
+        assert all(a.any() for a in state.grad_accum)
+
+
+def _accumulate_masked(state, network, task_id):
+    """Oracle: the accumulation that multiplied in the connection mask."""
+    mask = network.masks[task_id]
+    for li, layer in enumerate(network.layers):
+        ids = state.unit_ids[li]
+        if ids.size == 0 or layer.w.grad is None:
+            continue
+        g = np.abs(layer.w.grad) * layer.weight_mask(mask.conn[li])
+        state.grad_accum[li] += g.sum(axis=tuple(range(1, g.ndim)))[ids]
 
 
 class TestApplyPruning:

@@ -1,11 +1,16 @@
 """Autodiff core: oracle checks against brute-force loops and finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecl.errors import ContractError, NumericalError, ShapeError
+from spikecl.network import ConvSpec, DenseSpec, init_first_task
+from spikecl.spiking import LIFConfig
+from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import (Tensor, backward, concat_cols, conv2d,
                             cross_entropy, finite_diff_check, gradients,
                             no_grad)
@@ -147,6 +152,58 @@ class TestBackward:
         g2 = gradients(loss2(), [w])[w].copy()
         combined = gradients(a * loss1() + b * loss2(), [w])[w]
         np.testing.assert_allclose(combined, a * g1 + b * g2, rtol=1e-12)
+
+    def test_matches_recursive_walk_on_a_network_graph(self):
+        stream = default_synthetic_stream(n_tasks=2, shape=(1, 5, 5),
+                                          n_train=6, n_test=2, seed=0)
+        net = init_first_task([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5),
+                              stream[0], lif=LIFConfig(window=3), seed=0)
+        net.expand(stream[1], [2, 2])
+        net.prune_units(1, [(0, 1)])
+        params = net.parameters(1)
+        labels = (stream[1].train_y - stream[1].classes[0]).astype(int)
+        results = []
+        for walk in (backward, _backward_recursive):
+            for p in params:
+                p.grad = None
+            logits, _ = net.forward_task(Tensor(stream[1].train_x), 1)
+            leaves = walk(cross_entropy(logits, labels))
+            results.append(([params.index(t) for t in leaves],
+                            [p.grad.copy() for p in params]))
+        (order, grads), (order_ref, grads_ref) = results
+        assert order == order_ref and len(order) == len(params)
+        for g, g_ref in zip(grads, grads_ref):
+            np.testing.assert_array_equal(g, g_ref)
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        gc.collect()
+        loss = ((Tensor(rng.normal(size=(4, 3))) @ w).custom_unary(
+            np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)).mean()
+        backward(loss)
+        del loss
+        assert gc.collect() == 0
+
+
+def _backward_recursive(loss):
+    """Oracle: the recursive post-order walk ``backward`` once used."""
+    topo, seen = [], set()
+
+    def visit(t):
+        if id(t) in seen or not t.requires_grad:
+            return
+        seen.add(id(t))
+        for p in t._parents:
+            visit(p)
+        topo.append(t)
+
+    visit(loss)
+    loss.grad = np.asarray(1.0)
+    for t in reversed(topo):
+        if t._backward is not None:
+            t._backward(t)
+    return [t for t in topo if t._backward is None and t.grad is not None]
 
 
 class TestFiniteDiffCheck:

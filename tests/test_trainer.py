@@ -5,6 +5,7 @@ import pytest
 
 from spikecl.errors import ContractError, DataError
 from spikecl.network import DenseSpec
+from spikecl.plasticity import ExpansionPolicy
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.trainer import (Adam, ReplayBuffer, TrainConfig, cil_evaluate,
@@ -207,8 +208,10 @@ class TestEvaluation:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
-        ("epochs", 0), ("batch_size", 0), ("lr", -1.0),
+        ("epochs", 0), ("batch_size", 0), ("probe_size", 0), ("lr", -1.0),
         ("replay_capacity", 0), ("calib_epochs", 0), ("calib_lr", 0.0),
+        ("sim_mode", "bogus"), ("gamma", 0.0),
+        ("policy", ExpansionPolicy(5.0, (4,))),
     ])
     def test_invalid_rejected(self, field, value):
         with pytest.raises(ContractError):
