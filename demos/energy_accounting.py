@@ -2,8 +2,9 @@
 
 Spike-driven layers pay an accumulate (0.9 pJ) per potential synaptic event
 per timestep; a dense real-valued network pays a multiply-accumulate (4.6 pJ)
-per connection once.  The script severs growing fractions of the connection
-mask and reports how the estimated FLOPs and energy respond.
+per connection once.  The script prunes growing fractions of the units of
+the task's mask, which removes their connections, and reports how the
+estimated FLOPs and energy respond.
 """
 
 import numpy as np
@@ -26,8 +27,8 @@ def main():
     print(f"{'pruned':>7} {'conns':>6} {'flops':>6} {'snn pJ':>10} "
           f"{'dnn pJ':>10} {'ratio':>6}")
     for fraction in (0.0, 0.25, 0.5, 0.75):
-        for conn in net.masks[0].conn:
-            conn &= rng.random(conn.shape) >= fraction / 3
+        for active in net.masks[0].active:
+            active &= rng.random(active.shape) >= fraction / 3
         conns, _ = count_active(net, 0)
         flops = flops_estimate(net, 0)
         snn = energy(flops, "snn", window=window)

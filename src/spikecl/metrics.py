@@ -1,9 +1,10 @@
 """Active-structure counts, FLOPs, the AC/MAC energy model, and accuracy
 bookkeeping.
 
-FLOPs count potential synaptic multiply-accumulates on active connections per
-forward pass (conv counted per output position), excluding the time window;
-the window enters the spiking energy formula as the * T factor.
+FLOPs count potential synaptic multiply-accumulates on active connections
+(``Network.connections`` plus the head's) per forward pass (conv counted per
+output position), excluding the time window; the window enters the spiking
+energy formula as the * T factor.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ class EnergyReport:
 def count_active(network, task_id):
     """(connections, neurons) active under the task's mask, head included.
 
-    A unit is active iff it has at least one outgoing connection bit (an
-    active final feature unit feeds the head).  Head synapses from active
-    feature units count as connections.
+    A unit is active iff it has at least one outgoing connection (an active
+    final feature unit feeds the head).  Head synapses from active feature
+    units count as connections.
     """
     mask = network.masks[task_id]
-    conns = sum(int(c.sum()) for c in mask.conn)
-    has_out = [c.any(axis=0) for c in mask.conn[1:]] + [mask.head_active]
+    conn = network.connections(task_id)
+    conns = sum(int(c.sum()) for c in conn)
+    has_out = [c.any(axis=0) for c in conn[1:]] + [mask.head_active]
     neurons = sum(int((a & o).sum()) for a, o in zip(mask.active, has_out))
     head = network.heads[task_id]
     conns += int(mask.head_active.sum()) * head.w.shape[0]
@@ -48,8 +50,9 @@ def count_active(network, task_id):
 def flops_estimate(network, task_id):
     """Multiply-accumulates for one masked forward pass (single timestep)."""
     mask = network.masks[task_id]
-    total = sum(int(c.sum()) * layer.macs_per_bit
-                for c, layer in zip(mask.conn, network.layers))
+    conns = network.connections(task_id)
+    total = sum(int(c.sum()) * l.macs_per_bit
+                for c, l in zip(conns, network.layers))
     head = network.heads[task_id]
     total += int(mask.head_active.sum()) * head.w.shape[0]
     return total

@@ -17,15 +17,16 @@ shape for good:
   gains input synapses;
 * which entries are trainable -- derived from populations: the rows of the
   latest task's population only;
-* ``TaskMask`` -- per-task active units and connection bits over its
-  prefix; pruning deactivates whole units here and never touches other
-  tasks' masks.  The head reads exactly the active final-layer units, and
-  the task's head and feature anchors have its prefix's feature width.
+* ``TaskMask`` -- per-task active units over its prefix; pruning
+  deactivates whole units here and never touches other tasks' masks.  The
+  head reads exactly the active final-layer units, and the task's head and
+  feature anchors have its prefix's feature width.  The connections a task
+  uses are derived: existing synapses between its active units.
 
-A task's forward crops the shared weights to its prefix.  Convolutional
-layers treat a channel as one unit; connection bits between a conv layer and
-the following dense layer are kept at channel level and ``Layer.weight_mask``
-expands them to the flattened column block.
+A task's forward crops the shared weights to its prefix and gates each
+layer's output spikes by the active bits, so a pruned unit outputs exactly 0.
+No weight is masked: old rows are zero outside their synapses and never
+train.  Convolutional layers treat a channel as one unit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,6 @@ class Layer:
         return (self.block * math.prod(self.w.shape[2:])
                 * math.prod(self.out_shape))
 
-    def weight_mask(self, conn):
-        """Expand (width, in_units) connection bits to broadcast over ``w``."""
-        cols = np.repeat(conn, self.block, axis=1)
-        return cols.reshape(cols.shape + (1,) * (self.w.data.ndim - 2))
-
-    def unit_mask(self, active):
-        """Reshape per-unit bits to broadcast over (batch, width, *out_shape)."""
-        return active.reshape((1, -1) + (1,) * len(self.out_shape))
-
     def grow(self, rng, n_new, n_new_in):
         """Add ``n_new`` units after the existing ones.
 
@@ -139,20 +131,15 @@ class Layer:
 
 
 class TaskMask:
-    """Active units and connection bits of one task, at its prefix widths."""
+    """Active units of one task, at its prefix widths."""
 
-    def __init__(self, active, conn):
+    def __init__(self, active):
         self.active = active  # list of bool (width,) per layer
-        self.conn = conn  # list of bool (width, in_units) per layer
 
     @property
     def head_active(self):
         """Head input bits: the final feature layer's active units."""
         return self.active[-1]
-
-    def copy(self):
-        return TaskMask([a.copy() for a in self.active],
-                        [c.copy() for c in self.conn])
 
 
 class TaskHead:
@@ -234,9 +221,7 @@ class Network:
             prev_new = n_new
         feat = self.layers[-1].width
         self.masks[task.id] = TaskMask(
-            [np.ones(l.width, dtype=bool) for l in self.layers],
-            [self.synapses(li) for li in range(len(self.layers))],
-        )
+            [np.ones(l.width, dtype=bool) for l in self.layers])
         self.heads[task.id] = TaskHead(
             task.id, task.classes,
             _he_init(rng, (len(task.classes), feat), feat),
@@ -253,18 +238,19 @@ class Network:
     def step_fn(self, task_id, cfg=None):
         """Single-timestep closure over the feature layers for ``task_id``.
 
-        Weights are cropped to the task's prefix and masked once per window.
+        Weights are cropped to the task's prefix once per window; each
+        layer's output spikes are gated by the task's active bits.
         """
         mask = self._require_mask(task_id)
         cfg = cfg or self.lif
         params = []
-        for layer, conn in zip(self.layers, mask.conn):
-            rows, cols = conn.shape
-            weff = layer.w.crop(rows, cols * layer.block).mask_mul(
-                layer.weight_mask(conn))
+        for layer, active, cols in zip(self.layers, mask.active,
+                                       self._in_widths(task_id)):
+            weff = layer.w.crop(active.size, cols * layer.block)
             if layer.kind == "dense":
                 weff = weff.transpose()
-            params.append((weff, layer.b.crop(rows)))
+            gate = active.reshape((1, -1) + (1,) * len(layer.out_shape))
+            params.append((weff, layer.b.crop(active.size), gate))
 
         def step(x, states):
             if states is None:
@@ -273,18 +259,16 @@ class Network:
             h = x
             new_states = []
             for li, layer in enumerate(self.layers):
-                weff, bias = params[li]
+                weff, bias, gate = params[li]
                 if layer.kind == "conv":
                     cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
                 else:
                     if len(h.shape) > 2:
                         h = h.reshape(h.shape[0], -1)
                     cur = h.matmul(weff)
-                cur = cur.add_bias(bias)
-                cur = cur.mask_mul(layer.unit_mask(mask.active[li]))
-                state = lif_step(states[li], cur, cfg)
+                state = lif_step(states[li], cur.add_bias(bias), cfg)
                 new_states.append(state)
-                h = state.spikes
+                h = state.spikes.mask_mul(gate)
             return h, new_states
 
         return step
@@ -304,12 +288,11 @@ class Network:
         return run_window(self.step_fn(task_id, cfg), x, cfg)
 
     def head_logits(self, features, task_id, cil=False):
-        mask = self._require_mask(task_id)
+        """Logits of ``task_id``'s head; pruned features are already zero."""
         head = self.heads[task_id]
         w = head.cil_w if cil else head.w
         b = head.cil_b if cil else head.b
-        weff = w.mask_mul(mask.head_active[None, :])
-        return features.matmul(weff.transpose()).add_bias(b)
+        return features.matmul(w.transpose()).add_bias(b)
 
     def forward_task(self, x, task_id, cfg=None):
         """Masked forward; returns (logits over the task's classes, features)."""
@@ -347,9 +330,6 @@ class Network:
                     f"current task {task_id}"
                 )
             mask.active[li][u] = False
-            mask.conn[li][u, :] = False
-            if li + 1 < len(self.layers):
-                mask.conn[li + 1][:, u] = False
 
     def _widths(self, task_id):
         """Per-layer widths once ``task_id`` was learned: the task's prefix."""
@@ -367,6 +347,14 @@ class Network:
         for pop in layer.populations:
             exist[pop.start:pop.stop, :self._in_widths(pop.task_id)[li]] = True
         return exist
+
+    def connections(self, task_id):
+        """Per-layer (width, in_units) bits over ``task_id``'s prefix: the
+        synapses that exist between its active units."""
+        active = self._require_mask(task_id).active
+        inputs = [np.ones(self.input_shape[0], dtype=bool)] + active[:-1]
+        return [self.synapses(li)[:a.size, :i.size] & a[:, None] & i
+                for li, (a, i) in enumerate(zip(active, inputs))]
 
     # -- persistence ---------------------------------------------------------
 
@@ -404,7 +392,6 @@ class Network:
         for t, mask in self.masks.items():
             for li in range(len(self.layers)):
                 arrays[f"task{t}/active{li}"] = mask.active[li]
-                arrays[f"task{t}/conn{li}"] = mask.conn[li]
             head = self.heads[t]
             arrays[f"task{t}/head_w"] = head.w.data
             arrays[f"task{t}/head_b"] = head.b.data
@@ -471,14 +458,16 @@ class Network:
             layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
             layer.b = Tensor(array(f"layer{li}/b", (width,)), requires_grad=True)
             in_units = width
+            for pop in layer.populations:  # the forward reads whole rows
+                cols = net._in_widths(pop.task_id)[li] * layer.block
+                if layer.w.data[pop.start:pop.stop, cols:].any():
+                    raise FormatError(f"checkpoint array layer{li}/w has "
+                                      f"nonzero weights outside synapses")
         for t, cls in classes.items():
-            rows, cols = net._widths(t), net._in_widths(t)
+            rows = net._widths(t)
             net.masks[t] = TaskMask(
                 [array(f"task{t}/active{li}", (r,))
-                 for li, r in enumerate(rows)],
-                [array(f"task{t}/conn{li}", rc)
-                 for li, rc in enumerate(zip(rows, cols))],
-            )
+                 for li, r in enumerate(rows)])
             head_shape = (len(cls), rows[-1])
             head = TaskHead(t, cls, array(f"task{t}/head_w", head_shape),
                             array(f"task{t}/head_b", head_shape[:1]))

@@ -30,8 +30,8 @@ class ExpansionPolicy:
     max_per_layer: tuple = ()
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ContractError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ContractError(f"alpha must be positive and finite: {self.alpha}")
         if any(m < 0 for m in self.max_per_layer):
             raise ContractError("max expansion counts must be non-negative")
 
@@ -110,9 +110,10 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
 def accumulate_gradients(state, network):
     """Add |input-synapse gradients| of frozen units (current batch) to G.
 
-    Only synapses still connected under the task's mask count: the forward
-    multiplies the weights by the connection mask, so the gradient of every
-    disconnected synapse is zero.  Must be called after a backward pass and
+    Only synapses still connected under the task's mask count: a pruned
+    unit's gated output gives its row and the columns it feeds zero
+    gradient, and an old row's columns past its task's prefix, which are not
+    synapses, are zeroed here.  Must be called after a backward pass and
     before the optimizer clears gradients.
     """
     for li, layer in enumerate(network.layers):
@@ -120,6 +121,9 @@ def accumulate_gradients(state, network):
         if ids.size == 0 or layer.w.grad is None:
             continue
         g = np.abs(layer.w.grad)
+        for pop in layer.populations:
+            cols = network._in_widths(pop.task_id)[li] * layer.block
+            g[pop.start:pop.stop, cols:] = 0.0
         per_unit = g.sum(axis=tuple(range(1, g.ndim)))
         state.grad_accum[li] += per_unit[ids]
 

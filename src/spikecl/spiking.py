@@ -41,10 +41,10 @@ class LIFConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.v_th <= 0:
-            raise ConfigError(f"v_th must be positive, got {self.v_th}")
-        if self.lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.v_th < np.inf:
+            raise ConfigError(f"v_th must be positive and finite: {self.v_th}")
+        if not 0 < self.lam < np.inf:
+            raise ConfigError(f"lambda must be positive and finite: {self.lam}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.reset_mode not in (HARD_RESET, LITERAL_EQ3):

@@ -56,8 +56,12 @@ class TrainConfig:
                      "calib_epochs"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
-        if self.lr <= 0 or self.calib_lr <= 0:
-            raise ContractError("learning rates must be positive")
+        if not (0 < self.lr < np.inf and 0 < self.calib_lr < np.inf):
+            raise ContractError("learning rates must be positive and finite")
+        if not np.isfinite([self.beta, self.bias0, self.bias_slope]).all():
+            raise ContractError("beta, bias0 and bias_slope must be finite")
+        if not 0 < self.replay_mix <= 1:
+            raise ContractError("replay_mix must lie in (0, 1]")
         if self.sim_mode not in (CLAMPED, LITERAL):
             raise ContractError(f"unknown similarity mode {self.sim_mode!r}")
         check_gamma(self.gamma)

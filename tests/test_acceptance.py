@@ -241,21 +241,22 @@ def test_criterion_6_desk_scale_continual_run():
 
 
 def test_criterion_7_energy_exactness():
-    shape = (10, 1, 1)
+    shape = (2, 1, 1)
     task = default_synthetic_stream(n_tasks=1, classes_per_task=2,
                                     shape=shape, n_train=8, n_test=4,
                                     seed=0)[0]
-    net = init_first_task([DenseSpec(5)], shape, task,
+    net = init_first_task([DenseSpec(10), DenseSpec(5)], shape, task,
                           lif=LIFConfig(window=4), seed=0)
     mask = net.masks[0]
-    mask.conn[0][:, :4] = False          # sever 4 of 10 inputs
+    mask.active[0][:4] = False           # prune 4 of layer 1's 10 inputs
     mask.head_active[:] = [True, True, False, True, False]
-    # hand count: 5 units x 6 surviving inputs + 3 head units x 2 classes
+    # hand count: 6 units x 2 inputs + 3 units x 6 surviving inputs
+    # + 3 head units x 2 classes; 6 + 3 active neurons
     conns, neurons = count_active(net, 0)
-    assert conns == 5 * 6 + 3 * 2
-    assert neurons == 3
+    assert conns == 6 * 2 + 3 * 6 + 3 * 2
+    assert neurons == 9
     flops = flops_estimate(net, 0)
-    assert flops == 30 + 6
+    assert flops == 12 + 18 + 6
     for window in (1, 4, 7):
         ratio = energy(flops, "snn", window=window) / energy(flops, "dnn")
         assert ratio == pytest.approx(0.9 * window / 4.6, rel=1e-15)

@@ -145,11 +145,21 @@ class TestRun:
         ("similarity", "mode", "bogus", "unknown similarity mode 'bogus'"),
         ("similarity", "gamma", "0", "gamma must lie in (0, 1]"),
         ("expansion", "max_per_layer", "4", "expected 2 expansion counts"),
+        ("replay", "mix", "nan", "replay_mix must lie in (0, 1]"),
+        ("replay", "mix", "-1", "replay_mix must lie in (0, 1]"),
+        ("expansion", "alpha", "nan", "alpha must be positive and finite"),
+        ("lif", "v_th", "nan", "v_th must be positive and finite"),
+        ("lif", "lambda", "inf", "lambda must be positive and finite"),
+        ("train", "lr", "inf", "learning rates must be positive and finite"),
+        ("replay", "calib_lr", "nan",
+         "learning rates must be positive and finite"),
+        ("reuse", "beta", "nan", "beta, bias0 and bias_slope must be finite"),
     ], ids=["epochs=abc", "batch_size=1e3", "spread=x", "input_shape=1xax3",
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
             "no-stream-section", "mode=bogus", "gamma=0",
-            "max_per_layer-length"])
+            "max_per_layer-length", "mix=nan", "mix=-1", "alpha=nan",
+            "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan"])
     def test_bad_value_exits_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, section, key, value, message):
         import spikecl.cli as cli
@@ -324,7 +334,8 @@ class TestCheckpointValidation:
         ("version 1", "checkpoint version 1 unsupported"),
         ("version 2", "checkpoint version 2 unsupported"),
         ("version 3", "checkpoint version 3 unsupported"),
-        ("task0/conn1", "task0/conn1 has shape (9, 12)"),
+        ("version 4", "checkpoint version 4 unsupported"),
+        ("task0/active1", "task0/active1 has shape (9,)"),
     ])
     def test_old_format_or_wider_prefix_exits_config_error(
             self, saved_run, tmp_path, capsys, change, message):
@@ -335,16 +346,16 @@ class TestCheckpointValidation:
             meta["version"] = int(change.split()[1])
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                                dtype=np.uint8)
-        else:  # one row wider than task 0's prefix of layer 1
-            conn = arrays[change]
-            arrays[change] = np.vstack([conn, conn[:1]])
+        else:  # one unit wider than task 0's prefix of layer 1
+            active = arrays[change]
+            arrays[change] = np.concatenate([active, active[:1]])
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         assert main(["evaluate", str(bad), str(cfg),
                      "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["task1/conn1", "layer1/w",
+    @pytest.mark.parametrize("name", ["task1/cil_w", "layer1/w",
                                       "task0/head_w"])
     def test_column_cut_exits_config_error(self, saved_run, tmp_path, capsys,
                                            name):
@@ -355,6 +366,19 @@ class TestCheckpointValidation:
         assert main(["evaluate", str(bad), str(cfg),
                      "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    def test_weight_outside_synapses_exits_config_error(self, saved_run,
+                                                        tmp_path, capsys):
+        _, cfg, arrays = saved_run
+        w = arrays["layer1/w"].copy()
+        # row 0 is task 0's and reads only its 12 layer-0 units
+        assert w.shape[1] > 12
+        w[0, -1] = 0.5
+        bad = tmp_path / "grown.npz"
+        np.savez(bad, **dict(arrays, **{"layer1/w": w}))
+        assert main(["evaluate", str(bad), str(cfg),
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert "layer1/w has nonzero weights" in capsys.readouterr().err
 
     def test_missing_array_exits_config_error(self, saved_run, tmp_path,
                                               capsys):

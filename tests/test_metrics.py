@@ -13,12 +13,12 @@ from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 
 
-def _dense_net(in_units=10, hidden=5, classes=2, seed=0):
+def _dense_net(in_units=10, hidden=(5,), classes=2, seed=0):
     shape = (in_units, 1, 1)
     t0 = default_synthetic_stream(n_tasks=1, classes_per_task=classes,
                                   shape=shape, n_train=8, n_test=4,
                                   seed=seed)[0]
-    return init_first_task([DenseSpec(hidden)], shape, t0,
+    return init_first_task([DenseSpec(h) for h in hidden], shape, t0,
                            lif=LIFConfig(window=4), seed=seed)
 
 
@@ -31,25 +31,22 @@ class TestCountActive:
 
     def test_pruned_population_excluded(self):
         net = _dense_net()
-        mask = net.masks[0]
-        mask.head_active[3] = False
-        mask.conn[0][3, :] = False
-        mask.active[0][3] = False
+        net.masks[0].active[0][3] = False  # its fan-in and head bits go too
         conns, neurons = count_active(net, 0)
         assert conns == 4 * 10 + 4 * 2  # four surviving rows + head bits
         assert neurons == 4
 
     def test_hand_built_mask_matches_hand_count(self):
-        net = _dense_net()
+        net = _dense_net(in_units=2, hidden=(10, 5))
         mask = net.masks[0]
-        mask.conn[0][:, :5] = False  # sever half the input fan-in
+        mask.active[0][:5] = False  # sever half of layer 1's fan-in
         mask.head_active[:] = [True, False, True, False, True]
         conns, neurons = count_active(net, 0)
-        assert conns == 25 + 3 * 2
-        assert neurons == 3
-
+        assert conns == 5 * 2 + 3 * 5 + 3 * 2
+        assert neurons == 5 + 3
 
     def test_matches_per_unit_loop_on_random_masks(self):
+        dangling = 0  # active units with no outgoing connection
         for seed in range(20):
             rng = np.random.default_rng(seed)
             shape = (2, 3, 3)
@@ -59,26 +56,34 @@ class TestCountActive:
                                   shape, stream[0], seed=seed)
             net.expand(stream[1], rng.integers(0, 4, size=3))
             mask = net.masks[1]
-            for a, c in zip(mask.active, mask.conn):
-                a &= rng.random(a.shape) < 0.7
-                c &= rng.random(c.shape) < 0.3
-            assert count_active(net, 1) == _count_active_loop(net, 1)
+            for a in mask.active:
+                a &= rng.random(a.shape) < rng.uniform(0.1, 0.9)
+            counts = count_active(net, 1)
+            assert counts == _count_active_loop(net, 1)
+            dangling += sum(int(a.sum()) for a in mask.active) - counts[1]
+        assert dangling > 0
 
 
 def _count_active_loop(network, task_id):
-    """Oracle: visit every unit and look for an outgoing bit."""
+    """Oracle: visit every synapse between active units, then every active
+    unit, looking for an outgoing link."""
     mask = network.masks[task_id]
-    conns = sum(int(c.sum()) for c in mask.conn)
+    units = [np.ones(network.input_shape[0], dtype=bool)] + mask.active
+    links = []  # per layer: (row, input unit) pairs of active synapses
+    for li in range(len(network.layers)):
+        exist = network.synapses(li)
+        links.append({(r, u) for r in range(units[li + 1].size)
+                      for u in range(units[li].size)
+                      if units[li + 1][r] and units[li][u] and exist[r, u]})
+    conns = sum(len(l) for l in links)
     neurons = 0
     last = len(network.layers) - 1
     for li in range(len(network.layers)):
-        for u in range(network.layers[li].width):
-            if not mask.active[li][u]:
-                continue
+        for u in np.flatnonzero(units[li + 1]):
             if li == last:
                 neurons += bool(mask.head_active[u])
             else:
-                neurons += bool(mask.conn[li + 1][:, u].any())
+                neurons += any(v == u for _, v in links[li + 1])
     conns += int(mask.head_active.sum()) * network.heads[task_id].w.shape[0]
     return conns, neurons
 
@@ -86,18 +91,16 @@ def _count_active_loop(network, task_id):
 class TestFlops:
     def test_dense_layer_fifty(self):
         net = _dense_net()
-        net.masks[0].head_active[:] = False  # isolate the layer term
-        assert flops_estimate(net, 0) == 50
+        assert flops_estimate(net, 0) == 50 + 5 * 2  # 10 x 5 layer, 5 x 2 head
 
     def test_half_masked_twenty_five(self):
-        net = _dense_net()
-        net.masks[0].head_active[:] = False
-        net.masks[0].conn[0][:, :5] = False
-        assert flops_estimate(net, 0) == 25
+        net = _dense_net(in_units=2, hidden=(10, 5))
+        net.masks[0].active[0][:5] = False  # half of layer 1's 10 inputs
+        assert flops_estimate(net, 0) == 5 * 2 + 25 + 5 * 2
 
     def test_head_contribution(self):
-        net = _dense_net()
-        assert flops_estimate(net, 0) == 50 + 5 * 2
+        net = _dense_net(classes=3)
+        assert flops_estimate(net, 0) == 50 + 5 * 3
 
     def test_conv_closed_form(self):
         shape = (1, 9, 9)
@@ -105,17 +108,17 @@ class TestFlops:
                                       n_test=4, seed=0)[0]
         net = init_first_task([ConvSpec(4, 3, 2, 1), DenseSpec(3)], shape, t0,
                               seed=0)
-        net.masks[0].head_active[:] = False
         h_out = w_out = 5  # (9 + 2 - 3) // 2 + 1
         conv_flops = 4 * 1 * 3 * 3 * h_out * w_out
         dense_flops = 3 * 4 * (h_out * w_out)
-        assert flops_estimate(net, 0) == conv_flops + dense_flops
+        head_flops = 3 * 2
+        assert flops_estimate(net, 0) == conv_flops + dense_flops + head_flops
 
     def test_masked_never_exceeds_unmasked(self):
         net = _dense_net()
         full = flops_estimate(net, 0)
         rng = np.random.default_rng(8)
-        net.masks[0].conn[0] &= rng.random((5, 10)) < 0.5
+        net.masks[0].active[0] &= rng.random(5) < 0.5
         assert flops_estimate(net, 0) <= full
 
 

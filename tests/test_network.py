@@ -1,5 +1,7 @@
 """Expandable network: population bookkeeping, freezing, masking, persistence."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from spikecl.errors import ConfigError, ContractError, FormatError
 from spikecl.metrics import count_active, energy_report
 from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
                              init_first_task)
-from spikecl.spiking import LIFConfig
+from spikecl.spiking import (LITERAL_EQ3, LIFConfig, SpikeState, lif_step,
+                             run_window)
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import Tensor, cross_entropy, gradients
+from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
 from spikecl.trainer import Adam, _trainable_rows
 
 
@@ -41,7 +44,7 @@ class TestInitFirstTask:
         assert all(len(l.populations) == 1 for l in net.layers)
         mask = net.masks[0]
         assert all(a.all() for a in mask.active)
-        assert all(c.all() for c in mask.conn)  # density 1.0
+        assert all(c.all() for c in net.connections(0))  # density 1.0
         assert mask.head_active.all()
 
     def test_zero_unit_layer_rejected(self):
@@ -89,7 +92,7 @@ class TestExpand:
         mask, head = net.masks[0], net.heads[0]
 
         def state():
-            return (mask.active + mask.conn
+            return (mask.active + net.connections(0)
                     + [mask.head_active, head.w.data, head.cil_w.data]
                     + [net.anchors[0][c] for c in t0.classes])
 
@@ -179,7 +182,7 @@ class TestPruning:
         np.testing.assert_array_equal(before.data, after.data)
         # the head reads exactly the active final-layer units
         mask = net.masks[1]
-        assert vars(mask).keys() == {"active", "conn"}
+        assert vars(mask).keys() == {"active"}
         assert mask.head_active is mask.active[-1]
         assert not mask.head_active[1] and mask.head_active[[0, 2, 3]].all()
 
@@ -197,6 +200,110 @@ def _conv_expanded(seed=0):
     t1 = _task(1, shape=shape, seed=5)
     net.expand(t1, [2, 2])
     return net, t0, t1
+
+
+def _expand_bits(layer, bits):
+    """(width, in_units) bits repeated over each unit's block of columns."""
+    cols = np.repeat(bits, layer.block, axis=1)
+    return cols.reshape(cols.shape + (1,) * (layer.w.data.ndim - 2))
+
+
+def _connection_masked_forward(net, x, task_id, cfg=None):
+    """Oracle: the forward that multiplied the weights by the expanded
+    connection bits, each layer's current by the unit bits and the head by
+    the head bits; returns (logits, features)."""
+    mask = net.masks[task_id]
+    cfg = cfg or net.lif
+    params = []
+    for layer, conn in zip(net.layers, net.connections(task_id)):
+        rows, cols = conn.shape
+        weff = layer.w.crop(rows, cols * layer.block).mask_mul(
+            _expand_bits(layer, conn))
+        if layer.kind == "dense":
+            weff = weff.transpose()
+        params.append((weff, layer.b.crop(rows)))
+
+    def step(x, states):
+        if states is None:
+            states = [SpikeState.zeros((x.shape[0], a.size) + l.out_shape)
+                      for a, l in zip(mask.active, net.layers)]
+        h, new_states = x, []
+        for li, layer in enumerate(net.layers):
+            weff, bias = params[li]
+            if layer.kind == "conv":
+                cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
+            else:
+                if len(h.shape) > 2:
+                    h = h.reshape(h.shape[0], -1)
+                cur = h.matmul(weff)
+            cur = cur.add_bias(bias)
+            cur = cur.mask_mul(mask.active[li].reshape(
+                (1, -1) + (1,) * len(layer.out_shape)))
+            state = lif_step(states[li], cur, cfg)
+            new_states.append(state)
+            h = state.spikes
+        return h, new_states
+
+    features = run_window(step, x, cfg)
+    head = net.heads[task_id]
+    weff = head.w.mask_mul(mask.head_active[None, :])
+    return features.matmul(weff.transpose()).add_bias(head.b), features
+
+
+class TestUnitGatedForward:
+    @pytest.mark.parametrize("build", [TestPruning()._expanded,
+                                       _conv_expanded], ids=["dense", "conv"])
+    def test_matches_connection_masked_forward(self, build):
+        net, t0, t1 = build(seed=1)
+        params = net.parameters(1)
+        optim = Adam(params, _trainable_rows(net), lr=0.05)
+        x = Tensor(t1.train_x)
+        labels = (t1.train_y - t1.classes[0]).astype(int)
+        for step in range(6):
+            if step == 3:
+                net.prune_units(1, [(0, 1), (1, 2)])
+            for t, task in ((0, t0), (1, t1)):
+                a = net.forward_task(Tensor(task.train_x), t)
+                b = _connection_masked_forward(net, Tensor(task.train_x), t)
+                for u, v in zip(a, b):
+                    np.testing.assert_array_equal(u.data, v.data)
+            exist = {id(l.w): _expand_bits(l, net.synapses(li))
+                     for li, l in enumerate(net.layers)}
+            grads = []
+            for forward in (lambda: _connection_masked_forward(net, x, 1),
+                            lambda: net.forward_task(x, 1)):
+                logits, _ = forward()
+                optim.zero_grad()
+                gradients(cross_entropy(logits, labels), params)
+                grads.append([p.grad.copy() for p in params])
+            # gradients agree on every synapse; past an old row's synapses
+            # only the unmasked forward has any, and Adam never applies them
+            for p, old, new in zip(params, *grads):
+                np.testing.assert_array_equal(
+                    np.where(exist.get(id(p), True), new, 0.0), old)
+            optim.step()  # with the gradients of the unmasked forward
+
+    @pytest.mark.parametrize("lif", [
+        LIFConfig(tau=0.6, v_th=0.5, window=2, reset_mode=LITERAL_EQ3),
+        LIFConfig(v_th=0.4, lam=2.0, window=2, smooth=True),
+    ], ids=["literal-eq3", "smooth"])
+    def test_pruned_units_are_silent_in_every_mode(self, lif):
+        # in this mode a unit fires with no input current at all
+        idle = lif_step(SpikeState.zeros((1, 1)), Tensor(np.zeros((1, 1))), lif)
+        assert idle.spikes.data.any()
+        net, _, t1 = TestPruning()._expanded(seed=1)
+        net.prune_units(1, [(0, 1), (1, 2)])
+        x = t1.train_x[:5]
+        features = net.extract_features(x, 1, lif)
+        assert not features[:, 2].any()
+        # gating a unit's output equals cutting its outgoing weights
+        cut = copy.deepcopy(net)
+        cut.masks[1].active[0][1] = cut.masks[1].active[1][2] = True
+        cut.layers[1].w.data[:, 1] = 0.0
+        cut.heads[1].w.data[:, 2] = 0.0
+        logits, _ = net.forward_task(Tensor(x), 1, lif)
+        expected, _ = cut.forward_task(Tensor(x), 1, lif)
+        np.testing.assert_array_equal(logits.data, expected.data)
 
 
 def _first_task_draws(arch, shape, n_classes, seed):
@@ -246,13 +353,15 @@ class TestFirstTaskIsExpansion:
 
 
 class _GrownBookkeeping:
-    """Oracle: the ``exist``/``trainable_*`` arrays ``Layer.grow`` once kept,
-    updated incrementally on every expansion."""
+    """Oracle: the ``exist``/``trainable_*`` arrays ``Layer.grow`` once kept
+    and the connection bits each ``TaskMask`` once stored, updated
+    incrementally on every expansion and pruning."""
 
     def __init__(self, net):
         self.exist = [np.zeros((0, l.in_units), dtype=bool) for l in net.layers]
         self.trainable_w = [np.zeros(l.w.shape, dtype=bool) for l in net.layers]
         self.trainable_b = [np.zeros(0, dtype=bool) for _ in net.layers]
+        self.conn = {}
 
     def grow(self, net, counts):
         """Mirror ``net.expand(task, counts)``, called right after it."""
@@ -268,6 +377,15 @@ class _GrownBookkeeping:
             exist[old_out:] = True
             self.exist[li] = exist
             n_new_in = n_new
+        self.conn[max(net.masks)] = [e.copy() for e in self.exist]
+
+    def prune(self, task_id, doomed):
+        """Mirror ``net.prune_units``: drop each unit's row and out-column."""
+        conn = self.conn[task_id]
+        for li, u in doomed:
+            conn[li][u, :] = False
+            if li + 1 < len(conn):
+                conn[li + 1][:, u] = False
 
 
 class TestDerivedState:
@@ -309,6 +427,10 @@ class TestDerivedState:
                       for u in range(net._widths(last - 1)[li])
                       if rng.random() < 0.3]
             net.prune_units(last, doomed)
+            oracle.prune(last, doomed)
+            for t in net.masks:
+                for a, b in zip(net.connections(t), oracle.conn[t]):
+                    np.testing.assert_array_equal(a, b)
             total = (sum(int(e.sum()) for e in oracle.exist)
                      + net.layers[-1].width * len(tasks[0].classes))
             for t in net.masks:
@@ -326,10 +448,11 @@ class TestPersistence:
             net.prune_units(1, [(0, 1)])
             path = tmp_path / f"{name}.npz"
             net.save(path)
-            with np.load(path) as data:  # no exist/trainable_*/head_active
+            with np.load(path) as data:  # no exist/trainable_*/head_active/conn
                 assert {f.split("/")[1] for f in data.files
                         if f.startswith("layer")} == {"w", "b"}
-                assert not any("head_active" in f for f in data.files)
+                assert not any("head_active" in f or "conn" in f
+                               for f in data.files)
             loaded = Network.load(path)
             for la, lb in zip(net.layers, loaded.layers):
                 np.testing.assert_array_equal(la.w.data, lb.w.data)
@@ -340,7 +463,7 @@ class TestPersistence:
             for t in net.masks:
                 for a, b in zip(net.masks[t].active, loaded.masks[t].active):
                     np.testing.assert_array_equal(a, b)
-                for a, b in zip(net.masks[t].conn, loaded.masks[t].conn):
+                for a, b in zip(net.connections(t), loaded.connections(t)):
                     np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(net.masks[t].head_active,
                                               loaded.masks[t].head_active)
@@ -363,7 +486,7 @@ class TestPersistence:
             Network.load(path)
 
     @pytest.mark.parametrize("name,change", [
-        ("layer0/w", "cut column"), ("task1/conn0", "cut row"),
+        ("layer0/w", "cut column"), ("task1/head_w", "cut column"),
         ("task1/active1", "cut row"), ("task1/cil_b", "cut row"),
         ("anchor0/0", "widen"), ("layer1/b", "drop"), ("task0/cil_w", "nan"),
     ])
@@ -383,6 +506,18 @@ class TestPersistence:
             arrays[name] = edits[change](arrays[name])
         np.savez(tmp_path / "bad.npz", **arrays)
         with pytest.raises(FormatError, match=name):
+            Network.load(tmp_path / "bad.npz")
+
+    def test_weight_outside_synapses_rejected(self, tmp_path):
+        net, _, _ = _conv_expanded()
+        net.save(tmp_path / "ok.npz")
+        with np.load(tmp_path / "ok.npz") as data:
+            arrays = dict(data)
+        # task 0's dense row 0 reads 3 channels x 9 columns; column 44 lies
+        # in the block of channel 4, a task-1 channel
+        arrays["layer1/w"][0, 44] = 0.5
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(FormatError, match="layer1/w has nonzero weights"):
             Network.load(tmp_path / "bad.npz")
 
     def test_populations_must_tile_units(self, tmp_path):

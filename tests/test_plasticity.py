@@ -58,6 +58,8 @@ class TestExpansionCounts:
         with pytest.raises(ContractError):
             ExpansionPolicy(alpha=0.0)
         with pytest.raises(ContractError):
+            ExpansionPolicy(alpha=float("nan"))
+        with pytest.raises(ContractError):
             ExpansionPolicy(max_per_layer=(-1,))
 
 
@@ -297,13 +299,16 @@ class TestAccumulateGradients:
 
 
 def _accumulate_masked(state, network, task_id):
-    """Oracle: the accumulation that multiplied in the connection mask."""
-    mask = network.masks[task_id]
+    """Oracle: the accumulation that multiplied in the task's connection
+    bits, repeated over each input unit's block of weight columns."""
+    conns = network.connections(task_id)
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:
             continue
-        g = np.abs(layer.w.grad) * layer.weight_mask(mask.conn[li])
+        bits = np.repeat(conns[li], layer.block, axis=1)
+        bits = bits.reshape(bits.shape + (1,) * (layer.w.data.ndim - 2))
+        g = np.abs(layer.w.grad) * bits
         state.grad_accum[li] += g.sum(axis=tuple(range(1, g.ndim)))[ids]
 
 

@@ -1,5 +1,6 @@
 """Similarity: anchors, the nearest-anchor divergence estimate, and the score map."""
 
+import copy
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ class TestSimilarityVector:
     def test_duplicate_task_has_minimal_similarity(self):
         net, t0, specs, shape = _toy_network_with_anchors()
         # add a dissimilar second anchor set under an identical mask
-        net.masks[1] = net.masks[0].copy()
+        net.masks[1] = copy.deepcopy(net.masks[0])
         far = synthetic_stream([SyntheticTaskSpec(
             [GaussianClass(0, np.full(9, -3.0), 0.02),
              GaussianClass(1, np.full(9, 4.0), 0.02)], 120, 40)],

@@ -16,6 +16,7 @@ class TestLIFConfig:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"tau": 1.5}, {"v_th": 0.0}, {"lam": -1.0},
         {"window": 0}, {"reset_mode": "bogus"},
+        {"v_th": float("nan")}, {"lam": float("inf")},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):

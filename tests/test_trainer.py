@@ -193,14 +193,14 @@ class TestEvaluation:
         net, _ = learn_task(None, stream[0], cfg, buf)
         w_feat = [l.w.data.copy() for l in net.layers]
         head0 = net.heads[0].w.data.copy()
-        mask0 = [m.copy() for m in net.masks[0].conn]
+        mask0 = [m.copy() for m in net.masks[0].active]
         net, _ = learn_task(net, stream[1], cfg, buf)  # triggers calibration
         np.testing.assert_array_equal(net.heads[0].w.data, head0)
         for layer, before in zip(net.layers, w_feat):
             np.testing.assert_array_equal(
                 layer.w.data[: before.shape[0], : before.shape[1]], before)
-        for conn, before in zip(net.masks[0].conn, mask0):
-            np.testing.assert_array_equal(conn, before)
+        for active, before in zip(net.masks[0].active, mask0):
+            np.testing.assert_array_equal(active, before)
         # the CIL copies did move
         assert net.heads[0].cil_w.shape == head0.shape
         assert not np.array_equal(net.heads[0].cil_w.data, head0)
@@ -211,7 +211,10 @@ class TestTrainConfig:
         ("epochs", 0), ("batch_size", 0), ("probe_size", 0), ("lr", -1.0),
         ("replay_capacity", 0), ("calib_epochs", 0), ("calib_lr", 0.0),
         ("sim_mode", "bogus"), ("gamma", 0.0),
-        ("policy", ExpansionPolicy(5.0, (4,))),
+        ("policy", ExpansionPolicy(5.0, (4,))), ("lr", float("inf")),
+        ("calib_lr", float("nan")), ("beta", float("nan")),
+        ("bias0", float("inf")), ("bias_slope", float("nan")),
+        ("replay_mix", 0.0), ("replay_mix", 1.5),
     ])
     def test_invalid_rejected(self, field, value):
         with pytest.raises(ContractError):
