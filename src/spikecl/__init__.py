@@ -2,7 +2,7 @@
 
 The toolkit covers: a minimal reverse-mode tensor core, leaky
 integrate-and-fire dynamics with a surrogate spike derivative, an expandable
-masked network with per-task neuron populations, KL-based task similarity,
+masked network that adds units per task, KL-based task similarity,
 gradient-driven selective reuse/pruning, task streams, energy accounting,
 and a batch experiment runner.
 """

@@ -156,7 +156,6 @@ def build_train_config(cfg, seed):
             bias0=_value(cfg, "reuse", "bias0", 0.2),
             bias_slope=_value(cfg, "reuse", "bias_slope", 0.1),
             replay_capacity=_value(cfg, "replay", "capacity", 2000, int),
-            replay_mix=_value(cfg, "replay", "mix", 1.0),
             calib_epochs=_value(cfg, "replay", "calib_epochs", 15, int),
             calib_lr=_value(cfg, "replay", "calib_lr", 1e-2),
             seed=seed,

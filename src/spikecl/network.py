@@ -1,27 +1,29 @@
-"""Expandable layered spiking network with per-task neuron populations.
+"""Expandable layered spiking network that grows a block of units per task.
 
 A ``Network`` starts with zero-width layers whose geometry (kind, input
 units, columns per input unit, output spatial shape) is fixed by the
 architecture and input shape.  ``Network.expand`` is the only code that
-creates weights: it appends one population per layer for a task, the first
-task included.  ``Network.load`` builds the same empty network and fills in
-the saved arrays after checking their shapes against that geometry.
+creates weights: it appends a block of units per layer for a task, the first
+task included, and it is the one place that enforces task order.
+``Network.load`` builds the same empty network and fills in the saved arrays
+after checking their shapes against that geometry.
 
 Each layer owns one dense weight array covering every unit ever created.  A
 task only ever adds units, so the subnetwork it was learned on is the leading
 block (prefix) of every layer as it stood then, and its state keeps that
-shape for good:
+shape for good.  Its mask widths are the one record of that prefix: task t
+owns the units between task t-1's mask widths and its own
+(``Network.owned``).  From them derive
 
-* which synapses exist -- derived from populations: a row of task p's
-  population reads the input units of p's prefix, so an old unit never
-  gains input synapses;
-* which entries are trainable -- derived from populations: the rows of the
-  latest task's population only;
-* ``TaskMask`` -- per-task active units over its prefix; pruning
-  deactivates whole units here and never touches other tasks' masks.  The
-  head reads exactly the active final-layer units, and the task's head and
-  feature anchors have its prefix's feature width.  The connections a task
-  uses are derived: existing synapses between its active units.
+* which synapses exist: a row owned by task p reads the input units of p's
+  prefix, so an old unit never gains input synapses;
+* which entries are trainable: the rows the latest task owns.
+
+``TaskMask`` holds per-task active units over its prefix; pruning
+deactivates whole units here and never touches other tasks' masks.  The head
+reads exactly the active final-layer units, and the task's head and feature
+anchors have its prefix's feature width.  The connections a task uses are
+derived: existing synapses between its active units.
 
 A task's forward crops the shared weights to its prefix and gates each
 layer's output spikes by the active bits, so a pruned unit outputs exactly 0.
@@ -41,7 +43,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .spiking import LIFConfig, SpikeState, lif_step, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -59,18 +61,6 @@ class DenseSpec:
 
 def _spec_units(spec):
     return spec.channels if isinstance(spec, ConvSpec) else spec.units
-
-
-@dataclass
-class NeuronPopulation:
-    task_id: int
-    layer: int
-    start: int
-    stop: int  # exclusive
-
-    @property
-    def size(self):
-        return self.stop - self.start
 
 
 def _he_init(rng, shape, fan_in):
@@ -96,7 +86,6 @@ class Layer:
         self.w = Tensor(np.zeros((0, in_units * block) + kernel),
                         requires_grad=True)
         self.b = Tensor(np.zeros(0), requires_grad=True)
-        self.populations = []
 
     @property
     def width(self):
@@ -143,8 +132,7 @@ class TaskMask:
 
 
 class TaskHead:
-    def __init__(self, task_id, classes, w, b):
-        self.task_id = task_id
+    def __init__(self, classes, w, b):
         self.classes = list(classes)
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
@@ -197,12 +185,16 @@ class Network:
     # -- construction --------------------------------------------------------
 
     def expand(self, task, counts):
-        """Add one population per layer for ``task`` and open its mask.
+        """Add ``counts[li]`` units to layer li for ``task``; open its mask.
 
-        On an empty network this builds the first task's layers.
+        On an empty network this builds the first task's layers.  Tasks
+        arrive in id order: ``task.id`` must equal the number of tasks.
         """
         if task.id in self.masks:
             raise ContractError(f"task {task.id} already present")
+        if task.id != len(self.masks):
+            raise ContractError(f"tasks must arrive in id order: expected id "
+                                f"{len(self.masks)}, got {task.id}")
         if len(counts) != len(self.layers):
             raise ContractError(
                 f"expected {len(self.layers)} expansion counts, got {len(counts)}"
@@ -213,17 +205,13 @@ class Network:
             n_new = int(counts[li])
             if n_new < 0:
                 raise ContractError("expansion counts must be non-negative")
-            old_out = layer.width
             layer.grow(rng, n_new, prev_new)
-            layer.populations.append(
-                NeuronPopulation(task.id, li, old_out, old_out + n_new)
-            )
             prev_new = n_new
         feat = self.layers[-1].width
         self.masks[task.id] = TaskMask(
             [np.ones(l.width, dtype=bool) for l in self.layers])
         self.heads[task.id] = TaskHead(
-            task.id, task.classes,
+            task.classes,
             _he_init(rng, (len(task.classes), feat), feat),
             np.zeros(len(task.classes)),
         )
@@ -322,9 +310,9 @@ class Network:
         stays intact.
         """
         mask = self._require_mask(task_id)
-        lo, hi = self._widths(task_id - 1), self._widths(task_id)
+        owned = self.owned(task_id)
         for li, u in doomed:
-            if lo[li] <= u < hi[li]:
+            if u in owned[li]:
                 raise ContractError(
                     f"cannot prune unit {u} of layer {li}: it belongs to the "
                     f"current task {task_id}"
@@ -332,20 +320,27 @@ class Network:
             mask.active[li][u] = False
 
     def _widths(self, task_id):
-        """Per-layer widths once ``task_id`` was learned: the task's prefix."""
-        return [max((p.stop for p in l.populations if p.task_id <= task_id),
-                    default=0) for l in self.layers]
+        """Per-layer widths of ``task_id``'s prefix (zeros for task -1)."""
+        if task_id < 0:
+            return [0] * len(self.layers)
+        return [a.size for a in self.masks[task_id].active]
 
     def _in_widths(self, task_id):
-        """Per-layer input units a row of ``task_id``'s populations reads."""
+        """Per-layer input units a row owned by ``task_id`` reads."""
         return [self.input_shape[0]] + self._widths(task_id)[:-1]
+
+    def owned(self, task_id):
+        """Per-layer range of the units ``task_id`` added to the network."""
+        return [range(lo, hi) for lo, hi in zip(self._widths(task_id - 1),
+                                                self._widths(task_id))]
 
     def synapses(self, li):
         """(width, in_units) bits of layer ``li``: which synapses exist."""
         layer = self.layers[li]
         exist = np.zeros((layer.width, layer.in_units), dtype=bool)
-        for pop in layer.populations:
-            exist[pop.start:pop.stop, :self._in_widths(pop.task_id)[li]] = True
+        for t in self.masks:
+            rows = self.owned(t)[li]
+            exist[rows.start:rows.stop, :self._in_widths(t)[li]] = True
         return exist
 
     def connections(self, task_id):
@@ -372,10 +367,6 @@ class Network:
                  "stride": s.stride, "padding": s.padding}
                 if isinstance(s, ConvSpec) else {"kind": "dense", "units": s.units}
                 for s in self.arch
-            ],
-            "populations": [
-                [p.task_id, p.layer, p.start, p.stop]
-                for layer in self.layers for p in layer.populations
             ],
             "tasks": {
                 str(t): {"classes": self.heads[t].classes} for t in self.masks
@@ -405,7 +396,8 @@ class Network:
 
     @staticmethod
     def load(path):
-        """Rebuild a saved network, checking every array against the geometry."""
+        """Rebuild a saved network, checking every array against the geometry
+        and the prefix widths its masks give."""
         try:
             data = np.load(path)
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -423,9 +415,6 @@ class Network:
             ]
             net = Network(arch, meta["input_shape"], LIFConfig(**meta["lif"]),
                           meta["seed"])
-            for tid, li, start, stop in meta["populations"]:
-                net.layers[li].populations.append(
-                    NeuronPopulation(tid, li, start, stop))
             classes = {int(t): info["classes"]
                        for t, info in meta["tasks"].items()}
             anchor_classes = {int(t): c
@@ -433,43 +422,60 @@ class Network:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise FormatError(f"checkpoint {path} has malformed metadata: "
                               f"{exc!r}") from exc
+        tasks = list(range(len(classes)))
+        if sorted(classes) != tasks or not set(anchor_classes) <= set(tasks):
+            raise FormatError(f"checkpoint {path}: task ids must be 0..T-1 "
+                              f"and anchor tasks among them, got tasks "
+                              f"{sorted(classes)}, anchors "
+                              f"{sorted(anchor_classes)}")
 
-        def array(name, shape):
+        def array(name, shape=None, kind="f"):
             if name not in data.files:
                 raise FormatError(f"checkpoint {path} lacks array {name}")
-            arr = data[name]
-            if arr.shape != tuple(shape):
+            try:
+                arr = data[name]
+            except ValueError as exc:  # an object array would need pickle
+                raise FormatError(f"checkpoint array {name}: {exc}") from exc
+            if arr.dtype.kind != kind:
+                raise FormatError(f"checkpoint array {name} has dtype "
+                                  f"{arr.dtype}")
+            if shape is not None and arr.shape != tuple(shape):
                 raise FormatError(f"checkpoint array {name} has shape "
                                   f"{arr.shape}, expected {tuple(shape)}")
             if not np.isfinite(arr).all():
                 raise FormatError(f"checkpoint array {name} is not finite")
             return arr
 
-        in_units = net.input_shape[0]
-        for li, layer in enumerate(net.layers):
-            width = 0
-            for pop in layer.populations:
-                if pop.start != width or pop.stop < pop.start:
+        for t in tasks:  # the masks give every width checked below
+            prev = net._widths(t - 1)
+            active = [array(f"task{t}/active{li}", kind="b")
+                      for li in range(len(arch))]
+            for li, a in enumerate(active):
+                if a.ndim != 1:
+                    raise FormatError(f"checkpoint array task{t}/active{li} "
+                                      f"has shape {a.shape}, expected 1-D")
+                if a.size < prev[li]:
                     raise FormatError(
-                        f"checkpoint {path}: layer {li} populations do not "
-                        f"tile its units")
-                width = pop.stop
-            w_shape = (width, in_units * layer.block) + layer.w.shape[2:]
+                        f"checkpoint array task{t}/active{li} has {a.size} "
+                        f"units, fewer than task {t - 1}'s {prev[li]}")
+            net.masks[t] = TaskMask(active)
+        last = len(tasks) - 1
+        rows = net._widths(last)
+        for li, (layer, cols) in enumerate(zip(net.layers,
+                                               net._in_widths(last))):
+            w_shape = (rows[li], cols * layer.block) + layer.w.shape[2:]
             layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
-            layer.b = Tensor(array(f"layer{li}/b", (width,)), requires_grad=True)
-            in_units = width
-            for pop in layer.populations:  # the forward reads whole rows
-                cols = net._in_widths(pop.task_id)[li] * layer.block
-                if layer.w.data[pop.start:pop.stop, cols:].any():
+            layer.b = Tensor(array(f"layer{li}/b", (rows[li],)),
+                             requires_grad=True)
+            for t in tasks:  # the forward reads whole rows
+                own = net.owned(t)[li]
+                if layer.w.data[own.start:own.stop,
+                                 net._in_widths(t)[li] * layer.block:].any():
                     raise FormatError(f"checkpoint array layer{li}/w has "
                                       f"nonzero weights outside synapses")
         for t, cls in classes.items():
-            rows = net._widths(t)
-            net.masks[t] = TaskMask(
-                [array(f"task{t}/active{li}", (r,))
-                 for li, r in enumerate(rows)])
-            head_shape = (len(cls), rows[-1])
-            head = TaskHead(t, cls, array(f"task{t}/head_w", head_shape),
+            head_shape = (len(cls), net._widths(t)[-1])
+            head = TaskHead(cls, array(f"task{t}/head_w", head_shape),
                             array(f"task{t}/head_b", head_shape[:1]))
             head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape),
                                 requires_grad=True)
@@ -483,7 +489,7 @@ class Network:
 
 
 def init_first_task(arch, input_shape, task0, lif=None, seed=0):
-    """Build the network and grow the first task's populations from nothing."""
+    """Build the network and grow the first task's units from nothing."""
     net = Network(arch, input_shape, lif or LIFConfig(), seed)
     net.expand(task0, [_spec_units(s) for s in net.arch])
     return net

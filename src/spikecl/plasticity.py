@@ -1,7 +1,7 @@
 """Expansion sizing and gradient-driven reuse/pruning of old neurons.
 
 Expansion: the association magnitude A (minimum similarity to any old task)
-sizes the new populations per layer as floor(M_l * (1 - exp(-alpha * A))).
+sizes each layer's new units as floor(M_l * (1 - exp(-alpha * A))).
 
 Reuse: while the new task trains, the absolute gradients reaching each old
 (frozen) unit's input synapses accumulate per epoch.  Once per epoch the
@@ -75,7 +75,6 @@ class RelatednessState:
     unit_rho: list  # per layer: rho value per unit
     r: list = field(default_factory=list)
     grad_accum: list = field(default_factory=list)
-    epoch: int = 0
 
     def __post_init__(self):
         if not self.r:
@@ -93,17 +92,18 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
                       bias_slope=0.1):
     """Set up relatedness tracking for every frozen unit reachable by the task."""
     s_by_task = {r.old_task: r.s for r in sims}
+    owned = [network.owned(t) for t in range(task_id)]
     unit_ids, unit_rho = [], []
-    for li, layer in enumerate(network.layers):
-        old = [p for p in layer.populations if p.task_id < task_id]
+    for li in range(len(network.layers)):
         bias = bias_schedule(li, bias0, bias_slope)
-        # similarity to the population's own task; populations from task 0
-        # of a stream with no record default to the maximum dissimilarity
+        # similarity to the unit's own task; a task with no record (task 0
+        # of a stream) defaults to the maximum dissimilarity
         unit_ids.append(np.concatenate(
-            [np.arange(p.start, p.stop, dtype=np.int64) for p in old]))
+            [np.arange(o[li].start, o[li].stop, dtype=np.int64)
+             for o in owned]))
         unit_rho.append(np.concatenate(
-            [np.full(p.size, beta - s_by_task.get(p.task_id, 1.0) + bias)
-             for p in old]))
+            [np.full(len(o[li]), beta - s_by_task.get(t, 1.0) + bias)
+             for t, o in enumerate(owned)]))
     return RelatednessState(task_id, unit_ids, unit_rho)
 
 
@@ -116,26 +116,25 @@ def accumulate_gradients(state, network):
     synapses, are zeroed here.  Must be called after a backward pass and
     before the optimizer clears gradients.
     """
+    tasks = [(network.owned(t), network._in_widths(t)) for t in network.masks]
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:
             continue
         g = np.abs(layer.w.grad)
-        for pop in layer.populations:
-            cols = network._in_widths(pop.task_id)[li] * layer.block
-            g[pop.start:pop.stop, cols:] = 0.0
+        for owned, in_widths in tasks:
+            rows = owned[li]
+            g[rows.start:rows.stop, in_widths[li] * layer.block:] = 0.0
         per_unit = g.sum(axis=tuple(range(1, g.ndim)))
         state.grad_accum[li] += per_unit[ids]
 
 
-def update_relatedness(state, network, epoch=None):
+def update_relatedness(state, network, epoch):
     """Apply the per-epoch relatedness update; returns the doomed-unit set.
 
     Normalization runs over the still-connected old units of each layer.
     Accumulators reset to zero afterwards.
     """
-    if epoch is None:
-        epoch = state.epoch
     doomed = set()
     decay = math.exp(-epoch / 2.0)
     mask = network.masks[state.task_id]
@@ -155,27 +154,25 @@ def update_relatedness(state, network, epoch=None):
         )
         doomed.update((li, int(u)) for u in ids[alive & (state.r[li] < 0.0)])
         state.grad_accum[li][:] = 0.0
-    state.epoch = epoch + 1
     return doomed
 
 
 def apply_pruning(network, task_id, doomed):
-    """Disconnect doomed old units from the task; returns per-population rates.
+    """Disconnect doomed old units from the task; returns per-source rates.
 
-    The report maps source task -> {layer -> (pruned, population size)} so the
+    The report maps source task -> {layer -> (pruned, units it owns)} so the
     pruning-rate-vs-similarity relationship can be exported.
     """
     if doomed:
         network.prune_units(task_id, sorted(doomed))
+    active = network.masks[task_id].active
+    owned = [network.owned(t) for t in range(task_id)]
     report = {}
-    for li, layer in enumerate(network.layers):
-        for pop in layer.populations:
-            if pop.task_id >= task_id or pop.size == 0:
-                continue
-            pruned = int(
-                (~network.masks[task_id].active[li][pop.start:pop.stop]).sum()
-            )
-            report.setdefault(pop.task_id, {})[li] = (pruned, pop.size)
+    for li in range(len(network.layers)):
+        for t, o in enumerate(owned):
+            if len(o[li]):
+                pruned = int((~active[li][o[li].start:o[li].stop]).sum())
+                report.setdefault(t, {})[li] = (pruned, len(o[li]))
     return report
 
 

@@ -1,8 +1,8 @@
 """The per-task continual-learning loop, TIL/CIL evaluation, and replay memory.
 
-For each new task: assess similarity to every stored old task, expand new
-populations sized by the association magnitude, then train with the old
-populations' input synapses frozen while their gradients feed the relatedness
+For each new task: assess similarity to every stored old task, add new units
+to each layer sized by the association magnitude, then train with the old
+units' input synapses frozen while their gradients feed the relatedness
 scores that drive per-epoch pruning.  Afterwards the task's feature anchors
 are stored and the replay buffer rebalanced; with two or more tasks a short
 calibration pass fits the CIL head copies on the buffer.
@@ -46,7 +46,6 @@ class TrainConfig:
     bias0: float = 0.2
     bias_slope: float = 0.1
     replay_capacity: int = 2000
-    replay_mix: float = 1.0  # fraction of the buffer visited per calibration epoch
     calib_epochs: int = 15
     calib_lr: float = 1e-2
     seed: int = 0
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ContractError("learning rates must be positive and finite")
         if not np.isfinite([self.beta, self.bias0, self.bias_slope]).all():
             raise ContractError("beta, bias0 and bias_slope must be finite")
-        if not 0 < self.replay_mix <= 1:
-            raise ContractError("replay_mix must lie in (0, 1]")
         if self.sim_mode not in (CLAMPED, LITERAL):
             raise ContractError(f"unknown similarity mode {self.sim_mode!r}")
         check_gamma(self.gamma)
@@ -108,10 +105,10 @@ class ReplayBuffer:
 
     def __init__(self, capacity=2000):
         self.capacity = int(capacity)
-        self.by_class = {}  # global class -> (x array, task_id)
+        self.by_class = {}  # global class -> x array
 
     def __len__(self):
-        return sum(x.shape[0] for x, _ in self.by_class.values())
+        return sum(x.shape[0] for x in self.by_class.values())
 
     def classes(self):
         return sorted(self.by_class)
@@ -121,7 +118,7 @@ class ReplayBuffer:
         rng = np.random.default_rng([seed, task.id, 977])
         for c in task.classes:
             idx = np.flatnonzero(task.train_y == c)
-            self.by_class[c] = (task.train_x[idx], task.id)
+            self.by_class[c] = task.train_x[idx]
         n_classes = len(self.by_class)
         quota = self.capacity // n_classes
         if quota == 0:
@@ -132,24 +129,22 @@ class ReplayBuffer:
         kept = {}
         budget = self.capacity
         for c in sorted(self.by_class):
-            x, tid = self.by_class[c]
+            x = self.by_class[c]
             take = min(max(quota, 1 if budget > 0 else 0), x.shape[0], budget)
             if take <= 0:
                 continue
             pick = rng.choice(x.shape[0], size=take, replace=False)
             pick.sort()
-            kept[c] = (x[pick], tid)
+            kept[c] = x[pick]
             budget -= take
         self.by_class = kept
 
     def all_samples(self):
-        xs, ys, ts = [], [], []
+        xs, ys = [], []
         for c in sorted(self.by_class):
-            x, tid = self.by_class[c]
-            xs.append(x)
-            ys.append(np.full(x.shape[0], c, dtype=np.int64))
-            ts.append(np.full(x.shape[0], tid, dtype=np.int64))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+            xs.append(self.by_class[c])
+            ys.append(np.full(xs[-1].shape[0], c, dtype=np.int64))
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 def _batches(n, batch_size, rng):
@@ -159,11 +154,11 @@ def _batches(n, batch_size, rng):
 
 
 def _trainable_rows(network):
-    """First trainable row of each layer parameter: the latest population."""
+    """First trainable row of each layer parameter: the latest task's units."""
     rows = {}
-    for layer in network.layers:
-        r0 = layer.populations[-1].start
-        rows[id(layer.w)] = rows[id(layer.b)] = r0
+    latest = network.owned(len(network.masks) - 1)
+    for layer, own in zip(network.layers, latest):
+        rows[id(layer.w)] = rows[id(layer.b)] = own.start
     return rows
 
 
@@ -188,11 +183,6 @@ def learn_task(network, task, cfg, buffer=None):
 
     Non-finite values end in a ``TrainingError`` naming seed, task and epoch.
     """
-    if network is not None and task.id != max(network.masks) + 1:
-        raise ContractError(
-            f"tasks must arrive in id order; got {task.id} after "
-            f"{sorted(network.masks)}"
-        )
     with _diverged(cfg, task):
         return _learn_task(network, task, cfg, buffer)
 
@@ -203,8 +193,6 @@ def _learn_task(network, task, cfg, buffer):
            "train_accuracy": None}
     state = None
     if network is None:
-        if task.id != 0:
-            raise ContractError("the first learned task must have id 0")
         network = init_first_task(cfg.arch, cfg.input_shape, task,
                                   lif=cfg.lif, seed=cfg.seed)
     else:
@@ -215,10 +203,7 @@ def _learn_task(network, task, cfg, buffer):
         policy = cfg.policy
         if not policy.max_per_layer:
             # default cap: the initial (first-task) size of each layer
-            policy = ExpansionPolicy(
-                policy.alpha,
-                tuple(l.populations[0].size for l in network.layers),
-            )
+            policy = ExpansionPolicy(policy.alpha, tuple(network._widths(0)))
         counts = expansion_counts(a, policy)
         network.expand(task, counts)
         state = build_relatedness(network, task.id, sims, beta=cfg.beta,
@@ -332,7 +317,7 @@ def cil_evaluate(network, tasks, batch=256):
 
 def calibrate_heads(network, buffer, cfg):
     """Fit the CIL head copies on the replay buffer; features stay frozen."""
-    bx, by, _ = buffer.all_samples()
+    bx, by = buffer.all_samples()
     tasks = sorted(network.masks)
     feats = {t: network.extract_features(bx, t) for t in tasks}
     cols = []
@@ -345,13 +330,9 @@ def calibrate_heads(network, buffer, cfg):
     for t in tasks:
         params.extend([network.heads[t].cil_w, network.heads[t].cil_b])
     optim = Adam(params, lr=cfg.calib_lr)
-    n = bx.shape[0]
-    visit = max(1, int(round(cfg.replay_mix * n)))
     for epoch in range(cfg.calib_epochs):
         rng = np.random.default_rng([cfg.seed, 7331, epoch])
-        order = rng.permutation(n)[:visit]
-        for i in range(0, order.size, cfg.batch_size):
-            idx = order[i : i + cfg.batch_size]
+        for idx in _batches(bx.shape[0], cfg.batch_size, rng):
             parts = [
                 network.head_logits(Tensor(feats[t][idx]), t, cil=True)
                 for t in tasks

@@ -145,8 +145,6 @@ class TestRun:
         ("similarity", "mode", "bogus", "unknown similarity mode 'bogus'"),
         ("similarity", "gamma", "0", "gamma must lie in (0, 1]"),
         ("expansion", "max_per_layer", "4", "expected 2 expansion counts"),
-        ("replay", "mix", "nan", "replay_mix must lie in (0, 1]"),
-        ("replay", "mix", "-1", "replay_mix must lie in (0, 1]"),
         ("expansion", "alpha", "nan", "alpha must be positive and finite"),
         ("lif", "v_th", "nan", "v_th must be positive and finite"),
         ("lif", "lambda", "inf", "lambda must be positive and finite"),
@@ -158,7 +156,7 @@ class TestRun:
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
             "no-stream-section", "mode=bogus", "gamma=0",
-            "max_per_layer-length", "mix=nan", "mix=-1", "alpha=nan",
+            "max_per_layer-length", "alpha=nan",
             "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan"])
     def test_bad_value_exits_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, section, key, value, message):
@@ -335,7 +333,10 @@ class TestCheckpointValidation:
         ("version 2", "checkpoint version 2 unsupported"),
         ("version 3", "checkpoint version 3 unsupported"),
         ("version 4", "checkpoint version 4 unsupported"),
-        ("task0/active1", "task0/active1 has shape (9,)"),
+        ("version 5", "checkpoint version 5 unsupported"),
+        ("task0/active1 wider than task 1's",
+         "task1/active1 has 15 units, fewer than task 0's 16"),
+        ("task0/active1 float", "task0/active1 has dtype float64"),
     ])
     def test_old_format_or_wider_prefix_exits_config_error(
             self, saved_run, tmp_path, capsys, change, message):
@@ -346,9 +347,11 @@ class TestCheckpointValidation:
             meta["version"] = int(change.split()[1])
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                                dtype=np.uint8)
-        else:  # one unit wider than task 0's prefix of layer 1
-            active = arrays[change]
-            arrays[change] = np.concatenate([active, active[:1]])
+        elif change.endswith("float"):
+            arrays["task0/active1"] = arrays["task0/active1"].astype(float)
+        else:  # one unit wider than all of layer 1 at task 1
+            active = arrays["task1/active1"]
+            arrays["task0/active1"] = np.concatenate([active, active[:1]])
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         assert main(["evaluate", str(bad), str(cfg),

@@ -1,6 +1,9 @@
-"""Expandable network: population bookkeeping, freezing, masking, persistence."""
+"""Expandable network: unit ownership, freezing, masking, persistence."""
 
 import copy
+import json
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ class TestInitFirstTask:
             [ConvSpec(4, 3, 2, 1), ConvSpec(4, 3, 2, 1), DenseSpec(16),
              DenseSpec(8)], (1, 9, 9), t0, seed=0)
         assert len(net.layers) == 4
-        assert all(len(l.populations) == 1 for l in net.layers)
+        assert net.owned(0) == [range(4), range(4), range(16), range(8)]
         mask = net.masks[0]
         assert all(a.all() for a in mask.active)
         assert all(c.all() for c in net.connections(0))  # density 1.0
@@ -53,8 +56,10 @@ class TestInitFirstTask:
 
     def test_partition_invariant(self):
         net, _ = _dense_net()
-        for layer in net.layers:
-            assert sum(p.size for p in layer.populations) == layer.width
+        net.expand(_task(1, shape=SHAPE, seed=5), [3, 0])
+        for li, layer in enumerate(net.layers):
+            owned = [net.owned(t)[li] for t in net.masks]
+            assert [u for r in owned for u in r] == list(range(layer.width))
 
     @pytest.mark.parametrize("arch,msg", [
         ([], "at least one"),
@@ -75,7 +80,7 @@ class TestExpand:
         net.expand(t1, [0, 0])
         for layer, w in zip(net.layers, w_before):
             np.testing.assert_array_equal(layer.w.data, w)
-            assert layer.populations[-1].size == 0
+        assert [len(r) for r in net.owned(1)] == [0, 0]
         assert 1 in net.heads and 1 in net.masks
 
     def test_counts_grow_widths(self):
@@ -85,6 +90,8 @@ class TestExpand:
         t1.id = 1
         net.expand(t1, [3, 2])
         assert [l.width for l in net.layers] == [widths[0] + 3, widths[1] + 2]
+        assert net.owned(1) == [range(widths[0], widths[0] + 3),
+                                range(widths[1], widths[1] + 2)]
 
     def test_old_task_state_keeps_its_shape_and_values(self):
         net, t0 = _dense_net()
@@ -109,11 +116,20 @@ class TestExpand:
         with pytest.raises(ContractError, match="already"):
             net.expand(t0, [0, 0])
 
+    def test_out_of_order_id_rejected(self):
+        net, _ = _dense_net()
+        with pytest.raises(ContractError, match="expected id 1, got 2"):
+            net.expand(_task(2, shape=SHAPE), [1, 1])
+        assert [l.width for l in net.layers] == [6, 4] and 2 not in net.masks
+        empty = Network(DENSE_ARCH, SHAPE, LIFConfig(), 0)
+        with pytest.raises(ContractError, match="expected id 0, got 1"):
+            empty.expand(_task(1, shape=SHAPE), [6, 4])
+
     def test_optimizer_step_leaves_frozen_entries_unchanged(self):
         net, t0 = _dense_net()
         t1 = _task(1, shape=SHAPE, seed=5)
         net.expand(t1, [3, 2])
-        starts = [l.populations[-1].start for l in net.layers]
+        starts = [r.start for r in net.owned(1)]
         before = [(l.w.data.copy(), l.b.data.copy()) for l in net.layers]
         params = net.parameters(1)
         optim = Adam(params, _trainable_rows(net), lr=0.1)
@@ -124,7 +140,7 @@ class TestExpand:
             optim.zero_grad()
             gradients(cross_entropy(logits, labels), params)
             optim.step()
-        # rows of task 0's populations are frozen, task 1's rows moved
+        # rows task 0 owns are frozen, task 1's rows moved
         for layer, r0, (w, b) in zip(net.layers, starts, before):
             np.testing.assert_array_equal(layer.w.data[:r0], w[:r0])
             np.testing.assert_array_equal(layer.b.data[:r0], b[:r0])
@@ -337,7 +353,8 @@ class TestFirstTaskIsExpansion:
         draws = _first_task_draws(arch, shape, 2, seed=3)
         for li, (layer, w) in enumerate(zip(net.layers, draws)):
             np.testing.assert_array_equal(layer.w.data, w)
-            assert layer.populations[-1].start == 0 and net.synapses(li).all()
+            assert net.owned(0)[li] == range(layer.width)
+            assert net.synapses(li).all()
             assert not layer.b.data.any()
         np.testing.assert_array_equal(net.heads[0].w.data, draws[-1])
 
@@ -453,14 +470,14 @@ class TestPersistence:
                         if f.startswith("layer")} == {"w", "b"}
                 assert not any("head_active" in f or "conn" in f
                                for f in data.files)
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                assert "populations" not in meta
             loaded = Network.load(path)
             for la, lb in zip(net.layers, loaded.layers):
                 np.testing.assert_array_equal(la.w.data, lb.w.data)
                 np.testing.assert_array_equal(la.b.data, lb.b.data)
-                pops = [[(p.task_id, p.start, p.stop) for p in l.populations]
-                        for l in (la, lb)]
-                assert pops[0] == pops[1]
             for t in net.masks:
+                assert loaded.owned(t) == net.owned(t)
                 for a, b in zip(net.masks[t].active, loaded.masks[t].active):
                     np.testing.assert_array_equal(a, b)
                 for a, b in zip(net.connections(t), loaded.connections(t)):
@@ -487,7 +504,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name,change", [
         ("layer0/w", "cut column"), ("task1/head_w", "cut column"),
-        ("task1/active1", "cut row"), ("task1/cil_b", "cut row"),
+        ("task1/active1", "cut below task 0"), ("task1/cil_b", "cut row"),
         ("anchor0/0", "widen"), ("layer1/b", "drop"), ("task0/cil_w", "nan"),
     ])
     def test_shape_mismatch_or_missing_array_rejected(self, tmp_path, name,
@@ -498,6 +515,7 @@ class TestPersistence:
         with np.load(tmp_path / "ok.npz") as data:
             arrays = dict(data)
         edits = {"cut column": lambda a: a[:, :-1], "cut row": lambda a: a[:-1],
+                 "cut below task 0": lambda a: a[:3],  # task 0 has 4 units
                  "widen": lambda a: np.zeros(99),
                  "nan": lambda a: np.where(a == a.flat[0], np.nan, a)}
         if change == "drop":
@@ -520,9 +538,61 @@ class TestPersistence:
         with pytest.raises(FormatError, match="layer1/w has nonzero weights"):
             Network.load(tmp_path / "bad.npz")
 
-    def test_populations_must_tile_units(self, tmp_path):
-        net, _ = _dense_net()
-        net.layers[1].populations[0].start = 1
-        net.save(tmp_path / "bad.npz")
-        with pytest.raises(FormatError, match="tile"):
+    @pytest.mark.parametrize("build", [TestPruning()._expanded,
+                                       _conv_expanded], ids=["dense", "conv"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, build):
+        net, t0, t1 = build(seed=4)
+        rng = np.random.default_rng(1)
+        for t, task in ((0, t0), (1, t1)):
+            width = net.masks[t].active[-1].size
+            net.anchors[t] = {c: rng.normal(size=width) for c in task.classes}
+        net.prune_units(1, [(0, 1), (1, 2)])
+        net.heads[1].cil_w.data += 0.5
+        net.save(tmp_path / "a.npz")
+        Network.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
+        # the zip headers carry the write time, so compare every member
+        members = []
+        for name in ("a.npz", "b.npz"):
+            with zipfile.ZipFile(tmp_path / name) as z:
+                members.append([(m, z.read(m)) for m in z.namelist()])
+        assert members[0] == members[1]
+
+    @pytest.mark.parametrize("change,message", [
+        ("version 5", "checkpoint version 5 unsupported"),
+        ("task ids 0, 2", "task ids must be 0..T-1"),
+        ("anchor task 2", "anchor tasks among them"),
+        ("task1/active0 narrower", "task1/active0 has 5 units, fewer than "
+                                   "task 0's 6"),
+        ("task1/active1 2-D", "task1/active1 has shape (1, 6), expected 1-D"),
+        ("task0/active1 float", "task0/active1 has dtype float64"),
+        ("task0/active1 object", "task0/active1: Object arrays cannot"),
+    ], ids=["version-5", "task-ids-0-2", "anchor-task-2", "narrower", "2-D",
+            "float", "object"])
+    def test_task_ids_and_masks_checked(self, tmp_path, change, message):
+        net, t0, _ = TestPruning()._expanded()
+        net.anchors[0] = {c: np.zeros(4) for c in t0.classes}
+        net.save(tmp_path / "ok.npz")
+        with np.load(tmp_path / "ok.npz") as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        if change == "version 5":
+            meta["version"] = 5
+        elif change == "task ids 0, 2":  # task 1 saved under id 2
+            meta["tasks"]["2"] = meta["tasks"].pop("1")
+            arrays = {k.replace("task1/", "task2/"): v
+                      for k, v in arrays.items()}
+        elif change == "anchor task 2":
+            meta["anchor_classes"]["2"] = meta["anchor_classes"].pop("0")
+            arrays = {k.replace("anchor0/", "anchor2/"): v
+                      for k, v in arrays.items()}
+        else:
+            name = change.split()[0]
+            edit = {"narrower": lambda a: a[:5], "2-D": lambda a: a[None],
+                    "float": lambda a: a.astype(float),
+                    "object": lambda a: a.astype(object)}[change.split()[1]]
+            arrays[name] = edit(arrays[name])
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(FormatError, match=re.escape(message)):
             Network.load(tmp_path / "bad.npz")

@@ -187,7 +187,6 @@ def _update_relatedness_loop(state, network, epoch):
             if state.r[li][k] < 0.0:
                 doomed.add((li, int(ids[k])))
         state.grad_accum[li][:] = 0.0
-    state.epoch = epoch + 1
     return doomed
 
 
@@ -247,16 +246,17 @@ class TestBuildRelatedness:
 
 
 def _build_relatedness_loop(network, task_id, sims, beta, bias0, bias_slope):
-    """Oracle: the per-unit loop that built ``unit_ids``/``unit_rho``."""
+    """Oracle: the per-unit loop that built ``unit_ids``/``unit_rho``; task p
+    owns the units between task p-1's mask sizes and its own."""
     s_by_task = {r.old_task: r.s for r in sims}
+    sizes = [[0] * len(network.layers)] + [
+        [a.size for a in network.masks[p].active] for p in range(task_id)]
     unit_ids, unit_rho = [], []
-    for li, layer in enumerate(network.layers):
+    for li in range(len(network.layers)):
         ids, rho = [], []
-        for pop in layer.populations:
-            if pop.task_id >= task_id:
-                continue
-            s = s_by_task.get(pop.task_id, 1.0)
-            for u in range(pop.start, pop.stop):
+        for p in range(task_id):
+            s = s_by_task.get(p, 1.0)
+            for u in range(sizes[p][li], sizes[p + 1][li]):
                 ids.append(u)
                 rho.append(beta - s + bias_schedule(li, bias0, bias_slope))
         unit_ids.append(np.asarray(ids, dtype=np.int64))
@@ -338,6 +338,21 @@ class TestApplyPruning:
         assert not mask.active[1][:4].any()
         assert mask.active[0][5:].all() and mask.active[1][4:].all()
         assert pruning_rates(apply_pruning(net, 1, set()))[0] == 1.0
+
+    def test_report_per_source_task_skips_empty_blocks(self):
+        stream = default_synthetic_stream(n_tasks=4, classes_per_task=2,
+                                          shape=(1, 2, 2), n_train=4,
+                                          n_test=2, seed=0)
+        net = init_first_task([DenseSpec(5), DenseSpec(4)], (1, 2, 2),
+                              stream[0], seed=0)
+        net.expand(stream[1], [2, 0])  # task 1 owns no layer-1 unit
+        net.expand(stream[2], [0, 3])  # task 2 owns no layer-0 unit
+        net.expand(stream[3], [1, 1])
+        report = apply_pruning(net, 3, {(0, 0), (0, 6), (1, 5), (1, 6)})
+        # layer 0: task 0 owns 0..4, task 1 owns 5..6;
+        # layer 1: task 0 owns 0..3, task 2 owns 4..6
+        assert report == {0: {0: (1, 5), 1: (0, 4)}, 1: {0: (1, 2)},
+                          2: {1: (2, 3)}}
 
 
 @settings(max_examples=100, deadline=None)

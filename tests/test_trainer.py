@@ -56,7 +56,7 @@ class TestReplayBuffer:
         for tid in range(10):
             buf.update(self._task_with_classes([2 * tid, 2 * tid + 1],
                                                n_per_class=150, tid=tid))
-        counts = [buf.by_class[c][0].shape[0] for c in buf.classes()]
+        counts = [buf.by_class[c].shape[0] for c in buf.classes()]
         assert counts == [100] * 20  # 2000 / 20 classes
 
     def test_tiny_capacity_warns_and_keeps_one_each(self):
@@ -66,7 +66,7 @@ class TestReplayBuffer:
                 buf.update(self._task_with_classes([2 * tid, 2 * tid + 1],
                                                    n_per_class=5, tid=tid))
         assert len(buf) == 10
-        counts = [x.shape[0] for x, _ in buf.by_class.values()]
+        counts = [x.shape[0] for x in buf.by_class.values()]
         assert max(counts) - min(counts) <= 1
 
     def test_never_exceeds_capacity(self):
@@ -214,7 +214,6 @@ class TestTrainConfig:
         ("policy", ExpansionPolicy(5.0, (4,))), ("lr", float("inf")),
         ("calib_lr", float("nan")), ("beta", float("nan")),
         ("bias0", float("inf")), ("bias_slope", float("nan")),
-        ("replay_mix", 0.0), ("replay_mix", 1.5),
     ])
     def test_invalid_rejected(self, field, value):
         with pytest.raises(ContractError):
