@@ -45,6 +45,21 @@ def _parse_shape(text):
     return tuple(parts)
 
 
+# Every key a section may hold; ``[stream]`` takes the keys of every kind.
+_KNOWN_KEYS = {
+    "DEFAULT": set(), "run": {"seed", "out"}, "network": {"arch", "input_shape"},
+    "stream": {"kind", "tasks", "classes_per_task", "n_train", "n_test",
+               "spread", "variance", "train_images", "train_labels",
+               "test_images", "test_labels", "limit_train", "limit_test",
+               "angles"},
+    "train": {"epochs", "batch_size", "lr"},
+    "lif": {"tau", "v_th", "lambda", "window", "reset_mode"},
+    "expansion": {"alpha", "max_per_layer"},
+    "similarity": {"gamma", "mode", "probe_size"},
+    "reuse": {"beta", "bias0", "bias_slope"},
+    "replay": {"capacity", "calib_epochs", "calib_lr"},
+}
+
 _CONV_RE = re.compile(r"^conv(\d+)(?:k(\d+))?(?:s(\d+))?(?:p(\d+))?$")
 _DENSE_RE = re.compile(r"^dense(\d+)$")
 
@@ -90,6 +105,8 @@ def _load_file_dataset(cfg):
     ey = streams.load_idx(sec["test_labels"])
     lim_tr = _value(cfg, "stream", "limit_train", tx.shape[0], int)
     lim_te = _value(cfg, "stream", "limit_test", ex.shape[0], int)
+    streams._check_positive("[stream] limit_train", lim_tr)
+    streams._check_positive("[stream] limit_test", lim_te)
     return tx[:lim_tr], ty[:lim_tr], ex[:lim_te], ey[:lim_te]
 
 
@@ -172,6 +189,13 @@ def _read_config(path):
         cfg.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    # a misspelt or retired key would otherwise run with its default
+    for section in cfg:  # [DEFAULT] first: its keys appear in every section
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in _KNOWN_KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
     return cfg
 
 
@@ -199,7 +223,7 @@ def _cil_report(network, tasks, disjoint):
 
 
 def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
-                   til, cil, timings, mode_window):
+                   til, cil, timings):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     width = max((len(r) for r in matrix.entries), default=0)
@@ -222,8 +246,7 @@ def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
     energy_rows = []
     energy_json = []
     for t in tasks:
-        rep = metrics.energy_report(network, t.id, mode="snn",
-                                    window=mode_window)
+        rep = metrics.energy_report(network, t.id)
         dnn = metrics.energy(rep.flops, "dnn")
         energy_rows.append([t.id, rep.connections_active, rep.neurons_active,
                             rep.flops, rep.energy_pj, dnn, rep.pruning_rate])
@@ -292,7 +315,7 @@ def run(config_path, seed=None, out=None):
     cil = _cil_report(network, tasks, disjoint)
     timings["total"] = time.perf_counter() - t_start
     report = _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
-                            matrix, til, cil, timings, tcfg.lif.window)
+                            matrix, til, cil, timings)
     return report
 
 
@@ -325,7 +348,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
              "expansion": None, "losses": [], "pruning_rates": {},
              "train_accuracy": None} for t in tasks]
     return _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
-                          matrix, til, cil, timings, network.lif.window)
+                          matrix, til, cil, timings)
 
 
 def main(argv=None):

@@ -22,12 +22,8 @@ class EnergyReport:
     connections_active: int
     neurons_active: int
     flops: int
-    energy_pj: float
-    mode: str  # "snn" | "dnn"
-    e_ac: float = E_AC_PJ
-    e_mac: float = E_MAC_PJ
-    window: int = 4
-    pruning_rate: float = 0.0
+    energy_pj: float  # spiking (AC) energy over the LIF window
+    pruning_rate: float
 
 
 def count_active(network, task_id):
@@ -58,28 +54,27 @@ def flops_estimate(network, task_id):
     return total
 
 
-def energy(flops, mode, e_ac=E_AC_PJ, e_mac=E_MAC_PJ, window=4):
-    """Energy in pJ: flops * e_ac * T for spiking, flops * e_mac otherwise."""
+def energy(flops, mode, window=4):
+    """Energy in pJ: flops * E_AC * T for spiking, flops * E_MAC otherwise."""
     if flops < 0:
         raise ContractError(f"flops must be non-negative, got {flops}")
     if mode == "snn":
-        return flops * e_ac * window
+        return flops * E_AC_PJ * window
     if mode == "dnn":
-        return flops * e_mac
+        return flops * E_MAC_PJ
     raise ContractError(f"unknown energy mode {mode!r}")
 
 
-def energy_report(network, task_id, mode="snn", window=None):
+def energy_report(network, task_id):
+    """Active structure, FLOPs and spiking energy over ``network.lif.window``."""
     conns, neurons = count_active(network, task_id)
     flops = flops_estimate(network, task_id)
-    window = window or network.lif.window
     total_conns = sum(int(network.synapses(li).sum())
                       for li in range(len(network.layers)))
     total_conns += network.layers[-1].width * network.heads[task_id].w.shape[0]
     rate = 1.0 - conns / total_conns if total_conns else 0.0
     return EnergyReport(conns, neurons, flops,
-                        energy(flops, mode, window=window), mode,
-                        window=window, pruning_rate=rate)
+                        energy(flops, "snn", window=network.lif.window), rate)
 
 
 @dataclass

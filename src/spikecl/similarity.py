@@ -1,9 +1,10 @@
 """Task-to-task similarity from feature anchors and a nearest-anchor KL estimate.
 
 After a task finishes training, the per-class mean feature vectors are stored
-as its anchors.  When a new task arrives, its samples are pushed through each
-old task's subnetwork; the divergence between the new features and the old
-anchors maps to a similarity score in [0, 1] (small = similar).
+as its anchors, a plain ``{class: mean}`` dict.  When a new task arrives, its
+samples are pushed through each old task's subnetwork; the divergence between
+the new features and the old anchors maps to a similarity score in [0, 1]
+(small = similar).
 
 The probe set is split into two halves so the within-task reference means are
 estimated independently of the query means; otherwise the within-distance
@@ -26,33 +27,21 @@ CLAMPED = "clamped"
 
 
 @dataclass
-class FeatureAnchor:
-    task_id: int
-    means: dict  # class -> mean feature vector
-
-    def nbytes(self):
-        return sum(v.nbytes for v in self.means.values())
-
-
-@dataclass
 class SimilarityRecord:
-    new_task: int
     old_task: int
     kl: float
     s: float
-    gamma: float
-    mode: str = CLAMPED
 
 
-def compute_anchors(features_by_class, task_id=0):
-    """Per-class arithmetic mean of the given feature vectors."""
+def compute_anchors(features_by_class):
+    """``{class: mean}``: per-class arithmetic mean of the feature vectors."""
     means = {}
     for cls, feats in features_by_class.items():
         feats = np.asarray(feats, dtype=np.float64)
         if feats.size == 0:
             raise DataError(f"class {cls} has no samples to anchor")
         means[cls] = feats.mean(axis=0)
-    return FeatureAnchor(task_id, means)
+    return means
 
 
 def check_gamma(gamma):
@@ -64,28 +53,26 @@ def check_gamma(gamma):
 def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):
     """Nearest-anchor divergence between new-task features and an old task.
 
-    For each new-task class c, with F_c the class mean of ``new_feats``:
+    ``anchors_p`` and ``anchors_tp`` map class to mean.  For each new-task
+    class c, with F_c the class mean of ``new_feats``:
     contribution = log( ||F_c - nearest anchor of task p||
                         / (gamma * ||F_c - M_tp[c]||) ),
-    distances floored at 1e-9.  Returns (kl, degenerate_flag); the flag is set
-    when both distance terms vanish for every class.
+    distances floored at 1e-9.  The estimate is 0.0 when both distance terms
+    vanish for every class (degenerate features).
     """
     check_gamma(gamma)
-    if not anchors_p.means or not anchors_tp.means:
+    if not anchors_p or not anchors_tp:
         raise ContractError("both anchor sets must be nonempty")
-    old = np.stack(list(anchors_p.means.values()))
-    total = 0.0
-    degenerate = True
+    old = np.stack(list(anchors_p.values()))
+    total, degenerate = 0.0, True
     for cls, feats in new_feats_by_class.items():
         fc = np.asarray(feats, dtype=np.float64).mean(axis=0)
         d_old = float(np.min(np.linalg.norm(old - fc, axis=1)))
-        d_self = float(np.linalg.norm(fc - anchors_tp.means[cls]))
+        d_self = float(np.linalg.norm(fc - anchors_tp[cls]))
         if d_old > EPS or d_self > EPS:
             degenerate = False
         total += math.log(max(d_old, EPS) / (gamma * max(d_self, EPS)))
-    if degenerate:
-        return 0.0, True
-    return total, False
+    return 0.0 if degenerate else total
 
 
 def similarity_score(kl, mode=CLAMPED):
@@ -136,17 +123,10 @@ def similarity_vector(network, task, gamma=0.9, mode=CLAMPED,
         feats = network.extract_features(x, p)
         query, ref = {}, {}
         for c, idx in by_class.items():
-            half = idx.size // 2
-            if half == 0:  # single sample: it is both query and reference
-                query[c] = feats[idx]
-                ref[c] = feats[idx]
-            else:
-                query[c] = feats[idx[:half]]
-                ref[c] = feats[idx[half:]]
+            half = idx.size // 2  # a single sample is query and reference
+            query[c] = feats[idx[:half] if half else idx]
+            ref[c] = feats[idx[half:]]
         # features under task p have p's width, as its stored anchors do
-        anchors_p = FeatureAnchor(p, network.anchors[p])
-        anchors_tp = compute_anchors(ref, task.id)
-        kl, _ = kl_estimate(query, anchors_p, anchors_tp, gamma)
-        records.append(SimilarityRecord(task.id, p, kl,
-                                        similarity_score(kl, mode), gamma, mode))
+        kl = kl_estimate(query, network.anchors[p], compute_anchors(ref), gamma)
+        records.append(SimilarityRecord(p, kl, similarity_score(kl, mode)))
     return records

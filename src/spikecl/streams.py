@@ -1,9 +1,10 @@
 """Task-stream construction: IDX ingestion, permuted / split / rotated /
 synthetic streams, and alternating mixtures.
 
-A task is a ``TaskDescriptor`` with a class list and train/test splits held
-as dense arrays (inputs (N, C, H, W) float64, labels (N,) int).  Streams are
-reproducible from their parameters and seed alone.
+A task is a ``TaskDescriptor`` with a class list, each class with a training
+sample, and train/test splits held as dense arrays (inputs (N, C, H, W)
+float64, labels (N,) int).  Synthetic classes are isotropic Gaussian blobs.
+Streams are reproducible from their parameters and seed alone.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class TaskDescriptor:
                     f"task {self.id} contains labels {sorted(bad)} outside its "
                     f"class list {self.classes}"
                 )
+        for c in self.classes:
+            if not np.any(self.train_y == c):
+                raise DataError(f"task {self.id} has no training sample of "
+                                f"class {c}")
 
 
 # -- IDX ingestion -------------------------------------------------------------
@@ -113,17 +118,14 @@ def permuted_stream(train_x, train_y, test_x, test_y, k, seed=0):
     return tasks, perms
 
 
-def split_stream(train_x, train_y, test_x, test_y, classes_per_task,
-                 seed=None):
-    """Disjoint class groups, one task each, in label order (or seeded shuffle)."""
+def split_stream(train_x, train_y, test_x, test_y, classes_per_task):
+    """Disjoint class groups, one task each, in label order."""
     _check_positive("classes per task", classes_per_task)
     classes = sorted(np.unique(np.concatenate([train_y, test_y])).tolist())
     if len(classes) % classes_per_task:
         raise ConfigError(
             f"{len(classes)} classes not divisible by {classes_per_task} per task"
         )
-    if seed is not None:
-        classes = list(np.random.default_rng(seed).permutation(classes))
     tasks = []
     for i in range(0, len(classes), classes_per_task):
         group = classes[i : i + classes_per_task]
@@ -176,7 +178,7 @@ def rotated_stream(train_x, train_y, test_x, test_y, angles):
 class GaussianClass:
     label: int
     mean: np.ndarray  # flat, length C*H*W
-    cov: object = 0.01  # scalar (isotropic variance) or full matrix
+    var: float = 0.01  # isotropic variance
 
 
 @dataclass
@@ -201,7 +203,7 @@ def gaussian_kl(mean1, cov1, mean2, cov2):
 
 
 def synthetic_stream(specs, shape, seed=0):
-    """Gaussian-cluster tasks reshaped to (C, H, W) grids.
+    """Isotropic Gaussian-cluster tasks reshaped to (C, H, W) grids.
 
     Ground-truth divergences between clusters follow from ``gaussian_kl``, so
     estimator oracles have a closed-form reference.
@@ -217,25 +219,12 @@ def synthetic_stream(specs, shape, seed=0):
                 raise ConfigError(
                     f"class mean length {gc.mean.size} does not match grid {shape}"
                 )
-            if np.isscalar(gc.cov):
-                if gc.cov <= 0:
-                    raise ConfigError("isotropic variance must be positive")
-                sample = lambda n, gc=gc: rng.normal(
-                    gc.mean, math.sqrt(gc.cov), size=(n, d))
-            else:
-                cov = np.asarray(gc.cov, dtype=np.float64)
-                try:
-                    chol = np.linalg.cholesky(cov)
-                except np.linalg.LinAlgError as exc:
-                    raise ConfigError(
-                        f"covariance for class {gc.label} is not positive "
-                        f"definite"
-                    ) from exc
-                sample = lambda n, gc=gc, chol=chol: (
-                    gc.mean + rng.standard_normal((n, d)) @ chol.T)
-            xs_tr.append(sample(spec.n_train))
+            if gc.var <= 0:
+                raise ConfigError("isotropic variance must be positive")
+            std = math.sqrt(gc.var)
+            xs_tr.append(rng.normal(gc.mean, std, size=(spec.n_train, d)))
             ys_tr.append(np.full(spec.n_train, gc.label, dtype=np.int64))
-            xs_te.append(sample(spec.n_test))
+            xs_te.append(rng.normal(gc.mean, std, size=(spec.n_test, d)))
             ys_te.append(np.full(spec.n_test, gc.label, dtype=np.int64))
         tx = np.concatenate(xs_tr).reshape(-1, c, h, w)
         ty = np.concatenate(ys_tr)

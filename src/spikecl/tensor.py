@@ -6,9 +6,11 @@ while gradient recording is enabled, remembers how it was produced so that
 extension point is ``custom_unary``, which lets a caller supply the local
 derivative directly -- this is how the spike surrogate is injected.
 
-Broadcasting is deliberately restricted: elementwise ops require matching
-shapes or a python scalar; the only broadcast forms are bias-add and
-multiplication by a constant mask (``mask_mul``).
+Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
+exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
+number stays a number, adding one node and no constant Tensor.  The only
+broadcast forms are bias-add and multiplication by a constant mask
+(``mask_mul``).  ``conv2d`` takes batched (B, C, H, W) input.
 """
 
 from __future__ import annotations
@@ -78,53 +80,41 @@ class Tensor:
 
     # -- elementwise arithmetic ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Tensor):
-            return other
-        if np.isscalar(other):
-            return Tensor(np.full((), float(other)))
-        raise TypeError(f"cannot combine Tensor with {type(other)!r}")
-
     def _check_same_shape(self, other):
-        if self.shape != other.shape and other.shape != () and self.shape != ():
+        if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Tensor):
+            return Tensor._make(self.data + float(other), (self,),
+                                lambda out: _accum(self, out.grad))
         self._check_same_shape(other)
 
         def backward(out):
             if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad, self.shape))
+                _accum(self, out.grad)
             if other.requires_grad:
-                _accum(other, _unbroadcast(out.grad, other.shape))
+                _accum(other, out.grad)
 
         return Tensor._make(self.data + other.data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, -out.grad)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        """``c - self`` for a Python number ``c``."""
+        return Tensor._make(float(other) - self.data, (self,),
+                            lambda out: _accum(self, -out.grad))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Tensor):
+            c = float(other)
+            return Tensor._make(self.data * c, (self,),
+                                lambda out: _accum(self, out.grad * c))
         self._check_same_shape(other)
 
         def backward(out):
             if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad * other.data, self.shape))
+                _accum(self, out.grad * other.data)
             if other.requires_grad:
-                _accum(other, _unbroadcast(out.grad * self.data, other.shape))
+                _accum(other, out.grad * self.data)
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -133,12 +123,11 @@ class Tensor:
     def mask_mul(self, mask):
         """Multiply by a constant (non-differentiated) array, broadcasting allowed."""
         mask = np.asarray(mask, dtype=np.float64)
-
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, _unbroadcast(out.grad * mask, self.shape))
-
-        return Tensor._make(self.data * mask, (self,), backward)
+        value = self.data * mask
+        if value.shape != self.shape:
+            raise ShapeError(f"mask {mask.shape} widens tensor {self.shape}")
+        return Tensor._make(value, (self,),
+                            lambda out: _accum(self, out.grad * mask))
 
     # -- shape ops -----------------------------------------------------------
 
@@ -196,7 +185,6 @@ class Tensor:
     # -- linear algebra ------------------------------------------------------
 
     def matmul(self, other):
-        other = self._coerce(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError(
                 f"matmul expects 2-D operands, got {self.shape} and {other.shape}"
@@ -218,7 +206,6 @@ class Tensor:
 
     def add_bias(self, bias):
         """Bias-add: (B,N)+(N,) or (B,C,H,W)+(C,)."""
-        bias = self._coerce(bias)
         if bias.data.ndim != 1:
             raise ShapeError(f"bias must be 1-D, got {bias.shape}")
         if self.data.ndim == 2:
@@ -272,14 +259,6 @@ def _accum(t, g):
     t.grad += g
 
 
-def _unbroadcast(grad, shape):
-    if grad.shape == shape:
-        return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    raise ShapeError(f"cannot reduce gradient {grad.shape} to {shape}")
-
-
 # -- convolution --------------------------------------------------------------
 
 
@@ -322,13 +301,9 @@ def _col2im(cols, xshape, kh, kw, stride, padding):
 def conv2d(x, kernels, stride=1, padding=0):
     """Batched 2-D cross-correlation.
 
-    x: Tensor (B, C_in, H, W) or (C_in, H, W); kernels: (C_out, C_in, kh, kw).
+    x: Tensor (B, C_in, H, W); kernels: (C_out, C_in, kh, kw).
     Differentiable w.r.t. both input and kernels.
     """
-    squeeze = False
-    if x.data.ndim == 3:
-        x = x.reshape((1,) + x.shape)
-        squeeze = True
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(
             f"conv2d expects 4-D input and kernels, got {x.shape} and {kernels.shape}"
@@ -352,10 +327,7 @@ def conv2d(x, kernels, stride=1, padding=0):
             dcols = np.einsum("of,bop->bfp", wmat, g)
             _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding))
 
-    res = Tensor._make(out, (x, kernels), backward)
-    if squeeze:
-        res = res.reshape(res.shape[1:])
-    return res
+    return Tensor._make(out, (x, kernels), backward)
 
 
 def concat_cols(tensors):

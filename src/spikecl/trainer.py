@@ -240,11 +240,9 @@ def _learn_task(network, task, cfg, buffer):
             optim.zero_grad()
 
     # store the task's feature anchors for later similarity assessment
-    anchors = {}
-    for c in task.classes:
-        feats = network.extract_features(x[task.train_y == c], task.id)
-        anchors[c] = compute_anchors({c: feats}, task.id).means[c]
-    network.anchors[task.id] = anchors
+    network.anchors[task.id] = compute_anchors({
+        c: network.extract_features(x[task.train_y == c], task.id)
+        for c in task.classes})
 
     log["train_accuracy"] = _accuracy(network, task, task.train_x,
                                       task.train_y)

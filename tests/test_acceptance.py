@@ -14,7 +14,7 @@ from spikecl.metrics import count_active, energy, flops_estimate
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.plasticity import (ExpansionPolicy, association,
                                 expansion_counts)
-from spikecl.similarity import (FeatureAnchor, compute_anchors, kl_estimate,
+from spikecl.similarity import (compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig, SpikeState, lif_step, surrogate_grad
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec,
@@ -89,8 +89,8 @@ def test_criterion_2_equation_fidelity():
     assert surrogate_grad(np.array([0.25]), 2.0)[0] == 1.0
     # association is the minimum similarity
     from spikecl.similarity import SimilarityRecord
-    sims = [SimilarityRecord(2, 0, 0.0, 0.74, 0.9),
-            SimilarityRecord(2, 1, 0.0, 0.29, 0.9)]
+    sims = [SimilarityRecord(0, 0.0, 0.74),
+            SimilarityRecord(1, 0.0, 0.29)]
     assert association(sims) == 0.29
     # expansion sizing reference value
     counts = expansion_counts(0.29, ExpansionPolicy(5.0, (100,)))
@@ -122,15 +122,15 @@ def test_criterion_3_similarity_oracle():
         direction = rng.normal(size=d)
         direction /= np.linalg.norm(direction)
         base = rng.normal(base_mean, 1.0, size=(600, d))
-        anchors_p = compute_anchors({0: base}, 0)
+        anchors_p = compute_anchors({0: base})
         truths, estimates = [], []
         for scale in rng.permutation([0.7, 2.0, 5.0]):
             mean = base_mean + scale * direction
             truths.append(gaussian_kl(mean, 1.0, base_mean, 1.0))
             samples = rng.normal(mean, 1.0, size=(600, d))
-            anchors_tp = compute_anchors({0: samples[300:]}, 1)
-            kl, _ = kl_estimate({0: samples[:300]}, anchors_p, anchors_tp,
-                                gamma=1.0)
+            anchors_tp = compute_anchors({0: samples[300:]})
+            kl = kl_estimate({0: samples[:300]}, anchors_p, anchors_tp,
+                             gamma=1.0)
             estimates.append(kl)
         if np.argsort(truths).tolist() == np.argsort(estimates).tolist():
             ordered += 1  # rank correlation 1 on the 3-way ordering

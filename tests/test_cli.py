@@ -152,12 +152,17 @@ class TestRun:
         ("replay", "calib_lr", "nan",
          "learning rates must be positive and finite"),
         ("reuse", "beta", "nan", "beta, bias0 and bias_slope must be finite"),
+        ("train", "epoch", "50", "unknown key [train] epoch"),
+        ("replay", "mix", "0.5", "unknown key [replay] mix"),
+        ("bogus", "x", "1", "unknown section [bogus]"),
+        ("DEFAULT", "epochs", "2", "unknown key [DEFAULT] epochs"),
     ], ids=["epochs=abc", "batch_size=1e3", "spread=x", "input_shape=1xax3",
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
             "no-stream-section", "mode=bogus", "gamma=0",
             "max_per_layer-length", "alpha=nan",
-            "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan"])
+            "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan",
+            "train-epoch", "replay-mix", "bogus-section", "default-section"])
     def test_bad_value_exits_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, section, key, value, message):
         import spikecl.cli as cli
@@ -170,7 +175,7 @@ class TestRun:
         if key is None:
             cfg.remove_section(section)
         else:
-            if not cfg.has_section(section):
+            if section not in cfg:
                 cfg.add_section(section)
             cfg[section][key] = value
         path = tmp_path / "bad.ini"
@@ -181,6 +186,15 @@ class TestRun:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
         assert learned == []
+
+    def test_unknown_key_exits_config_error_before_loading(self, tmp_path,
+                                                           capsys):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "mix = 0.5\n")  # under [replay]
+        missing = tmp_path / "no-such-checkpoint.npz"
+        assert main(["evaluate", str(missing), str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown key [replay] mix" in err and "Traceback" not in err
 
     def test_literal_forms_come_from_ini_keys(self, tmp_path):
         cfg = configparser.ConfigParser()
@@ -315,6 +329,30 @@ class TestTilOnlyStream:
                          out=tmp_path / "eval")
         assert again["cil"] == skipped
         assert again["til"] == report["til"]
+
+
+class TestFileStreamLimits:
+    @pytest.mark.parametrize("key,value,message", [
+        ("limit_train", "0", "[stream] limit_train must be >= 1, got 0"),
+        ("limit_train", "-1", "[stream] limit_train must be >= 1, got -1"),
+        ("limit_test", "0", "[stream] limit_test must be >= 1, got 0"),
+        ("limit_train", "1", "task 0 has no training sample of class 1"),
+    ])
+    def test_bad_limit_exits_config_error(self, tmp_path, capsys, key, value,
+                                          message):
+        for split, n in (("train", 8), ("test", 4)):
+            labels = np.arange(n) % 2
+            _write_idx(tmp_path / f"{split}-images",
+                       np.zeros((n, 3, 3)), 0x803)
+            _write_idx(tmp_path / f"{split}-labels", labels, 0x801)
+        cfg = tmp_path / "split.ini"
+        cfg.write_text(PERMUTED_CONFIG.format(d=tmp_path).replace(
+            "kind = permuted\ntasks = 2",
+            f"kind = split\nclasses_per_task = 2\n{key} = {value}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 @pytest.fixture(scope="module")

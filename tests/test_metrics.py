@@ -144,7 +144,7 @@ class TestEnergy:
 
     def test_report_fields(self):
         net = _dense_net()
-        rep = energy_report(net, 0, mode="snn")
+        rep = energy_report(net, 0)
         assert rep.flops == 60
         assert rep.energy_pj == pytest.approx(60 * 0.9 * 4)
         assert rep.pruning_rate == pytest.approx(0.0)

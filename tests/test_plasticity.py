@@ -22,7 +22,7 @@ from spikecl.trainer import Adam, _trainable_rows
 
 
 def _records(values):
-    return [SimilarityRecord(9, p, 0.0, s, 0.9) for p, s in enumerate(values)]
+    return [SimilarityRecord(p, 0.0, s) for p, s in enumerate(values)]
 
 
 class TestAssociation:
@@ -212,7 +212,7 @@ def _expanded_network(seed=0):
 class TestBuildRelatedness:
     def test_covers_frozen_units_with_rho(self):
         net, _, t1 = _expanded_network()
-        sims = [SimilarityRecord(1, 0, 0.1, 0.3, 0.9)]
+        sims = [SimilarityRecord(0, 0.1, 0.3)]
         state = build_relatedness(net, 1, sims, beta=1.0)
         np.testing.assert_array_equal(state.unit_ids[0], np.arange(5))
         np.testing.assert_array_equal(state.unit_ids[1], np.arange(4))
@@ -233,8 +233,8 @@ class TestBuildRelatedness:
         net.expand(stream[1], [2, 0, 1][: len(arch)])  # a size-0 population
         net.expand(stream[2], [0, 3, 2][: len(arch)])
         net.expand(stream[3], [1, 1, 1][: len(arch)])
-        sims = [SimilarityRecord(3, 0, 0.1, 0.3, 0.9),
-                SimilarityRecord(3, 2, 0.2, 0.55, 0.9)]  # task 1: no record
+        sims = [SimilarityRecord(0, 0.1, 0.3),
+                SimilarityRecord(2, 0.2, 0.55)]  # task 1: no record
         for task_id in (1, 2, 3):
             state = build_relatedness(net, task_id, sims, beta=0.8,
                                       bias0=0.3, bias_slope=0.15)
@@ -277,8 +277,8 @@ class TestAccumulateGradients:
                               lif=LIFConfig(window=2), seed=0)
         net.expand(stream[1], [2] * len(arch))
         net.expand(stream[2], [2] * len(arch))
-        sims = [SimilarityRecord(2, 0, 0.1, 0.3, 0.9),
-                SimilarityRecord(2, 1, 0.2, 0.5, 0.9)]
+        sims = [SimilarityRecord(0, 0.1, 0.3),
+                SimilarityRecord(1, 0.2, 0.5)]
         state = build_relatedness(net, 2, sims)
         oracle = build_relatedness(net, 2, sims)
         net.prune_units(2, [(0, 0), (0, 4), (len(arch) - 1, 1)])

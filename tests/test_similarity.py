@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from spikecl.errors import ContractError, DataError
 from spikecl.network import DenseSpec, init_first_task
-from spikecl.similarity import (CLAMPED, LITERAL, FeatureAnchor,
-                                compute_anchors, kl_estimate,
+from spikecl.similarity import (CLAMPED, LITERAL, compute_anchors,
+                                kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec, gaussian_kl,
@@ -22,12 +22,12 @@ class TestComputeAnchors:
     def test_single_sample_is_its_own_anchor(self):
         v = np.array([1.0, -2.0, 3.0])
         anchor = compute_anchors({7: v[None, :]})
-        np.testing.assert_array_equal(anchor.means[7], v)
+        np.testing.assert_array_equal(anchor[7], v)
 
     def test_symmetric_pair_averages_to_zero(self):
         v = np.array([0.5, -1.5])
         anchor = compute_anchors({0: np.stack([v, -v])})
-        np.testing.assert_array_equal(anchor.means[0], np.zeros(2))
+        np.testing.assert_array_equal(anchor[0], np.zeros(2))
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(11)
@@ -36,43 +36,38 @@ class TestComputeAnchors:
         total = np.zeros(8)
         for row in feats:  # streaming-sum oracle
             total += row
-        np.testing.assert_allclose(anchor.means[0], total / 37, rtol=1e-12)
+        np.testing.assert_allclose(anchor[0], total / 37, rtol=1e-12)
 
     def test_empty_class_names_the_class(self):
         with pytest.raises(DataError, match="class 3"):
             compute_anchors({3: np.zeros((0, 4))})
 
-    def test_storage_cost_is_classes_times_width(self):
-        anchor = compute_anchors({c: np.zeros((5, 16)) for c in range(4)})
-        assert anchor.nbytes() == 4 * 16 * 8  # float64 entries
-
 
 class TestKLEstimate:
     def test_equidistant_gives_zero(self):
-        anchors_p = FeatureAnchor(0, {0: np.array([1.0, 0.0])})
-        anchors_tp = FeatureAnchor(1, {5: np.array([-1.0, 0.0])})
+        anchors_p = {0: np.array([1.0, 0.0])}
+        anchors_tp = {5: np.array([-1.0, 0.0])}
         feats = {5: np.array([[0.0, 0.0]])}
-        kl, flag = kl_estimate(feats, anchors_p, anchors_tp, gamma=1.0)
+        kl = kl_estimate(feats, anchors_p, anchors_tp, gamma=1.0)
         assert kl == pytest.approx(0.0)
-        assert not flag
 
     def test_identical_distribution_near_zero(self):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(400, 6))
         half_a, half_b = base[:200], base[200:]
-        anchors_p = compute_anchors({0: half_b}, 0)
-        anchors_tp = compute_anchors({0: half_b}, 1)
-        kl, _ = kl_estimate({0: half_a}, anchors_p, anchors_tp, gamma=1.0)
+        anchors_p = compute_anchors({0: half_b})
+        anchors_tp = compute_anchors({0: half_b})
+        kl = kl_estimate({0: half_a}, anchors_p, anchors_tp, gamma=1.0)
         assert abs(kl) < 0.5
 
     def test_degenerate_features_flagged(self):
+        # with gamma < 1 the floored distances alone would give log(1/gamma)
         z = np.zeros((3, 4))
-        anchors = FeatureAnchor(0, {0: np.zeros(4)})
-        kl, flag = kl_estimate({0: z}, anchors, anchors, gamma=1.0)
-        assert kl == 0.0 and flag
+        anchors = {0: np.zeros(4)}
+        assert kl_estimate({0: z}, anchors, anchors, gamma=0.5) == 0.0
 
     def test_gamma_out_of_range(self):
-        anchors = FeatureAnchor(0, {0: np.ones(2)})
+        anchors = {0: np.ones(2)}
         with pytest.raises(ContractError, match="gamma"):
             kl_estimate({0: np.ones((1, 2))}, anchors, anchors, gamma=1.5)
 
@@ -82,15 +77,15 @@ class TestKLEstimate:
         d = 6
         base_mean = np.zeros(d)
         base = rng.normal(base_mean, 1.0, size=(600, d))
-        anchors_p = compute_anchors({0: base}, 0)
+        anchors_p = compute_anchors({0: base})
         estimates, truths = [], []
         for shift in (0.5, 2.0, 6.0):
             mean = base_mean + shift / math.sqrt(d)
             truths.append(gaussian_kl(mean, 1.0, base_mean, 1.0))
             samples = rng.normal(mean, 1.0, size=(600, d))
-            anchors_tp = compute_anchors({0: samples[300:]}, 1)
-            kl, _ = kl_estimate({0: samples[:300]}, anchors_p, anchors_tp,
-                                gamma=1.0)
+            anchors_tp = compute_anchors({0: samples[300:]})
+            kl = kl_estimate({0: samples[:300]}, anchors_p, anchors_tp,
+                             gamma=1.0)
             estimates.append(kl)
         assert truths == sorted(truths)
         assert estimates == sorted(estimates)
@@ -132,7 +127,7 @@ def _toy_network_with_anchors(seed=0):
     anchors = {}
     for c in t0.classes:
         feats = net.extract_features(t0.train_x[t0.train_y == c], 0)
-        anchors[c] = compute_anchors({c: feats}).means[c]
+        anchors[c] = compute_anchors({c: feats})[c]
     net.anchors[0] = anchors
     return net, t0, specs, shape
 
@@ -153,7 +148,7 @@ class TestSimilarityVector:
         anchors = {}
         for c in far.classes:
             feats = net.extract_features(far.train_x[far.train_y == c], 0)
-            anchors[c] = compute_anchors({c: feats}).means[c]
+            anchors[c] = compute_anchors({c: feats})[c]
         net.anchors[1] = anchors
         dup = synthetic_stream(specs, shape, seed=9)[0]
         dup.id = 2

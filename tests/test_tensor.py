@@ -70,10 +70,14 @@ class TestMatmul:
 
 class TestConv2d:
     def test_scalar_kernel_doubles(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.full((1, 1, 1, 1), 2.0))
         out = conv2d(x, k, stride=1, padding=0)
-        np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 2.0))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError, match="4-D"):
+            conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))))
 
     def test_zero_kernel(self):
         x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 4, 4)))
@@ -86,8 +90,9 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
-        out = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-        np.testing.assert_allclose(out.data, _conv_oracle(x, k, stride, padding),
+        out = conv2d(Tensor(x[None]), Tensor(k), stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data[0],
+                                   _conv_oracle(x, k, stride, padding),
                                    rtol=1e-12)
 
     def test_non_integral_geometry_rejected(self):
@@ -255,6 +260,22 @@ class TestOpsAndErrors:
     def test_elementwise_shape_mismatch(self):
         with pytest.raises(ShapeError, match="mismatch"):
             Tensor(np.ones(3)) + Tensor(np.ones(4))
+        with pytest.raises(ShapeError, match="mismatch"):
+            Tensor(np.ones(3)) + Tensor(np.ones(()))
+
+    @pytest.mark.parametrize("op,value,grad", [
+        (lambda t: 1.0 - t, 1.0 - np.arange(3.0), -1.0),
+        (lambda t: t * 0.2, np.arange(3.0) * 0.2, 0.2),
+        (lambda t: 0.2 * t, np.arange(3.0) * 0.2, 0.2),
+        (lambda t: t + 1.0, np.arange(3.0) + 1.0, 1.0),
+    ], ids=["number-minus", "times-number", "number-times", "plus-number"])
+    def test_number_operand_is_one_node(self, op, value, grad):
+        t = Tensor(np.arange(3.0), requires_grad=True)
+        out = op(t)
+        assert out._parents == (t,)
+        np.testing.assert_array_equal(out.data, value)
+        backward((out * Tensor(np.array([1.0, 2.0, 3.0]))).sum())
+        np.testing.assert_array_equal(t.grad, grad * np.array([1.0, 2.0, 3.0]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeError, match="non-finite"):
