@@ -7,8 +7,9 @@ Takes a few seconds on a laptop.
 """
 
 from spikecl import (AccuracyMatrix, DenseSpec, LIFConfig, ReplayBuffer,
-                     TrainConfig, cil_evaluate, default_synthetic_stream,
-                     forgetting, learn_task, til_evaluate)
+                     TrainConfig, calibrate_heads, cil_evaluate,
+                     default_synthetic_stream, forgetting, learn_task,
+                     til_evaluate)
 
 
 def main():
@@ -32,6 +33,8 @@ def main():
               f"expansion {log['expansion']}, "
               f"row {[round(v, 3) for v in row]}")
 
+    # the CIL heads are fitted once, on the replay buffer, after the last task
+    calibrate_heads(net, buffer, cfg)
     _, til_avg = til_evaluate(net, stream)
     per_task, avg_f = forgetting(matrix)
     print(f"\nTIL average:  {til_avg:.4f}")

@@ -14,6 +14,6 @@ from .similarity import SimilarityRecord, compute_anchors, kl_estimate, similari
 from .spiking import LIFConfig, SpikeState, lif_step, run_window, surrogate_grad
 from .streams import GaussianClass, SyntheticTaskSpec, TaskDescriptor, default_synthetic_stream, load_idx, mixed_alternating, permuted_stream, rotated_stream, split_stream, synthetic_stream
 from .tensor import Tensor, backward, conv2d, cross_entropy, finite_diff_check, no_grad
-from .trainer import Adam, ReplayBuffer, TrainConfig, cil_evaluate, learn_task, til_evaluate
+from .trainer import Adam, ReplayBuffer, TrainConfig, calibrate_heads, cil_evaluate, learn_task, til_evaluate
 
 __version__ = "0.1.0"

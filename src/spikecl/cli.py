@@ -3,8 +3,10 @@
 ``spikecl run <config.ini>`` executes a full task stream through the
 per-task learning loop, evaluates TIL/CIL, and writes a report directory:
 ``report.json``, CSV series (accuracy matrix, similarity, pruning rates,
-energy), and ``checkpoint.npz``.  ``spikecl evaluate <checkpoint> <config>``
-re-runs the evaluation protocols on a saved network without training.
+energy), and ``checkpoint.npz``.  When class labels are disjoint, the CIL
+heads are calibrated once, after the last task.
+``spikecl evaluate <checkpoint> <config>`` re-runs the evaluation protocols
+on a saved network without training.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 training error.
 """
@@ -20,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import metrics, streams
+from . import metrics, streams, trainer
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      TrainingError)
 from .network import ConvSpec, DenseSpec, Network
@@ -103,6 +105,11 @@ def _load_file_dataset(cfg):
     ty = streams.load_idx(sec["train_labels"])
     ex = streams.load_idx(sec["test_images"])
     ey = streams.load_idx(sec["test_labels"])
+    for images, labels, x, y in (("train_images", "train_labels", tx, ty),
+                                 ("test_images", "test_labels", ex, ey)):
+        if x.shape[0] != y.shape[0]:
+            raise DataError(f"{sec[images]} holds {x.shape[0]} images but "
+                            f"{sec[labels]} holds {y.shape[0]} labels")
     lim_tr = _value(cfg, "stream", "limit_train", tx.shape[0], int)
     lim_te = _value(cfg, "stream", "limit_test", ex.shape[0], int)
     streams._check_positive("[stream] limit_train", lim_tr)
@@ -140,6 +147,15 @@ def build_stream(cfg, seed):
                         lambda text: [float(a) for a in text.split(",")])
         return streams.rotated_stream(*data, angles=angles)
     raise ConfigError(f"unknown stream kind {kind!r}")
+
+
+def _check_inputs(tasks, input_shape):
+    """Every task's inputs are ``(N,) + input_shape``, checked before use."""
+    for t in tasks:
+        for x in (t.train_x, t.test_x):
+            if x.shape[1:] != input_shape:
+                raise DataError(f"task {t.id} inputs have shape {x.shape[1:]}"
+                                f" but the network input is {input_shape}")
 
 
 def build_train_config(cfg, seed):
@@ -295,6 +311,7 @@ def run(config_path, seed=None, out=None):
         out = cfg.get("run", "out", fallback="runs/latest")
     tasks = build_stream(cfg, seed)
     tcfg = build_train_config(cfg, seed)
+    _check_inputs(tasks, tcfg.input_shape)
     # class-incremental replay only means something when labels are disjoint
     disjoint = repeated_class(tasks) is None
     buffer = ReplayBuffer(tcfg.replay_capacity) if disjoint else None
@@ -310,6 +327,11 @@ def run(config_path, seed=None, out=None):
         accs, _ = til_evaluate(network, tasks[: task.id + 1])
         matrix.add_row(accs)
         logs.append(log)
+    if disjoint:
+        # looked up at call time, so a wrapper set on the trainer applies
+        t0 = time.perf_counter()
+        trainer.calibrate_heads(network, buffer, tcfg)
+        timings["calibrate_heads"] = time.perf_counter() - t0
     # the last row evaluated every task on the final network
     til = matrix.final(), matrix.average_final()
     cil = _cil_report(network, tasks, disjoint)
@@ -338,6 +360,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
                 f"task {t.id} class list mismatch: checkpoint "
                 f"{network.heads[t.id].classes} vs stream {list(t.classes)}"
             )
+    _check_inputs(tasks, network.input_shape)
     t0 = time.perf_counter()
     til = til_evaluate(network, tasks)
     cil = _cil_report(network, tasks, repeated_class(tasks) is None)

@@ -223,14 +223,13 @@ class Network:
             raise KeyError(f"unknown task {task_id}")
         return self.masks[task_id]
 
-    def step_fn(self, task_id, cfg=None):
+    def step_fn(self, task_id):
         """Single-timestep closure over the feature layers for ``task_id``.
 
         Weights are cropped to the task's prefix once per window; each
         layer's output spikes are gated by the task's active bits.
         """
         mask = self._require_mask(task_id)
-        cfg = cfg or self.lif
         params = []
         for layer, active, cols in zip(self.layers, mask.active,
                                        self._in_widths(task_id)):
@@ -254,16 +253,15 @@ class Network:
                     if len(h.shape) > 2:
                         h = h.reshape(h.shape[0], -1)
                     cur = h.matmul(weff)
-                state = lif_step(states[li], cur.add_bias(bias), cfg)
+                state = lif_step(states[li], cur.add_bias(bias), self.lif)
                 new_states.append(state)
                 h = state.spikes.mask_mul(gate)
             return h, new_states
 
         return step
 
-    def features_tensor(self, x, task_id, cfg=None):
+    def features_tensor(self, x, task_id):
         """Rate-coded final feature-layer output over the window (graph-recording)."""
-        cfg = cfg or self.lif
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.data.ndim == 3:
@@ -273,7 +271,7 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{self.input_shape}"
             )
-        return run_window(self.step_fn(task_id, cfg), x, cfg)
+        return run_window(self.step_fn(task_id), x, self.lif)
 
     def head_logits(self, features, task_id, cil=False):
         """Logits of ``task_id``'s head; pruned features are already zero."""
@@ -282,15 +280,15 @@ class Network:
         b = head.cil_b if cil else head.b
         return features.matmul(w.transpose()).add_bias(b)
 
-    def forward_task(self, x, task_id, cfg=None):
+    def forward_task(self, x, task_id):
         """Masked forward; returns (logits over the task's classes, features)."""
-        features = self.features_tensor(x, task_id, cfg)
+        features = self.features_tensor(x, task_id)
         return self.head_logits(features, task_id), features
 
-    def extract_features(self, x, task_id, cfg=None):
+    def extract_features(self, x, task_id):
         """Features under an old task's mask, no gradient recording."""
         with no_grad():
-            return self.features_tensor(x, task_id, cfg).data
+            return self.features_tensor(x, task_id).data
 
     def parameters(self, task_id):
         """Trainable parameter tensors while learning ``task_id``."""

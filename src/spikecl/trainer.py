@@ -4,8 +4,13 @@ For each new task: assess similarity to every stored old task, add new units
 to each layer sized by the association magnitude, then train with the old
 units' input synapses frozen while their gradients feed the relatedness
 scores that drive per-epoch pruning.  Afterwards the task's feature anchors
-are stored and the replay buffer rebalanced; with two or more tasks a short
-calibration pass fits the CIL head copies on the buffer.
+are stored and the replay buffer rebalanced.
+
+Class-incremental (CIL) evaluation reads calibrated copies of the heads.
+``calibrate_heads`` sets them once the stream has ended: each copy starts from
+its TIL head and, with two or more tasks, a short pass fits all copies jointly
+on the replay buffer.  A one-task stream keeps the copy equal to its TIL head,
+so its CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
 TIL accuracy is exactly stable by construction.
@@ -168,14 +173,13 @@ def _local_labels(task, y):
 
 
 @contextmanager
-def _diverged(cfg, task, epoch=None):
-    """Re-raise a non-finite value as a TrainingError saying where it arose."""
+def _diverged(cfg, where):
+    """Re-raise a non-finite value as a TrainingError naming seed and stage."""
     try:
         yield
     except NumericalError as exc:
-        at = "" if epoch is None else f", epoch {epoch}"
-        raise TrainingError(f"training diverged (seed {cfg.seed}, task "
-                            f"{task.id}{at}): {exc}") from exc
+        raise TrainingError(f"training diverged (seed {cfg.seed}, {where}): "
+                            f"{exc}") from exc
 
 
 def learn_task(network, task, cfg, buffer=None):
@@ -183,7 +187,7 @@ def learn_task(network, task, cfg, buffer=None):
 
     Non-finite values end in a ``TrainingError`` naming seed, task and epoch.
     """
-    with _diverged(cfg, task):
+    with _diverged(cfg, f"task {task.id}"):
         return _learn_task(network, task, cfg, buffer)
 
 
@@ -218,7 +222,7 @@ def _learn_task(network, task, cfg, buffer):
     optim = Adam(params, _trainable_rows(network), lr=cfg.lr)
     x, y = task.train_x, _local_labels(task, task.train_y)
     for epoch in range(cfg.epochs):
-        with _diverged(cfg, task, epoch):
+        with _diverged(cfg, f"task {task.id}, epoch {epoch}"):
             rng = np.random.default_rng([cfg.seed, task.id, epoch])
             epoch_loss = 0.0
             n_batches = 0
@@ -248,8 +252,6 @@ def _learn_task(network, task, cfg, buffer):
                                       task.train_y)
     if buffer is not None:
         buffer.update(task, seed=cfg.seed)
-        if len(network.masks) >= 2:
-            calibrate_heads(network, buffer, cfg)
     return network, log
 
 
@@ -289,54 +291,57 @@ def _check_disjoint(tasks):
         )
 
 
-def _cil_logits(network, tasks, x, cil=True):
-    """Concatenated per-mask head logits plus the class of each column."""
-    parts, cols = [], []
-    for t in tasks:
-        feats = network.extract_features(x, t.id)
-        parts.append(network.head_logits(Tensor(feats), t.id, cil=cil))
-        cols.extend(network.heads[t.id].classes)
-    return concat_cols(parts), cols
-
-
 def cil_evaluate(network, tasks, batch=256):
-    """Accuracy on the union test set with no task identity given."""
+    """Accuracy on the union test set with no task identity given, read from
+    the CIL head copies that ``calibrate_heads`` sets."""
     _check_disjoint(tasks)
     x = np.concatenate([t.test_x for t in tasks])
     y = np.concatenate([t.test_y for t in tasks])
+    cols = np.asarray([c for t in tasks for c in network.heads[t.id].classes])
     hits = 0
     with no_grad():
         for i in range(0, x.shape[0], batch):
-            joined, cols = _cil_logits(network, tasks, x[i : i + batch])
-            pred = np.asarray(cols)[np.argmax(joined.data, axis=1)]
+            parts = []
+            for t in tasks:
+                feats = network.extract_features(x[i : i + batch], t.id)
+                parts.append(network.head_logits(Tensor(feats), t.id,
+                                                 cil=True))
+            pred = cols[np.argmax(concat_cols(parts).data, axis=1)]
             hits += int((pred == y[i : i + batch]).sum())
     return hits / x.shape[0]
 
 
 def calibrate_heads(network, buffer, cfg):
-    """Fit the CIL head copies on the replay buffer; features stay frozen."""
-    bx, by = buffer.all_samples()
+    """Set every task's CIL head copy; call once, after the last task.
+
+    Each copy restarts from its TIL head.  With two or more tasks the copies
+    are then fitted jointly on the replay buffer, features frozen.
+    Non-finite values end in a ``TrainingError`` naming the seed.
+    """
     tasks = sorted(network.masks)
-    feats = {t: network.extract_features(bx, t) for t in tasks}
-    cols = []
     for t in tasks:
         network.heads[t].sync_cil()
-        cols.extend(network.heads[t].classes)
+    if len(tasks) < 2:
+        return
+    bx, by = buffer.all_samples()
+    cols = [c for t in tasks for c in network.heads[t].classes]
     col_of = {c: i for i, c in enumerate(cols)}
     target = np.asarray([col_of[v] for v in by], dtype=np.int64)
     params = []
     for t in tasks:
         params.extend([network.heads[t].cil_w, network.heads[t].cil_b])
     optim = Adam(params, lr=cfg.calib_lr)
-    for epoch in range(cfg.calib_epochs):
-        rng = np.random.default_rng([cfg.seed, 7331, epoch])
-        for idx in _batches(bx.shape[0], cfg.batch_size, rng):
-            parts = [
-                network.head_logits(Tensor(feats[t][idx]), t, cil=True)
-                for t in tasks
-            ]
-            loss = cross_entropy(concat_cols(parts), target[idx])
+    with _diverged(cfg, "head calibration"):
+        feats = {t: network.extract_features(bx, t) for t in tasks}
+        for epoch in range(cfg.calib_epochs):
+            rng = np.random.default_rng([cfg.seed, 7331, epoch])
+            for idx in _batches(bx.shape[0], cfg.batch_size, rng):
+                parts = [
+                    network.head_logits(Tensor(feats[t][idx]), t, cil=True)
+                    for t in tasks
+                ]
+                loss = cross_entropy(concat_cols(parts), target[idx])
+                optim.zero_grad()
+                gradients(loss, params)
+                optim.step()
             optim.zero_grad()
-            gradients(loss, params)
-            optim.step()
-        optim.zero_grad()

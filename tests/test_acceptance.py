@@ -21,8 +21,8 @@ from spikecl.streams import (GaussianClass, SyntheticTaskSpec,
                              default_synthetic_stream, gaussian_kl,
                              synthetic_stream)
 from spikecl.tensor import Tensor, cross_entropy, finite_diff_check
-from spikecl.trainer import (ReplayBuffer, TrainConfig, cil_evaluate,
-                             learn_task, til_evaluate)
+from spikecl.trainer import (ReplayBuffer, TrainConfig, calibrate_heads,
+                             cil_evaluate, learn_task, til_evaluate)
 
 SHAPE3 = (1, 3, 3)
 
@@ -230,6 +230,7 @@ def test_criterion_6_desk_scale_continual_run():
     net = None
     for task in stream:
         net, _ = learn_task(net, task, cfg, buffer)
+    calibrate_heads(net, buffer, cfg)
     _, til_avg = til_evaluate(net, stream)
     cil = cil_evaluate(net, stream)
     elapsed = time.perf_counter() - start

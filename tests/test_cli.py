@@ -125,6 +125,39 @@ class TestRun:
         err = capsys.readouterr().err
         assert "training error" in err and "seed 0, task 0, epoch 0" in err
 
+    def test_diverging_calibration_exits_three(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "calib_lr = 1e308\n")  # in [replay]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(cfg)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "training error" in err
+        assert "seed 0, head calibration" in err
+
+    def test_disjoint_run_calibrates_once_after_the_last_task(
+            self, tmp_path, monkeypatch):
+        import spikecl.trainer as trainer
+
+        original, calibrated = trainer.calibrate_heads, []
+
+        def counted(network, buffer, cfg):
+            calibrated.append(sorted(network.masks))
+            return original(network, buffer, cfg)
+
+        monkeypatch.setattr(trainer, "calibrate_heads", counted)
+        report = run(_write_config(tmp_path, tasks=3))
+        assert calibrated == [[0, 1, 2]]
+        assert report["timings_s"]["calibrate_heads"] > 0.0
+
+    def test_one_task_run_reports_cil_equal_to_til(self, tmp_path):
+        report = run(_write_config(tmp_path, tasks=1))
+        assert report["cil"]["accuracy"] == report["til"]["average"]
+        with np.load(tmp_path / "out" / "checkpoint.npz") as data:
+            np.testing.assert_array_equal(data["task0/cil_w"],
+                                          data["task0/head_w"])
+            np.testing.assert_array_equal(data["task0/cil_b"],
+                                          data["task0/head_b"])
+
     def test_main_exit_ok(self, tmp_path):
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_OK
 
@@ -353,6 +386,57 @@ class TestFileStreamLimits:
             == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+
+class TestInputChecks:
+    def _split_config(self, tmp_path, input_shape="1x3x3"):
+        cfg = tmp_path / "split.ini"
+        cfg.write_text(PERMUTED_CONFIG.format(d=tmp_path).replace(
+            "kind = permuted\ntasks = 2",
+            "kind = split\nclasses_per_task = 2").replace(
+            "input_shape = 1x3x3", f"input_shape = {input_shape}"))
+        return cfg
+
+    def _write_split(self, tmp_path, counts, side=3):
+        for split, (n_images, n_labels) in counts.items():
+            _write_idx(tmp_path / f"{split}-images",
+                       np.zeros((n_images, side, side)), 0x803)
+            _write_idx(tmp_path / f"{split}-labels",
+                       np.arange(n_labels) % 2, 0x801)
+
+    @pytest.mark.parametrize("counts,message", [
+        ({"train": (8, 6), "test": (4, 4)}, "train-images holds 8 images but"),
+        ({"train": (8, 8), "test": (4, 5)}, "test-labels holds 5 labels"),
+    ])
+    def test_label_rows_must_match_image_rows(self, tmp_path, capsys, counts,
+                                              message):
+        self._write_split(tmp_path, counts)
+        cfg = self._split_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_images_must_match_input_shape(self, tmp_path, capsys):
+        self._write_split(tmp_path, {"train": (8, 8), "test": (4, 4)})
+        cfg = self._split_config(tmp_path, input_shape="1x4x4")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert ("task 0 inputs have shape (1, 3, 3) but the network input is "
+                "(1, 4, 4)") in capsys.readouterr().err
+
+    def test_evaluate_stream_must_match_checkpoint_input(self, tmp_path,
+                                                         capsys):
+        self._write_split(tmp_path, {"train": (8, 8), "test": (4, 4)})
+        cfg = self._split_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+        self._write_split(tmp_path, {"train": (8, 8), "test": (4, 4)}, side=4)
+        assert main(["evaluate", str(tmp_path / "out" / "checkpoint.npz"),
+                     str(self._split_config(tmp_path, input_shape="1x4x4")),
+                     "--out", str(tmp_path / "eval")]) == EXIT_CONFIG
+        assert ("task 0 inputs have shape (1, 4, 4) but the network input is "
+                "(1, 3, 3)") in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ def _load(name):
 
 @pytest.mark.parametrize("name,line", [
     ("continual_run", "TIL average:  0.9900"),
+    ("continual_run", "CIL accuracy: 0.5833"),
     ("energy_accounting",
      "snn/dnn ratio is 0.9*T/4.6 = 0.783 at T=4, independent of structure"),
     ("similarity_probe", "trained base task: accuracy 1.000"),

@@ -224,12 +224,12 @@ def _expand_bits(layer, bits):
     return cols.reshape(cols.shape + (1,) * (layer.w.data.ndim - 2))
 
 
-def _connection_masked_forward(net, x, task_id, cfg=None):
+def _connection_masked_forward(net, x, task_id):
     """Oracle: the forward that multiplied the weights by the expanded
     connection bits, each layer's current by the unit bits and the head by
     the head bits; returns (logits, features)."""
     mask = net.masks[task_id]
-    cfg = cfg or net.lif
+    cfg = net.lif
     params = []
     for layer, conn in zip(net.layers, net.connections(task_id)):
         rows, cols = conn.shape
@@ -309,16 +309,17 @@ class TestUnitGatedForward:
         assert idle.spikes.data.any()
         net, _, t1 = TestPruning()._expanded(seed=1)
         net.prune_units(1, [(0, 1), (1, 2)])
+        net.lif = lif
         x = t1.train_x[:5]
-        features = net.extract_features(x, 1, lif)
+        features = net.extract_features(x, 1)
         assert not features[:, 2].any()
         # gating a unit's output equals cutting its outgoing weights
         cut = copy.deepcopy(net)
         cut.masks[1].active[0][1] = cut.masks[1].active[1][2] = True
         cut.layers[1].w.data[:, 1] = 0.0
         cut.heads[1].w.data[:, 2] = 0.0
-        logits, _ = net.forward_task(Tensor(x), 1, lif)
-        expected, _ = cut.forward_task(Tensor(x), 1, lif)
+        logits, _ = net.forward_task(Tensor(x), 1)
+        expected, _ = cut.forward_task(Tensor(x), 1)
         np.testing.assert_array_equal(logits.data, expected.data)
 
 

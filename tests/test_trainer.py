@@ -8,8 +8,8 @@ from spikecl.network import DenseSpec
 from spikecl.plasticity import ExpansionPolicy
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.trainer import (Adam, ReplayBuffer, TrainConfig, cil_evaluate,
-                             learn_task, til_evaluate)
+from spikecl.trainer import (Adam, ReplayBuffer, TrainConfig, calibrate_heads,
+                             cil_evaluate, learn_task, til_evaluate)
 from spikecl.tensor import Tensor, gradients
 
 
@@ -148,6 +148,7 @@ class TestEvaluation:
         net = None
         for t in stream:
             net, _ = learn_task(net, t, cfg, buf)
+        calibrate_heads(net, buf, cfg)
         return net, stream
 
     def test_single_task_til_equals_plain_accuracy(self):
@@ -194,7 +195,8 @@ class TestEvaluation:
         w_feat = [l.w.data.copy() for l in net.layers]
         head0 = net.heads[0].w.data.copy()
         mask0 = [m.copy() for m in net.masks[0].active]
-        net, _ = learn_task(net, stream[1], cfg, buf)  # triggers calibration
+        net, _ = learn_task(net, stream[1], cfg, buf)
+        calibrate_heads(net, buf, cfg)
         np.testing.assert_array_equal(net.heads[0].w.data, head0)
         for layer, before in zip(net.layers, w_feat):
             np.testing.assert_array_equal(
@@ -204,6 +206,41 @@ class TestEvaluation:
         # the CIL copies did move
         assert net.heads[0].cil_w.shape == head0.shape
         assert not np.array_equal(net.heads[0].cil_w.data, head0)
+
+
+class TestCalibration:
+    def test_calibrating_once_matches_calibrating_after_every_task(self):
+        stream = _stream(3)
+        cfg = _cfg(epochs=4)
+        nets = []
+        for every_task in (True, False):
+            buf = ReplayBuffer(cfg.replay_capacity)
+            net = None
+            for t in stream:
+                net, _ = learn_task(net, t, cfg, buf)
+                if every_task and t.id >= 1:
+                    calibrate_heads(net, buf, cfg)
+            if not every_task:
+                calibrate_heads(net, buf, cfg)
+            nets.append(net)
+        for t in stream:
+            heads = [n.heads[t.id] for n in nets]
+            for name in ("w", "b", "cil_w", "cil_b"):
+                np.testing.assert_array_equal(getattr(heads[0], name).data,
+                                              getattr(heads[1], name).data)
+            assert not np.array_equal(heads[1].cil_w.data, heads[1].w.data)
+        for a, b in zip(*(n.layers for n in nets)):
+            np.testing.assert_array_equal(a.w.data, b.w.data)
+
+    def test_one_task_copies_the_til_head(self):
+        stream = _stream(1)
+        cfg = _cfg(epochs=2)
+        buf = ReplayBuffer(cfg.replay_capacity)
+        net, _ = learn_task(None, stream[0], cfg, buf)
+        calibrate_heads(net, buf, cfg)
+        head = net.heads[0]
+        np.testing.assert_array_equal(head.cil_w.data, head.w.data)
+        np.testing.assert_array_equal(head.cil_b.data, head.b.data)
 
 
 class TestTrainConfig:
