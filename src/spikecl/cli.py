@@ -4,7 +4,8 @@
 per-task learning loop, evaluates TIL/CIL, and writes a report directory:
 ``report.json``, CSV series (accuracy matrix, similarity, pruning rates,
 energy), and ``checkpoint.npz``.  When class labels are disjoint, the CIL
-heads are calibrated once, after the last task.
+heads are calibrated once, after the last task; otherwise each saved CIL copy
+equals its trained TIL head.
 ``spikecl evaluate <checkpoint> <config>`` re-runs the evaluation protocols
 on a saved network without training.
 
@@ -332,6 +333,10 @@ def run(config_path, seed=None, out=None):
         t0 = time.perf_counter()
         trainer.calibrate_heads(network, buffer, tcfg)
         timings["calibrate_heads"] = time.perf_counter() - t0
+    else:
+        # no CIL fit: each saved copy is its trained TIL head
+        for head in network.heads.values():
+            head.sync_cil()
     # the last row evaluated every task on the final network
     til = matrix.final(), matrix.average_final()
     cil = _cil_report(network, tasks, disjoint)

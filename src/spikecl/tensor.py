@@ -10,7 +10,9 @@ Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
 number stays a number, adding one node and no constant Tensor.  The only
 broadcast forms are bias-add and multiplication by a constant mask
-(``mask_mul``).  ``conv2d`` takes batched (B, C, H, W) input.
+(``mask_mul``).  ``conv2d`` takes batched (B, C, H, W) input and lowers it
+to im2col plus one BLAS GEMM per sample, so a sample's output never depends
+on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -263,9 +265,14 @@ def _accum(t, g):
 
 
 def _conv_geometry(h, w, kh, kw, stride, padding):
+    if kh > h + 2 * padding or kw > w + 2 * padding:
+        raise ConfigError(
+            f"conv kernel {kh}x{kw} is larger than its padded input: input "
+            f"{h}x{w}, padding {padding}"
+        )
     ho, rh = divmod(h + 2 * padding - kh, stride)
     wo, rw = divmod(w + 2 * padding - kw, stride)
-    if rh or rw or ho < 0 or wo < 0:
+    if rh or rw:
         raise ConfigError(
             f"conv output extent not integral: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}"
@@ -274,13 +281,19 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x, kh, kw, stride, padding):
+    """(B, C*kh*kw, Ho*Wo) patches: kh*kw strided copies, no arithmetic."""
     b, c, h, w = x.shape
     ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,kh,kw)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+    xp = x
+    if padding:
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+    cols = np.empty((b, c, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride,
+                                  j : j + stride * wo : stride]
+    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols, xshape, kh, kw, stride, padding):
@@ -302,7 +315,9 @@ def conv2d(x, kernels, stride=1, padding=0):
     """Batched 2-D cross-correlation.
 
     x: Tensor (B, C_in, H, W); kernels: (C_out, C_in, kh, kw).
-    Differentiable w.r.t. both input and kernels.
+    Differentiable w.r.t. both input and kernels.  The forward and the input
+    gradient run one GEMM per sample, so a sample's output never depends on
+    the rest of its batch; the kernel gradient is one GEMM over the batch.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(
@@ -316,15 +331,17 @@ def conv2d(x, kernels, stride=1, padding=0):
         )
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = kernels.data.reshape(c_out, c_in * kh * kw)
-    out = np.einsum("of,bfp->bop", wmat, cols).reshape(b, c_out, ho, wo)
+    # matmul broadcasts wmat: one GEMM per sample.  Stacking the batch into
+    # one GEMM would not do: a BLAS row can depend on the rest of its batch.
+    out = np.matmul(wmat, cols).reshape(b, c_out, ho, wo)
 
     def backward(outt):
         g = outt.grad.reshape(b, c_out, ho * wo)
         if kernels.requires_grad:
-            dw = np.einsum("bop,bfp->of", g, cols).reshape(kernels.shape)
-            _accum(kernels, dw)
+            dw = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+            _accum(kernels, dw.reshape(kernels.shape))
         if x.requires_grad:
-            dcols = np.einsum("of,bop->bfp", wmat, g)
+            dcols = np.matmul(wmat.T, g)
             _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding))
 
     return Tensor._make(out, (x, kernels), backward)

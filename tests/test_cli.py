@@ -161,6 +161,15 @@ class TestRun:
     def test_main_exit_ok(self, tmp_path):
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_OK
 
+    def test_kernel_larger_than_input_exits_config_error(self, tmp_path,
+                                                         capsys):
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            "arch = dense12,dense8", "arch = conv4k5s1p0,dense8"))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "kernel 5x5 is larger than its padded input: input 3x3" in err
+
     @pytest.mark.parametrize("section,key,value,message", [
         ("train", "epochs", "abc", "[train] epochs = 'abc'"),
         ("train", "batch_size", "1e3", "[train] batch_size = '1e3'"),
@@ -330,6 +339,19 @@ def _write_idx(path, array, magic):
                      + array.astype(np.uint8).tobytes())
 
 
+def _write_permuted(tmp_path):
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 16), ("test", 8)):
+        labels = np.arange(n) % 2
+        images = rng.integers(0, 60, size=(n, 3, 3))
+        images += 150 * labels.reshape(-1, 1, 1)
+        _write_idx(tmp_path / f"{split}-images", images, 0x803)
+        _write_idx(tmp_path / f"{split}-labels", labels, 0x801)
+    cfg = tmp_path / "permuted.ini"
+    cfg.write_text(PERMUTED_CONFIG.format(d=tmp_path))
+    return cfg
+
+
 class TestTilOnlyStream:
     def test_permuted_stream_skips_cil_in_run_and_evaluate(self, tmp_path,
                                                             monkeypatch):
@@ -342,15 +364,7 @@ class TestTilOnlyStream:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "calibrate_heads", counted)
-        rng = np.random.default_rng(0)
-        for split, n in (("train", 16), ("test", 8)):
-            labels = np.arange(n) % 2
-            images = rng.integers(0, 60, size=(n, 3, 3))
-            images += 150 * labels.reshape(-1, 1, 1)
-            _write_idx(tmp_path / f"{split}-images", images, 0x803)
-            _write_idx(tmp_path / f"{split}-labels", labels, 0x801)
-        cfg = tmp_path / "permuted.ini"
-        cfg.write_text(PERMUTED_CONFIG.format(d=tmp_path))
+        cfg = _write_permuted(tmp_path)
         skipped = {"accuracy": None,
                    "skipped": "class labels repeat across tasks "
                               "(TIL-only stream)"}
@@ -362,6 +376,15 @@ class TestTilOnlyStream:
                          out=tmp_path / "eval")
         assert again["cil"] == skipped
         assert again["til"] == report["til"]
+
+    def test_saved_cil_copies_equal_the_trained_heads(self, tmp_path):
+        run(_write_permuted(tmp_path), out=tmp_path / "run")
+        z = np.load(tmp_path / "run" / "checkpoint.npz")
+        for t in range(2):
+            np.testing.assert_array_equal(z[f"task{t}/cil_w"],
+                                          z[f"task{t}/head_w"])
+            np.testing.assert_array_equal(z[f"task{t}/cil_b"],
+                                          z[f"task{t}/head_b"])
 
 
 class TestFileStreamLimits:

@@ -11,7 +11,7 @@ from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import (Tensor, backward, concat_cols, conv2d,
+from spikecl.tensor import (Tensor, _im2col, backward, concat_cols, conv2d,
                             cross_entropy, finite_diff_check, gradients,
                             no_grad)
 
@@ -45,6 +45,44 @@ def _conv_oracle(x, kernels, stride, padding):
                                 * xp[c, i * stride + a, j * stride + b]
                             )
     return out
+
+
+def _conv_grad_oracle(x, kernels, g, stride, padding):
+    """Adjoint loops: dW[o,c,a,b] = sum g[n,o,i,j] * xp[n,c,i*s+a,j*s+b],
+    and dx is the same sum scattered back onto the (cropped) input."""
+    n_b, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(kernels)
+    for n in range(n_b):
+        for o in range(c_out):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gv = g[n, o, i, j]
+                    for c in range(c_in):
+                        for a in range(kh):
+                            for b in range(kw):
+                                r, q = i * stride + a, j * stride + b
+                                dw[o, c, a, b] += gv * xp[n, c, r, q]
+                                dxp[n, c, r, q] += gv * kernels[o, c, a, b]
+    return dxp[:, :, padding : padding + h, padding : padding + w], dw
+
+
+def _im2col_pad_window(x, kh, kw, stride, padding):
+    """Oracle: the np.pad + sliding_window_view im2col conv2d once used."""
+    b, c, _, _ = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,kh,kw)
+    ho, wo = win.shape[2:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
+    return np.ascontiguousarray(cols), ho, wo
+
+
+# (kernel, stride, padding, input extent): the network's 3x3 geometries and
+# one wide 7x7 stride-2 kernel without padding
+CONV_CASES = [(3, 1, 0, 5), (3, 1, 1, 5), (3, 2, 1, 5), (7, 2, 0, 11)]
 
 
 class TestMatmul:
@@ -94,6 +132,72 @@ class TestConv2d:
         np.testing.assert_allclose(out.data[0],
                                    _conv_oracle(x, k, stride, padding),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding,size", CONV_CASES)
+    def test_batch_and_gradients_match_loop_oracles(self, k, stride, padding,
+                                                    size):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 2, size, size))
+        kern = rng.normal(size=(4, 2, k, k))
+        xt = Tensor(x, requires_grad=True)
+        kt = Tensor(kern, requires_grad=True)
+        out = conv2d(xt, kt, stride=stride, padding=padding)
+        for n in range(3):
+            np.testing.assert_allclose(out.data[n],
+                                       _conv_oracle(x[n], kern, stride,
+                                                    padding), rtol=1e-12)
+        g = rng.normal(size=out.shape)
+        backward((out * Tensor(g)).sum())
+        dx, dw = _conv_grad_oracle(x, kern, g, stride, padding)
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12)
+        np.testing.assert_allclose(kt.grad, dw, rtol=1e-12)
+
+    @pytest.mark.parametrize("k,stride,padding,size",
+                             CONV_CASES + [(1, 1, 0, 4), (3, 2, 2, 7)])
+    def test_im2col_equals_pad_and_window_bit_for_bit(self, k, stride,
+                                                      padding, size):
+        x = np.random.default_rng(8).normal(size=(3, 2, size, size))
+        cols, ho, wo = _im2col(x, k, k, stride, padding)
+        ref, ho_ref, wo_ref = _im2col_pad_window(x, k, k, stride, padding)
+        assert (ho, wo) == (ho_ref, wo_ref)
+        assert cols.shape == ref.shape
+        np.testing.assert_array_equal(cols, ref)
+
+    @pytest.mark.parametrize("k,stride,padding,size", CONV_CASES)
+    def test_sample_output_does_not_depend_on_its_batch(self, k, stride,
+                                                        padding, size):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(32, 3, size, size))
+        kern = Tensor(rng.normal(size=(8, 3, k, k)))
+        full = conv2d(Tensor(x), kern, stride=stride, padding=padding).data
+        for _ in range(20):
+            idx = rng.choice(32, size=rng.integers(1, 33), replace=False)
+            part = conv2d(Tensor(x[idx]), kern, stride=stride, padding=padding)
+            np.testing.assert_array_equal(part.data, full[idx])
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+    def test_gradients_match_finite_differences(self, stride, padding):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
+        kern = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        out_shape = conv2d(x, kern, stride=stride, padding=padding).shape
+        coef = Tensor(rng.normal(size=out_shape))
+
+        def f():
+            out = conv2d(x, kern, stride=stride, padding=padding)
+            return (out * out * coef).sum()
+
+        assert finite_diff_check(f, [x, kern], step=1e-5) < 1e-5
+
+    def test_kernel_larger_than_padded_input_rejected(self):
+        from spikecl.errors import ConfigError
+
+        x = Tensor(np.ones((1, 1, 9, 9)))
+        with pytest.raises(ConfigError, match="larger than its padded input"):
+            conv2d(x, Tensor(np.ones((1, 1, 11, 11))), stride=1, padding=0)
+        # a kernel as wide as the padded input is one output pixel
+        out = conv2d(x, Tensor(np.ones((1, 1, 11, 11))), stride=1, padding=1)
+        assert out.shape == (1, 1, 1, 1)
 
     def test_non_integral_geometry_rejected(self):
         from spikecl.errors import ConfigError

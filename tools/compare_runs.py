@@ -1,0 +1,199 @@
+"""Output gate for a change to arithmetic: compare two source trees' outputs.
+
+    python3 tools/compare_runs.py PARENT CHANGE [SEED ...] [--bench]
+
+PARENT and CHANGE are source checkouts (or their ``src/`` directories).  For
+every config and seed, both trees run ``spikecl run`` and then ``spikecl
+evaluate`` on the checkpoint that run wrote, each command in a fresh
+interpreter that imports that tree's ``spikecl``, with BLAS on one thread as
+in the benchmark.  The configs are the criterion-8 INI of the acceptance
+tests and the three benchmark workloads (``perfbench/bench.py:ini_text``).
+
+Seeds default to 0 and 7, the 16 reference reports.  With ``--bench`` each
+SEED is a benchmark ``--seed`` instead: a workload runs that seed's input
+streams (``10 * SEED + k``, ``k < streams``), the criterion-8 INI runs SEED.
+
+For each report it prints whether each artefact's sha256 matches, whether
+``til``/``cil`` are equal, whether the rest of the report is equal
+(``timings_s`` and ``config`` aside), and, for every checkpoint array that
+differs, its drift: max |change - parent| / max |parent|.  Exits 1 when a
+CSV, ``til``/``cil`` or a command's exit code differs, else 0; checkpoint
+drift alone is reported, not failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from bench import WORKLOADS, ini_text  # noqa: E402
+
+# the config of tests/test_acceptance.py::test_criterion_8_...
+CRITERION_8_INI = """\
+[stream]
+kind = synthetic
+tasks = 3
+classes_per_task = 2
+n_train = 60
+n_test = 30
+
+[network]
+arch = dense12,dense8
+input_shape = 1x3x3
+
+[lif]
+window = 2
+
+[train]
+epochs = 4
+batch_size = 16
+lr = 0.01
+
+[similarity]
+probe_size = 48
+
+[replay]
+capacity = 100
+calib_epochs = 5
+"""
+CSVS = ("accuracy_matrix.csv", "similarity.csv", "pruning_rates.csv",
+        "energy.csv")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _src(path):
+    path = Path(path).resolve()
+    src = path / "src" if (path / "src" / "spikecl").is_dir() else path
+    if not (src / "spikecl" / "__init__.py").is_file():
+        raise SystemExit(f"error: no spikecl package under {path}")
+    return src
+
+
+def _spikecl(src, argv):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    done = subprocess.run([sys.executable, "-m", "spikecl", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr.strip()
+
+
+def _run_pair(src, ini, seed, out):
+    """Exit codes and reports of ``run`` then ``evaluate`` in ``out``."""
+    run_dir, eval_dir = out / "run", out / "eval"
+    code, err = _spikecl(src, ["run", str(ini), "--seed", str(seed),
+                               "--out", str(run_dir)])
+    results = {"run": (code, err, run_dir)}
+    if code == 0:
+        code, err = _spikecl(src, ["evaluate", str(run_dir / "checkpoint.npz"),
+                                   str(ini), "--seed", str(seed),
+                                   "--out", str(eval_dir)])
+        results["evaluate"] = (code, err, eval_dir)
+    return results
+
+
+def _drift(parent_npz, change_npz):
+    """{array name: relative drift} for every array that is not equal."""
+    drift = {}
+    with np.load(parent_npz) as a, np.load(change_npz) as b:
+        for name in sorted(set(a.files) | set(b.files)):
+            if name not in a.files or name not in b.files \
+                    or a[name].shape != b[name].shape:
+                drift[name] = float("inf")
+            elif not np.array_equal(a[name], b[name]):
+                x, y = a[name].astype(np.float64), b[name].astype(np.float64)
+                scale = float(np.max(np.abs(x))) or 1.0
+                drift[name] = float(np.max(np.abs(y - x))) / scale
+    return drift
+
+
+def _body(report):
+    return {k: v for k, v in report.items()
+            if k not in ("timings_s", "config", "artifacts")}
+
+
+def compare(label, parent, change, worst):
+    """Print one report's comparison; return False when a gate fails."""
+    (p_code, p_err, p_dir), (c_code, c_err, c_dir) = parent, change
+    if p_code != 0 or c_code != 0:
+        same = p_code == c_code
+        print(f"{label}: exit {p_code} -> {c_code}"
+              f"{'' if same else '  EXIT CODE DIFFERS'}")
+        for side, err in (("parent", p_err), ("change", c_err)):
+            if err:
+                print(f"    {side}: {err.splitlines()[-1]}")
+        return same
+    p = json.loads((p_dir / "report.json").read_text())
+    c = json.loads((c_dir / "report.json").read_text())
+    same = {n: p["artifacts"][n] == c["artifacts"][n] for n in p["artifacts"]}
+    marks = [f"{n} {'=' if same[n] else 'DIFFERS'}" for n in sorted(same)]
+    til_cil = p["til"] == c["til"] and p["cil"] == c["cil"]
+    body = _body(p) == _body(c)
+    print(f"{label}: {', '.join(marks)}; til/cil "
+          f"{'equal' if til_cil else 'DIFFER'}; rest of report "
+          f"{'equal' if body else 'differs'}")
+    drift = _drift(p_dir / "checkpoint.npz", c_dir / "checkpoint.npz")
+    for name, d in drift.items():
+        print(f"    {name}: drift {d:.3g}")
+        worst[name] = max(worst.get(name, 0.0), d)
+    return all(same[n] for n in CSVS) and til_cil
+
+
+def _jobs(seeds, bench):
+    """(config name, INI text, run seed) for every report pair."""
+    jobs = []
+    for seed in seeds:
+        jobs.append(("criterion-8", CRITERION_8_INI, seed))
+        for name, w in WORKLOADS.items():
+            streams = ([10 * seed + k for k in range(w["streams"])] if bench
+                       else [seed])
+            jobs.extend((name, ini_text(w), s) for s in streams)
+    return jobs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("seeds", nargs="*", type=int, default=[0, 7])
+    parser.add_argument("--bench", action="store_true",
+                        help="seeds are benchmark --seed values")
+    args = parser.parse_args(argv)
+    parent, change = _src(args.parent), _src(args.change)
+    ok, reports, worst = True, 0, {}
+    with tempfile.TemporaryDirectory(prefix="compare-runs-") as tmp:
+        tmp = Path(tmp)
+        for i, (name, text, seed) in enumerate(_jobs(args.seeds, args.bench)):
+            ini = tmp / f"{i}.ini"
+            ini.write_text(text)
+            sides = [_run_pair(src, ini, seed, tmp / f"{i}-{side}")
+                     for side, src in (("parent", parent), ("change", change))]
+            for command in ("run", "evaluate"):
+                if command in sides[0] or command in sides[1]:
+                    missing = (None, "not run", None)
+                    ok &= compare(f"{name} seed {seed} {command}",
+                                  sides[0].get(command, missing),
+                                  sides[1].get(command, missing), worst)
+                    reports += 1
+    verdict = "CSVs and til/cil all equal" if ok else "MISMATCH"
+    print(f"\n{reports} reports: {verdict}")
+    if worst:
+        print("largest checkpoint drift per array:")
+        for name, d in sorted(worst.items(), key=lambda kv: -kv[1]):
+            print(f"    {name}: {d:.3g}")
+    else:
+        print("every checkpoint array is equal")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
