@@ -9,6 +9,10 @@ equals its trained TIL head.
 ``spikecl evaluate <checkpoint> <config>`` re-runs the evaluation protocols
 on a saved network without training.
 
+One schema (``_SECTIONS``; ``_STREAM_KINDS`` for ``[stream]``, which takes
+``kind`` and that kind's keys only) converts each INI value and names the
+keyword it sets; a key left out takes its callee's default.
+
 Exit codes: 0 success, 2 configuration/validation error, 3 training error.
 """
 
@@ -28,8 +32,7 @@ from .errors import (ConfigError, ContractError, DataError, FormatError,
                      TrainingError)
 from .network import ConvSpec, DenseSpec, Network
 from .plasticity import ExpansionPolicy
-from .similarity import CLAMPED
-from .spiking import HARD_RESET, LIFConfig
+from .spiking import LIFConfig
 from .trainer import (ReplayBuffer, TrainConfig, cil_evaluate, learn_task,
                       repeated_class, til_evaluate)
 
@@ -48,22 +51,8 @@ def _parse_shape(text):
     return tuple(parts)
 
 
-# Every key a section may hold; ``[stream]`` takes the keys of every kind.
-_KNOWN_KEYS = {
-    "DEFAULT": set(), "run": {"seed", "out"}, "network": {"arch", "input_shape"},
-    "stream": {"kind", "tasks", "classes_per_task", "n_train", "n_test",
-               "spread", "variance", "train_images", "train_labels",
-               "test_images", "test_labels", "limit_train", "limit_test",
-               "angles"},
-    "train": {"epochs", "batch_size", "lr"},
-    "lif": {"tau", "v_th", "lambda", "window", "reset_mode"},
-    "expansion": {"alpha", "max_per_layer"},
-    "similarity": {"gamma", "mode", "probe_size"},
-    "reuse": {"beta", "bias0", "bias_slope"},
-    "replay": {"capacity", "calib_epochs", "calib_lr"},
-}
-
-_CONV_RE = re.compile(r"^conv(\d+)(?:k(\d+))?(?:s(\d+))?(?:p(\d+))?$")
+_CONV_RE = re.compile(r"^conv(?P<channels>\d+)(?:k(?P<kernel>\d+))?"
+                      r"(?:s(?P<stride>\d+))?(?:p(?P<padding>\d+))?$")
 _DENSE_RE = re.compile(r"^dense(\d+)$")
 
 
@@ -72,8 +61,9 @@ def parse_arch(text):
     for token in (t.strip() for t in text.split(",")):
         m = _CONV_RE.match(token)
         if m:
-            ch, k, s, p = (int(v) if v else None for v in m.groups())
-            arch.append(ConvSpec(ch, k or 3, s or 1, 1 if p is None else p))
+            # an absent field takes its ConvSpec default
+            arch.append(ConvSpec(**{f: int(v) for f, v in m.groupdict().items()
+                                    if v is not None}))
             continue
         m = _DENSE_RE.match(token)
         if m:
@@ -83,36 +73,89 @@ def parse_arch(text):
     return arch
 
 
-def _value(cfg, section, key, default, convert=float):
-    """``[section] key`` converted, or ``default`` when it is not set."""
-    text = cfg.get(section, key, fallback=None)
-    if text is None:
-        return default
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+# Each section's keys: INI key -> converter, or -> (keyword, converter) where
+# the callee names it otherwise.  Only set keys are passed on, so a default
+# lives at its callee: [lif] -> LIFConfig, [expansion] -> ExpansionPolicy,
+# [run] -> the runner, every other section -> TrainConfig.
+_SECTIONS = {
+    "DEFAULT": {},
+    "run": {"seed": int, "out": str},
+    "network": {"arch": parse_arch, "input_shape": _parse_shape},
+    "train": {"epochs": int, "batch_size": int, "lr": float},
+    "lif": {"tau": float, "v_th": float, "lambda": ("lam", float),
+            "window": int, "reset_mode": str},
+    "expansion": {"alpha": float, "max_per_layer": lambda text: tuple(
+        int(v) for v in text.split(",") if v.strip())},
+    "similarity": {"gamma": float, "mode": ("sim_mode", str),
+                   "probe_size": int},
+    "reuse": {"beta": float, "bias0": float, "bias_slope": float},
+    "replay": {"capacity": ("replay_capacity", int), "calib_epochs": int,
+               "calib_lr": float},
+}
+_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+_FILE_KEYS = {**dict.fromkeys(_IDX_KEYS, str), "limit_train": int,
+              "limit_test": int}
+# ``[stream]`` takes ``kind`` and the keys of that kind: its builder's
+# keywords, and for the IDX kinds the files and their row limits
+_STREAM_KINDS = {
+    "synthetic": {"tasks": ("n_tasks", int), "classes_per_task": int,
+                  "n_train": int, "n_test": int, "spread": float,
+                  "variance": ("var", float)},
+    "permuted": {"tasks": ("k", int), **_FILE_KEYS},
+    "split": {"classes_per_task": int, **_FILE_KEYS},
+    "rotated": {"angles": lambda text: [float(a) for a in text.split(",")],
+                **_FILE_KEYS},
+}
 
 
-def _load_file_dataset(cfg):
-    sec = cfg["stream"]
-    for key in ("train_images", "train_labels", "test_images", "test_labels"):
-        if key not in sec:
+def _settings(cfg):
+    """Every value of ``cfg``, converted, as ``{section: {keyword: value}}``
+    (``[stream]`` also holds its ``kind``); each section of ``_SECTIONS`` is
+    present, empty when unset.  A section, key or stream kind the schema
+    lacks, or a value that does not convert, is a ConfigError."""
+    settings = {section: {} for section in _SECTIONS}
+    for section in cfg:  # [DEFAULT] first: its keys appear in every section
+        keys, where = _SECTIONS.get(section), ""
+        if section == "stream":
+            kind = cfg[section].get("kind", "synthetic")
+            if kind not in _STREAM_KINDS:
+                raise ConfigError(f"unknown stream kind {kind!r}")
+            keys = {"kind": str, **_STREAM_KINDS[kind]}
+            where = f" for kind {kind!r}"
+            settings[section] = {"kind": kind}
+        if keys is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in cfg[section].items():
+            if key not in keys:
+                raise ConfigError(f"unknown key [{section}] {key}{where}")
+            name, convert = (keys[key] if isinstance(keys[key], tuple)
+                             else (key, keys[key]))
+            try:
+                settings[section][name] = convert(text)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"[{section}] {key} = {text!r}: {exc}") from exc
+    return settings
+
+
+def _load_file_dataset(given, kind):
+    """The IDX arrays ``given`` names, cut to its limits; pops those keys."""
+    paths = {}
+    for key in _IDX_KEYS:
+        if key not in given:
             raise ConfigError(f"[stream] missing key {key!r} for kind "
-                              f"{sec.get('kind')!r}")
-        if not Path(sec[key]).exists():
-            raise ConfigError(f"dataset file not found: {sec[key]}")
-    tx = streams.load_idx(sec["train_images"])
-    ty = streams.load_idx(sec["train_labels"])
-    ex = streams.load_idx(sec["test_images"])
-    ey = streams.load_idx(sec["test_labels"])
+                              f"{kind!r}")
+        paths[key] = given.pop(key)
+        if not Path(paths[key]).exists():
+            raise ConfigError(f"dataset file not found: {paths[key]}")
+    tx, ty, ex, ey = (streams.load_idx(paths[key]) for key in _IDX_KEYS)
     for images, labels, x, y in (("train_images", "train_labels", tx, ty),
                                  ("test_images", "test_labels", ex, ey)):
         if x.shape[0] != y.shape[0]:
-            raise DataError(f"{sec[images]} holds {x.shape[0]} images but "
-                            f"{sec[labels]} holds {y.shape[0]} labels")
-    lim_tr = _value(cfg, "stream", "limit_train", tx.shape[0], int)
-    lim_te = _value(cfg, "stream", "limit_test", ex.shape[0], int)
+            raise DataError(f"{paths[images]} holds {x.shape[0]} images but "
+                            f"{paths[labels]} holds {y.shape[0]} labels")
+    lim_tr = given.pop("limit_train", tx.shape[0])
+    lim_te = given.pop("limit_test", ex.shape[0])
     streams._check_positive("[stream] limit_train", lim_tr)
     streams._check_positive("[stream] limit_test", lim_te)
     return tx[:lim_tr], ty[:lim_tr], ex[:lim_te], ey[:lim_te]
@@ -121,33 +164,19 @@ def _load_file_dataset(cfg):
 def build_stream(cfg, seed):
     if not cfg.has_section("stream"):
         raise ConfigError("config has no [stream] section")
-    kind = cfg.get("stream", "kind", fallback="synthetic")
-    shape = _parse_shape(cfg.get("network", "input_shape", fallback="1x9x9"))
+    settings = _settings(cfg)
+    given = settings["stream"]
+    kind = given.pop("kind")
     if kind == "synthetic":
-        return streams.default_synthetic_stream(
-            n_tasks=_value(cfg, "stream", "tasks", 5, int),
-            classes_per_task=_value(cfg, "stream", "classes_per_task", 2, int),
-            shape=shape,
-            n_train=_value(cfg, "stream", "n_train", 400, int),
-            n_test=_value(cfg, "stream", "n_test", 200, int),
-            spread=_value(cfg, "stream", "spread", 2.0),
-            var=_value(cfg, "stream", "variance", 0.05),
-            seed=seed,
-        )
-    data = _load_file_dataset(cfg)
+        if "input_shape" in settings["network"]:
+            given["shape"] = settings["network"]["input_shape"]
+        return streams.default_synthetic_stream(**given, seed=seed)
+    data = _load_file_dataset(given, kind)
     if kind == "permuted":
-        tasks, _ = streams.permuted_stream(
-            *data, k=_value(cfg, "stream", "tasks", 5, int), seed=seed)
-        return tasks
+        return streams.permuted_stream(*data, **given, seed=seed)[0]
     if kind == "split":
-        return streams.split_stream(
-            *data,
-            classes_per_task=_value(cfg, "stream", "classes_per_task", 2, int))
-    if kind == "rotated":
-        angles = _value(cfg, "stream", "angles", [0.0, 15.0, 30.0, 45.0, 60.0],
-                        lambda text: [float(a) for a in text.split(",")])
-        return streams.rotated_stream(*data, angles=angles)
-    raise ConfigError(f"unknown stream kind {kind!r}")
+        return streams.split_stream(*data, **given)
+    return streams.rotated_stream(*data, **given)
 
 
 def _check_inputs(tasks, input_shape):
@@ -161,44 +190,19 @@ def _check_inputs(tasks, input_shape):
 
 def build_train_config(cfg, seed):
     """The training settings of an INI; any invalid value is a ConfigError."""
-    lif = LIFConfig(
-        tau=_value(cfg, "lif", "tau", 0.2),
-        v_th=_value(cfg, "lif", "v_th", 0.5),
-        lam=_value(cfg, "lif", "lambda", 2.0),
-        window=_value(cfg, "lif", "window", 4, int),
-        reset_mode=cfg.get("lif", "reset_mode", fallback=HARD_RESET),
-    )
-    arch = parse_arch(cfg.get("network", "arch",
-                              fallback="conv8k3s2p1,conv16k3s2p1,dense64"))
-    shape = _parse_shape(cfg.get("network", "input_shape", fallback="1x9x9"))
-    caps = _value(cfg, "expansion", "max_per_layer", (), lambda text: tuple(
-        int(v) for v in text.split(",") if v.strip()))
+    s = _settings(cfg)
     try:
         return TrainConfig(
-            arch=arch,
-            input_shape=shape,
-            epochs=_value(cfg, "train", "epochs", 20, int),
-            batch_size=_value(cfg, "train", "batch_size", 32, int),
-            lr=_value(cfg, "train", "lr", 1e-3),
-            lif=lif,
-            policy=ExpansionPolicy(_value(cfg, "expansion", "alpha", 5.0),
-                                   caps),
-            gamma=_value(cfg, "similarity", "gamma", 0.9),
-            sim_mode=cfg.get("similarity", "mode", fallback=CLAMPED),
-            probe_size=_value(cfg, "similarity", "probe_size", 512, int),
-            beta=_value(cfg, "reuse", "beta", 1.0),
-            bias0=_value(cfg, "reuse", "bias0", 0.2),
-            bias_slope=_value(cfg, "reuse", "bias_slope", 0.1),
-            replay_capacity=_value(cfg, "replay", "capacity", 2000, int),
-            calib_epochs=_value(cfg, "replay", "calib_epochs", 15, int),
-            calib_lr=_value(cfg, "replay", "calib_lr", 1e-2),
-            seed=seed,
-        )
+            **s["network"], **s["train"], **s["similarity"], **s["reuse"],
+            **s["replay"], lif=LIFConfig(**s["lif"]),
+            policy=ExpansionPolicy(**s["expansion"]), seed=seed)
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_config(path):
+def _read_config(path, seed, out, default_out):
+    """The checked INI at ``path`` with its run seed and output directory;
+    a ``seed`` or ``out`` that is not None overrides ``[run]``."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
@@ -206,14 +210,9 @@ def _read_config(path):
         cfg.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    # a misspelt or retired key would otherwise run with its default
-    for section in cfg:  # [DEFAULT] first: its keys appear in every section
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cfg[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key [{section}] {key}")
-    return cfg
+    given = _settings(cfg)["run"]
+    return (cfg, given.get("seed", 0) if seed is None else seed,
+            given.get("out", default_out) if out is None else out)
 
 
 def _fmt(x):
@@ -305,11 +304,7 @@ def _echo(cfg, seed, out):
 
 
 def run(config_path, seed=None, out=None):
-    cfg = _read_config(config_path)
-    if seed is None:
-        seed = _value(cfg, "run", "seed", 0, int)
-    if out is None:
-        out = cfg.get("run", "out", fallback="runs/latest")
+    cfg, seed, out = _read_config(config_path, seed, out, "runs/latest")
     tasks = build_stream(cfg, seed)
     tcfg = build_train_config(cfg, seed)
     _check_inputs(tasks, tcfg.input_shape)
@@ -347,11 +342,7 @@ def run(config_path, seed=None, out=None):
 
 
 def evaluate(checkpoint_path, config_path, seed=None, out=None):
-    cfg = _read_config(config_path)
-    if seed is None:
-        seed = _value(cfg, "run", "seed", 0, int)
-    if out is None:
-        out = cfg.get("run", "out", fallback="runs/latest-eval")
+    cfg, seed, out = _read_config(config_path, seed, out, "runs/latest-eval")
     network = Network.load(checkpoint_path)
     tasks = build_stream(cfg, seed)
     if sorted(network.masks) != [t.id for t in tasks]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,6 +156,10 @@ class Network:
             n = _spec_units(spec)
             if n <= 0:
                 raise ConfigError(f"layer sizes must be positive, got {n}")
+            if isinstance(spec, ConvSpec) and (
+                    spec.kernel < 1 or spec.stride < 1 or spec.padding < 0):
+                raise ConfigError(f"conv kernel and stride must be positive "
+                                  f"and padding non-negative, got {spec}")
         seen_dense = False
         for spec in arch:
             if isinstance(spec, DenseSpec):
@@ -264,8 +268,6 @@ class Network:
         """Rate-coded final feature-layer output over the window (graph-recording)."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        if x.data.ndim == 3:
-            x = x.reshape((1,) + x.shape)
         if x.data.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape[1:]} does not match network input "
@@ -356,10 +358,7 @@ class Network:
             "version": FORMAT_VERSION,
             "seed": self.seed,
             "input_shape": list(self.input_shape),
-            "lif": {
-                "tau": self.lif.tau, "v_th": self.lif.v_th, "lam": self.lif.lam,
-                "window": self.lif.window, "reset_mode": self.lif.reset_mode,
-            },
+            "lif": asdict(self.lif),
             "arch": [
                 {"kind": "conv", "channels": s.channels, "kernel": s.kernel,
                  "stride": s.stride, "padding": s.padding}

@@ -92,7 +92,7 @@ def _check_positive(what, n):
         raise ConfigError(f"{what} must be >= 1, got {n}")
 
 
-def permuted_stream(train_x, train_y, test_x, test_y, k, seed=0):
+def permuted_stream(train_x, train_y, test_x, test_y, k=5, seed=0):
     """k tasks, task i applying a fixed pixel permutation (task 0 = identity).
 
     Class lists repeat across tasks; such streams are TIL-only (CIL would see
@@ -118,7 +118,7 @@ def permuted_stream(train_x, train_y, test_x, test_y, k, seed=0):
     return tasks, perms
 
 
-def split_stream(train_x, train_y, test_x, test_y, classes_per_task):
+def split_stream(train_x, train_y, test_x, test_y, classes_per_task=2):
     """Disjoint class groups, one task each, in label order."""
     _check_positive("classes per task", classes_per_task)
     classes = sorted(np.unique(np.concatenate([train_y, test_y])).tolist())
@@ -161,7 +161,8 @@ def rotate_images(x, angle_deg):
     return out
 
 
-def rotated_stream(train_x, train_y, test_x, test_y, angles):
+def rotated_stream(train_x, train_y, test_x, test_y,
+                   angles=(0, 15, 30, 45, 60)):
     """One task per rotation angle (degrees); class lists repeat across tasks."""
     if not all(math.isfinite(a) for a in angles):
         raise ConfigError("angles must be finite")

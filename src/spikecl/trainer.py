@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, NumericalError, TrainingError
-from .network import init_first_task
+from .network import ConvSpec, DenseSpec, Network, init_first_task
 from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          association, build_relatedness, expansion_counts,
                          pruning_rates, update_relatedness)
@@ -37,7 +37,7 @@ from .tensor import Tensor, concat_cols, cross_entropy, gradients, no_grad
 
 @dataclass
 class TrainConfig:
-    arch: list = None
+    arch: tuple = (ConvSpec(8, 3, 2, 1), ConvSpec(16, 3, 2, 1), DenseSpec(64))
     input_shape: tuple = (1, 9, 9)
     epochs: int = 20
     batch_size: int = 32
@@ -67,6 +67,8 @@ class TrainConfig:
         if self.sim_mode not in (CLAMPED, LITERAL):
             raise ContractError(f"unknown similarity mode {self.sim_mode!r}")
         check_gamma(self.gamma)
+        # a ConfigError unless the architecture fits the input
+        Network(self.arch, self.input_shape, self.lif, self.seed)
         caps = self.policy.max_per_layer
         if caps and len(caps) != len(self.arch):
             raise ContractError(

@@ -1,6 +1,7 @@
 """Command-line runner: config parsing, report layout, exit codes, determinism."""
 
 import configparser
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -8,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING,
+from spikecl import streams
+from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, build_stream,
                          build_train_config, evaluate, main, parse_arch, run,
                          _parse_shape)
 from spikecl.errors import ConfigError, TrainingError
 from spikecl.network import ConvSpec, DenseSpec
+from spikecl.plasticity import ExpansionPolicy
 from spikecl.similarity import LITERAL
-from spikecl.spiking import LITERAL_EQ3
+from spikecl.spiking import LITERAL_EQ3, LIFConfig
+from spikecl.trainer import TrainConfig
 
 CONFIG = """\
 [run]
@@ -66,6 +70,8 @@ class TestParseArch:
 
     def test_defaults(self):
         assert parse_arch("conv4") == [ConvSpec(4, 3, 1, 1)]
+        # only an absent field defaults: an explicit zero stays
+        assert parse_arch("conv4k0s0p0") == [ConvSpec(4, 0, 0, 0)]
 
     def test_bad_token(self):
         with pytest.raises(ConfigError, match="token"):
@@ -198,13 +204,22 @@ class TestRun:
         ("replay", "mix", "0.5", "unknown key [replay] mix"),
         ("bogus", "x", "1", "unknown section [bogus]"),
         ("DEFAULT", "epochs", "2", "unknown key [DEFAULT] epochs"),
+        ("network", "arch", "conv4k0,dense8", "kernel and stride must be"),
+        ("network", "arch", "conv4s0,dense8", "kernel and stride must be"),
+        ("stream", "angles", "0,90",
+         "unknown key [stream] angles for kind 'synthetic'"),
+        ("stream", "limit_train", "0",
+         "unknown key [stream] limit_train for kind 'synthetic'"),
+        ("stream", "kind", "bogus", "unknown stream kind 'bogus'"),
     ], ids=["epochs=abc", "batch_size=1e3", "spread=x", "input_shape=1xax3",
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
             "no-stream-section", "mode=bogus", "gamma=0",
             "max_per_layer-length", "alpha=nan",
             "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan",
-            "train-epoch", "replay-mix", "bogus-section", "default-section"])
+            "train-epoch", "replay-mix", "bogus-section", "default-section",
+            "arch=conv4k0", "arch=conv4s0", "synthetic-angles",
+            "synthetic-limit_train", "kind=bogus"])
     def test_bad_value_exits_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, section, key, value, message):
         import spikecl.cli as cli
@@ -393,6 +408,8 @@ class TestFileStreamLimits:
         ("limit_train", "-1", "[stream] limit_train must be >= 1, got -1"),
         ("limit_test", "0", "[stream] limit_test must be >= 1, got 0"),
         ("limit_train", "1", "task 0 has no training sample of class 1"),
+        ("tasks", "2", "unknown key [stream] tasks for kind 'split'"),
+        ("n_train", "8", "unknown key [stream] n_train for kind 'split'"),
     ])
     def test_bad_limit_exits_config_error(self, tmp_path, capsys, key, value,
                                           message):
@@ -409,6 +426,87 @@ class TestFileStreamLimits:
             == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+
+class TestConfigSchema:
+    def test_stream_kind_alone_gives_the_callee_defaults(self):
+        cfg = configparser.ConfigParser()
+        cfg.read_string("[stream]\nkind = synthetic\n")
+        assert build_train_config(cfg, 0) == TrainConfig(seed=0)
+        for got, want in zip(build_stream(cfg, 0),
+                             streams.default_synthetic_stream(seed=0),
+                             strict=True):
+            np.testing.assert_array_equal(got.train_x, want.train_x)
+            np.testing.assert_array_equal(got.test_y, want.test_y)
+
+    def test_every_key_reaches_its_field(self):
+        cfg = configparser.ConfigParser()
+        cfg.read_dict({
+            "stream": {"kind": "synthetic", "tasks": "3",
+                       "classes_per_task": "3", "n_train": "7",
+                       "n_test": "4", "spread": "1.5", "variance": "0.02"},
+            "network": {"arch": "conv4k5s2p0,dense6",
+                        "input_shape": "1x7x7"},
+            "train": {"epochs": "3", "batch_size": "5", "lr": "0.25"},
+            "lif": {"tau": "0.5", "v_th": "0.75", "lambda": "3.5",
+                    "window": "6", "reset_mode": "literal-eq3"},
+            "expansion": {"alpha": "1.5", "max_per_layer": "2,3"},
+            "similarity": {"gamma": "0.5", "mode": "literal",
+                           "probe_size": "7"},
+            "reuse": {"beta": "0.5", "bias0": "0.25", "bias_slope": "0.125"},
+            "replay": {"capacity": "9", "calib_epochs": "2",
+                       "calib_lr": "0.5"},
+        })
+        expected = TrainConfig(
+            arch=[ConvSpec(4, 5, 2, 0), DenseSpec(6)], input_shape=(1, 7, 7),
+            epochs=3, batch_size=5, lr=0.25,
+            lif=LIFConfig(tau=0.5, v_th=0.75, lam=3.5, window=6,
+                          reset_mode=LITERAL_EQ3),
+            policy=ExpansionPolicy(alpha=1.5, max_per_layer=(2, 3)),
+            gamma=0.5, sim_mode=LITERAL, probe_size=7, beta=0.5, bias0=0.25,
+            bias_slope=0.125, replay_capacity=9, calib_epochs=2,
+            calib_lr=0.5, seed=3)
+        # every INI-settable field is off its default, so none can be lost
+        for obj, default in ((expected, TrainConfig()),
+                             (expected.lif, LIFConfig()),
+                             (expected.policy, ExpansionPolicy())):
+            for f in dataclasses.fields(obj):
+                if f.name != "smooth":  # not an INI key
+                    assert getattr(obj, f.name) != getattr(default, f.name)
+        assert build_train_config(cfg, 3) == expected
+        tasks = build_stream(cfg, 3)
+        for got, want in zip(tasks, streams.default_synthetic_stream(
+                n_tasks=3, classes_per_task=3, shape=(1, 7, 7), n_train=7,
+                n_test=4, spread=1.5, var=0.02, seed=3), strict=True):
+            assert got.classes == want.classes
+            np.testing.assert_array_equal(got.train_x, want.train_x)
+            np.testing.assert_array_equal(got.test_x, want.test_x)
+
+    @pytest.mark.parametrize("kind,keys,build", [
+        ("permuted", "tasks = 3",
+         lambda *data: streams.permuted_stream(*data, k=3, seed=4)[0]),
+        ("split", "classes_per_task = 1",
+         lambda *data: streams.split_stream(*data, classes_per_task=1)),
+        ("rotated", "angles = 0,90",
+         lambda *data: streams.rotated_stream(*data, angles=(0, 90))),
+    ])
+    def test_idx_kind_keys_reach_their_builder(self, tmp_path, kind, keys,
+                                               build):
+        path = _write_permuted(tmp_path)
+        path.write_text(path.read_text().replace(
+            "kind = permuted\ntasks = 2",
+            f"kind = {kind}\n{keys}\nlimit_train = 12\nlimit_test = 6"))
+        cfg = configparser.ConfigParser()
+        cfg.read(path)
+        data = [streams.load_idx(tmp_path / f"{split}-{part}")[:n]
+                for split, n in (("train", 12), ("test", 6))
+                for part in ("images", "labels")]
+        for got, want in zip(build_stream(cfg, 4), build(*data),
+                             strict=True):
+            assert got.classes == want.classes
+            for name in ("train_x", "train_y", "test_x", "test_y"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
 
 
 class TestInputChecks:

@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from spikecl.errors import ConfigError, ContractError, FormatError
+from spikecl.errors import ConfigError, ContractError, FormatError, ShapeError
 from spikecl.metrics import count_active, energy_report
 from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
                              init_first_task)
@@ -65,10 +65,18 @@ class TestInitFirstTask:
         ([], "at least one"),
         ([ConvSpec(4)], "dense"),
         ([DenseSpec(4), ConvSpec(4), DenseSpec(4)], "precede"),
+        ([ConvSpec(4, 0, 1, 1), DenseSpec(4)], "kernel and stride must be"),
+        ([ConvSpec(4, 3, 0, 1), DenseSpec(4)], "kernel and stride must be"),
+        ([ConvSpec(4, 3, 1, -1), DenseSpec(4)], "padding non-negative"),
     ])
     def test_arch_validation(self, arch, msg):
         with pytest.raises(ConfigError, match=msg):
             Network(arch, SHAPE, LIFConfig(), 0)
+
+    def test_unbatched_input_rejected(self):
+        net, t0 = _dense_net()
+        with pytest.raises(ShapeError, match="does not match network input"):
+            net.features_tensor(t0.train_x[0], 0)
 
 
 class TestExpand:
@@ -215,6 +223,12 @@ def _conv_expanded(seed=0):
                           lif=LIFConfig(window=2), seed=seed)
     t1 = _task(1, shape=shape, seed=5)
     net.expand(t1, [2, 2])
+    return net, t0, t1
+
+
+def _smooth_expanded(seed=0):
+    net, t0, t1 = TestPruning()._expanded(seed=seed)
+    net.lif = LIFConfig(window=2, smooth=True)
     return net, t0, t1
 
 
@@ -459,7 +473,8 @@ class TestDerivedState:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         for name, build in (("dense", TestPruning()._expanded),
-                            ("conv", _conv_expanded)):
+                            ("conv", _conv_expanded),
+                            ("smooth", _smooth_expanded)):
             net, t0, t1 = build(seed=2)
             net.anchors[0] = {c: np.random.default_rng(0).normal(size=4)
                               for c in t0.classes}
@@ -474,6 +489,7 @@ class TestPersistence:
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 assert "populations" not in meta
             loaded = Network.load(path)
+            assert loaded.lif == net.lif
             for la, lb in zip(net.layers, loaded.layers):
                 np.testing.assert_array_equal(la.w.data, lb.w.data)
                 np.testing.assert_array_equal(la.b.data, lb.b.data)
@@ -493,8 +509,9 @@ class TestPersistence:
             # forward is bit-identical through the round trip
             for t, task in ((0, t0), (1, t1)):
                 x = Tensor(task.train_x[:3])
-                a, _ = net.forward_task(x, t)
-                b, _ = loaded.forward_task(x, t)
+                a, fa = net.forward_task(x, t)
+                b, fb = loaded.forward_task(x, t)
+                np.testing.assert_array_equal(fa.data, fb.data)
                 np.testing.assert_array_equal(a.data, b.data)
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):

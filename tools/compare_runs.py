@@ -7,11 +7,14 @@ every config and seed, both trees run ``spikecl run`` and then ``spikecl
 evaluate`` on the checkpoint that run wrote, each command in a fresh
 interpreter that imports that tree's ``spikecl``, with BLAS on one thread as
 in the benchmark.  The configs are the criterion-8 INI of the acceptance
-tests and the three benchmark workloads (``perfbench/bench.py:ini_text``).
+tests, the three benchmark workloads (``perfbench/bench.py:ini_text``), and
+one INI for each IDX stream kind (``permuted``, ``split``, ``rotated``) over a
+small IDX dataset written into the temporary directory, the same for every
+seed.
 
-Seeds default to 0 and 7, the 16 reference reports.  With ``--bench`` each
-SEED is a benchmark ``--seed`` instead: a workload runs that seed's input
-streams (``10 * SEED + k``, ``k < streams``), the criterion-8 INI runs SEED.
+Seeds default to 0 and 7, 28 reports.  With ``--bench`` each SEED is a
+benchmark ``--seed`` instead: a workload runs that seed's input streams
+(``10 * SEED + k``, ``k < streams``), the other configs run SEED.
 
 For each report it prints whether each artefact's sha256 matches, whether
 ``til``/``cil`` are equal, whether the rest of the report is equal
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -65,10 +69,62 @@ probe_size = 48
 capacity = 100
 calib_epochs = 5
 """
+# the IDX kinds read the files ``_write_idx_dataset`` leaves in {d}
+IDX_INI = """\
+[stream]
+kind = {kind}
+{keys}
+train_images = {d}/train-images
+train_labels = {d}/train-labels
+test_images = {d}/test-images
+test_labels = {d}/test-labels
+
+[network]
+arch = conv4k3s1p1,dense8
+input_shape = 1x6x6
+
+[lif]
+window = 2
+
+[train]
+epochs = 2
+batch_size = 16
+lr = 0.01
+
+[similarity]
+probe_size = 32
+
+[replay]
+capacity = 40
+calib_epochs = 3
+"""
+IDX_KEYS = {
+    "permuted": "tasks = 3",
+    "split": "classes_per_task = 2\nlimit_train = 96",
+    "rotated": "angles = 0,30,60\nlimit_test = 30",
+}
 CSVS = ("accuracy_matrix.csv", "similarity.csv", "pruning_rates.csv",
         "energy.csv")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+
+
+def _write_idx_dataset(d):
+    """120 training and 40 test 6x6 images of 4 classes, as IDX files: each
+    class a bright 3x3 corner over uniform noise."""
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 120), ("test", 40)):
+        labels = np.arange(n) % 4
+        images = rng.integers(0, 100, size=(n, 6, 6))
+        for c in range(4):
+            r, k = divmod(c, 2)
+            images[labels == c, 3 * r:3 * r + 3, 3 * k:3 * k + 3] += 150
+        for name, array, magic in (("images", images, 0x803),
+                                   ("labels", labels, 0x801)):
+            dims = struct.pack(">" + "I" * array.ndim, *array.shape)
+            (d / f"{split}-{name}").write_bytes(
+                struct.pack(">I", magic) + dims
+                + array.astype(np.uint8).tobytes())
 
 
 def _src(path):
@@ -148,11 +204,13 @@ def compare(label, parent, change, worst):
     return all(same[n] for n in CSVS) and til_cil
 
 
-def _jobs(seeds, bench):
+def _jobs(seeds, bench, idx_dir):
     """(config name, INI text, run seed) for every report pair."""
     jobs = []
     for seed in seeds:
         jobs.append(("criterion-8", CRITERION_8_INI, seed))
+        jobs.extend((kind, IDX_INI.format(kind=kind, keys=keys, d=idx_dir),
+                     seed) for kind, keys in IDX_KEYS.items())
         for name, w in WORKLOADS.items():
             streams = ([10 * seed + k for k in range(w["streams"])] if bench
                        else [seed])
@@ -172,7 +230,9 @@ def main(argv=None):
     ok, reports, worst = True, 0, {}
     with tempfile.TemporaryDirectory(prefix="compare-runs-") as tmp:
         tmp = Path(tmp)
-        for i, (name, text, seed) in enumerate(_jobs(args.seeds, args.bench)):
+        _write_idx_dataset(tmp)
+        for i, (name, text, seed) in enumerate(_jobs(args.seeds, args.bench,
+                                                     tmp)):
             ini = tmp / f"{i}.ini"
             ini.write_text(text)
             sides = [_run_pair(src, ini, seed, tmp / f"{i}-{side}")
