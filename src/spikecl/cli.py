@@ -205,7 +205,7 @@ def _read_config(path, seed, out, default_out):
     a ``seed`` or ``out`` that is not None overrides ``[run]``."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         cfg.read(path)
     except configparser.Error as exc:

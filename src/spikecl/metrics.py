@@ -33,24 +33,23 @@ def count_active(network, task_id):
     final feature unit feeds the head).  Head synapses from active feature
     units count as connections.
     """
-    mask = network.masks[task_id]
+    active = network.masks[task_id].active
     conn = network.connections(task_id)
     conns = sum(int(c.sum()) for c in conn)
-    has_out = [c.any(axis=0) for c in conn[1:]] + [mask.head_active]
-    neurons = sum(int((a & o).sum()) for a, o in zip(mask.active, has_out))
+    has_out = [c.any(axis=0) for c in conn[1:]] + [active[-1]]
+    neurons = sum(int((a & o).sum()) for a, o in zip(active, has_out))
     head = network.heads[task_id]
-    conns += int(mask.head_active.sum()) * head.w.shape[0]
+    conns += int(active[-1].sum()) * head.w.shape[0]
     return conns, neurons
 
 
 def flops_estimate(network, task_id):
     """Multiply-accumulates for one masked forward pass (single timestep)."""
-    mask = network.masks[task_id]
     conns = network.connections(task_id)
     total = sum(int(c.sum()) * l.macs_per_bit
                 for c, l in zip(conns, network.layers))
     head = network.heads[task_id]
-    total += int(mask.head_active.sum()) * head.w.shape[0]
+    total += int(network.masks[task_id].active[-1].sum()) * head.w.shape[0]
     return total
 
 

@@ -25,10 +25,11 @@ reads exactly the active final-layer units, and the task's head and feature
 anchors have its prefix's feature width.  The connections a task uses are
 derived: existing synapses between its active units.
 
-A task's forward crops the shared weights to its prefix and gates each
-layer's output spikes by the active bits, so a pruned unit outputs exactly 0.
-No weight is masked: old rows are zero outside their synapses and never
-train.  Convolutional layers treat a channel as one unit.
+A task's forward gathers, once per window, each layer's rows of the task's
+active units and the columns of the active units below, so a pruned unit is
+absent from it: it is never computed and feeds nothing.  No weight is masked:
+old rows are zero outside their synapses and never train.  Convolutional
+layers treat a channel as one unit.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ class TaskMask:
 
     def __init__(self, active):
         self.active = active  # list of bool (width,) per layer
-
-    @property
-    def head_active(self):
-        """Head input bits: the final feature layer's active units."""
-        return self.active[-1]
 
 
 class TaskHead:
@@ -230,27 +226,32 @@ class Network:
     def step_fn(self, task_id):
         """Single-timestep closure over the feature layers for ``task_id``.
 
-        Weights are cropped to the task's prefix once per window; each
-        layer's output spikes are gated by the task's active bits.
+        Once per window each layer gathers the rows of the task's active
+        units and the columns of the active units below it (``block``
+        columns per input unit); states and spikes cover active units only.
         """
         mask = self._require_mask(task_id)
         params = []
-        for layer, active, cols in zip(self.layers, mask.active,
-                                       self._in_widths(task_id)):
-            weff = layer.w.crop(active.size, cols * layer.block)
+        below = np.arange(self.input_shape[0])  # active units of the input
+        for layer, active in zip(self.layers, mask.active):
+            rows = np.flatnonzero(active)
+            cols = (below[:, None] * layer.block
+                    + np.arange(layer.block)).ravel()
+            weff = layer.w.take(rows, cols)
             if layer.kind == "dense":
                 weff = weff.transpose()
-            gate = active.reshape((1, -1) + (1,) * len(layer.out_shape))
-            params.append((weff, layer.b.crop(active.size), gate))
+            params.append((weff, layer.b.take(rows)))
+            below = rows
 
         def step(x, states):
             if states is None:
-                states = [SpikeState.zeros((x.shape[0], a.size) + l.out_shape)
-                          for a, l in zip(mask.active, self.layers)]
+                states = [SpikeState.zeros((x.shape[0],) + b.shape
+                                           + l.out_shape)
+                          for (_, b), l in zip(params, self.layers)]
             h = x
             new_states = []
             for li, layer in enumerate(self.layers):
-                weff, bias, gate = params[li]
+                weff, bias = params[li]
                 if layer.kind == "conv":
                     cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
                 else:
@@ -259,13 +260,14 @@ class Network:
                     cur = h.matmul(weff)
                 state = lif_step(states[li], cur.add_bias(bias), self.lif)
                 new_states.append(state)
-                h = state.spikes.mask_mul(gate)
+                h = state.spikes
             return h, new_states
 
         return step
 
     def features_tensor(self, x, task_id):
-        """Rate-coded final feature-layer output over the window (graph-recording)."""
+        """Rate-coded output of the task's active final-layer units over the
+        window (graph-recording)."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.data.ndim != 4 or x.shape[1:] != self.input_shape:
@@ -275,22 +277,31 @@ class Network:
             )
         return run_window(self.step_fn(task_id), x, self.lif)
 
-    def head_logits(self, features, task_id, cil=False):
-        """Logits of ``task_id``'s head; pruned features are already zero."""
-        head = self.heads[task_id]
-        w = head.cil_w if cil else head.w
-        b = head.cil_b if cil else head.b
-        return features.matmul(w.transpose()).add_bias(b)
-
     def forward_task(self, x, task_id):
-        """Masked forward; returns (logits over the task's classes, features)."""
+        """Masked forward; returns (logits over the task's classes, features
+        of its active final-layer units)."""
         features = self.features_tensor(x, task_id)
-        return self.head_logits(features, task_id), features
+        head = self.heads[task_id]
+        cols = np.flatnonzero(self.masks[task_id].active[-1])
+        logits = features.matmul(head.w.transpose().take(cols))
+        return logits.add_bias(head.b), features
 
     def extract_features(self, x, task_id):
-        """Features under an old task's mask, no gradient recording."""
+        """Features at the task's prefix width, a pruned unit's 0, with no
+        gradient recording."""
         with no_grad():
-            return self.features_tensor(x, task_id).data
+            compact = self.features_tensor(x, task_id).data
+        active = self.masks[task_id].active[-1]
+        features = np.zeros((compact.shape[0], active.size))
+        features[:, active] = compact
+        return features
+
+    def cil_logits(self, features, task_id):
+        """Logits of ``task_id``'s calibrated CIL head copy over its
+        ``extract_features`` output."""
+        head = self.heads[task_id]
+        return Tensor(features).matmul(head.cil_w.transpose()).add_bias(
+            head.cil_b)
 
     def parameters(self, task_id):
         """Trainable parameter tensors while learning ``task_id``."""

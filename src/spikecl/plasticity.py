@@ -111,10 +111,10 @@ def accumulate_gradients(state, network):
     """Add |input-synapse gradients| of frozen units (current batch) to G.
 
     Only synapses still connected under the task's mask count: a pruned
-    unit's gated output gives its row and the columns it feeds zero
-    gradient, and an old row's columns past its task's prefix, which are not
-    synapses, are zeroed here.  Must be called after a backward pass and
-    before the optimizer clears gradients.
+    unit is absent from the task's forward, so its row and the columns it
+    feeds get zero gradient, and an old row's columns past its task's
+    prefix, which are not synapses, are zeroed here.  Must be called after a
+    backward pass and before the optimizer clears gradients.
     """
     tasks = [(network.owned(t), network._in_widths(t)) for t in network.masks]
     for li, layer in enumerate(network.layers):

@@ -9,10 +9,10 @@ derivative directly -- this is how the spike surrogate is injected.
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
 number stays a number, adding one node and no constant Tensor.  The only
-broadcast forms are bias-add and multiplication by a constant mask
-(``mask_mul``).  ``conv2d`` takes batched (B, C, H, W) input and lowers it
-to im2col plus one BLAS GEMM per sample, so a sample's output never depends
-on the rest of its batch.
+broadcast form is bias-add.  ``take`` gathers rows (and columns) of a
+parameter and scatters its gradient back at the full shape.  ``conv2d``
+takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
+per sample, so a sample's output never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -122,15 +122,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def mask_mul(self, mask):
-        """Multiply by a constant (non-differentiated) array, broadcasting allowed."""
-        mask = np.asarray(mask, dtype=np.float64)
-        value = self.data * mask
-        if value.shape != self.shape:
-            raise ShapeError(f"mask {mask.shape} widens tensor {self.shape}")
-        return Tensor._make(value, (self,),
-                            lambda out: _accum(self, out.grad * mask))
-
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
@@ -144,19 +135,22 @@ class Tensor:
 
         return Tensor._make(new, (self,), backward)
 
-    def crop(self, *extent):
-        """Leading block ``[:n0, :n1, ...]``; ``self`` when that is everything."""
-        if extent == self.shape[: len(extent)]:
+    def take(self, rows, cols=None):
+        """Gather ``[rows][:, cols]`` by increasing index arrays; ``self``
+        when they cover every row and column.  The gradient is scattered
+        back into zeros of the full shape."""
+        if rows.size == self.shape[0] and (cols is None
+                                           or cols.size == self.shape[1]):
             return self
-        block = tuple(slice(0, n) for n in extent)
+        index = (rows,) if cols is None else (rows[:, None], cols)
 
         def backward(out):
             if self.requires_grad:
                 grad = np.zeros(self.shape)
-                grad[block] = out.grad
+                grad[index] = out.grad
                 _accum(self, grad)
 
-        return Tensor._make(self.data[block], (self,), backward)
+        return Tensor._make(self.data[index], (self,), backward)
 
     def transpose(self):
         if self.data.ndim != 2:

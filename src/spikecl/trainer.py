@@ -303,11 +303,9 @@ def cil_evaluate(network, tasks, batch=256):
     hits = 0
     with no_grad():
         for i in range(0, x.shape[0], batch):
-            parts = []
-            for t in tasks:
-                feats = network.extract_features(x[i : i + batch], t.id)
-                parts.append(network.head_logits(Tensor(feats), t.id,
-                                                 cil=True))
+            parts = [network.cil_logits(
+                network.extract_features(x[i : i + batch], t.id), t.id)
+                for t in tasks]
             pred = cols[np.argmax(concat_cols(parts).data, axis=1)]
             hits += int((pred == y[i : i + batch]).sum())
     return hits / x.shape[0]
@@ -338,10 +336,7 @@ def calibrate_heads(network, buffer, cfg):
         for epoch in range(cfg.calib_epochs):
             rng = np.random.default_rng([cfg.seed, 7331, epoch])
             for idx in _batches(bx.shape[0], cfg.batch_size, rng):
-                parts = [
-                    network.head_logits(Tensor(feats[t][idx]), t, cil=True)
-                    for t in tasks
-                ]
+                parts = [network.cil_logits(feats[t][idx], t) for t in tasks]
                 loss = cross_entropy(concat_cols(parts), target[idx])
                 optim.zero_grad()
                 gradients(loss, params)

@@ -250,7 +250,7 @@ def test_criterion_7_energy_exactness():
                           lif=LIFConfig(window=4), seed=0)
     mask = net.masks[0]
     mask.active[0][:4] = False           # prune 4 of layer 1's 10 inputs
-    mask.head_active[:] = [True, True, False, True, False]
+    mask.active[-1][:] = [True, True, False, True, False]
     # hand count: 6 units x 2 inputs + 3 units x 6 surviving inputs
     # + 3 head units x 2 classes; 6 + 3 active neurons
     conns, neurons = count_active(net, 0)

@@ -167,6 +167,11 @@ class TestRun:
     def test_main_exit_ok(self, tmp_path):
         assert main(["run", str(_write_config(tmp_path))]) == EXIT_OK
 
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        cfg = _write_config(tmp_path, tasks=1, out="runs/100%")
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "runs" / "100%" / "report.json").exists()
+
     def test_kernel_larger_than_input_exits_config_error(self, tmp_path,
                                                          capsys):
         cfg = _write_config(tmp_path)

@@ -1,0 +1,43 @@
+"""Output gate: how ``tools/compare_runs.py`` tells checkpoint arrays apart."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
+_spec = importlib.util.spec_from_file_location("compare_runs", _PATH)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+
+def _save(path, meta, **arrays):
+    meta = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, __meta__=meta, **arrays)
+    return path
+
+
+def test_drift_says_why_each_array_differs(tmp_path):
+    parent = _save(tmp_path / "parent.npz",
+                   {"seed": 0, "lif": {"tau": 0.2}},
+                   w=np.ones((2, 2)), b=np.array([1.0, 2.0]),
+                   gone=np.ones(1), same=np.array([5.0]))
+    change = _save(tmp_path / "change.npz",
+                   {"seed": 1, "lif": {"tau": 0.2, "smooth": False}},
+                   w=np.ones((2, 3)), b=np.array([1.0, 2.5]),
+                   new=np.ones(1), same=np.array([5.0]))
+    assert compare_runs._drift(parent, change) == {
+        "__meta__": "JSON keys differ: lif.smooth, seed",
+        "b": 0.25,
+        "gone": "missing in change",
+        "new": "missing in parent",
+        "w": "shape (2, 2) -> (2, 3)",
+    }
+
+
+def test_differing_names_every_changed_leaf():
+    parent = {"per_task": [{"losses": [0.1, 0.2], "task": 0}], "energy": 3}
+    change = {"per_task": [{"losses": [0.1, 0.3], "task": 0}], "gain": 1}
+    assert compare_runs._differing(parent, change) == [
+        "energy", "gain", "per_task.0.losses.1"]

@@ -40,7 +40,7 @@ class TestCountActive:
         net = _dense_net(in_units=2, hidden=(10, 5))
         mask = net.masks[0]
         mask.active[0][:5] = False  # sever half of layer 1's fan-in
-        mask.head_active[:] = [True, False, True, False, True]
+        mask.active[-1][:] = [True, False, True, False, True]
         conns, neurons = count_active(net, 0)
         assert conns == 5 * 2 + 3 * 5 + 3 * 2
         assert neurons == 5 + 3
@@ -81,10 +81,10 @@ def _count_active_loop(network, task_id):
     for li in range(len(network.layers)):
         for u in np.flatnonzero(units[li + 1]):
             if li == last:
-                neurons += bool(mask.head_active[u])
+                neurons += bool(mask.active[-1][u])
             else:
                 neurons += any(v == u for _, v in links[li + 1])
-    conns += int(mask.head_active.sum()) * network.heads[task_id].w.shape[0]
+    conns += int(mask.active[-1].sum()) * network.heads[task_id].w.shape[0]
     return conns, neurons
 
 

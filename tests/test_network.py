@@ -48,7 +48,6 @@ class TestInitFirstTask:
         mask = net.masks[0]
         assert all(a.all() for a in mask.active)
         assert all(c.all() for c in net.connections(0))  # density 1.0
-        assert mask.head_active.all()
 
     def test_zero_unit_layer_rejected(self):
         with pytest.raises(ConfigError, match="positive"):
@@ -108,7 +107,7 @@ class TestExpand:
 
         def state():
             return (mask.active + net.connections(0)
-                    + [mask.head_active, head.w.data, head.cil_w.data]
+                    + [head.w.data, head.cil_w.data]
                     + [net.anchors[0][c] for c in t0.classes])
 
         before = [a.copy() for a in state()]
@@ -207,8 +206,7 @@ class TestPruning:
         # the head reads exactly the active final-layer units
         mask = net.masks[1]
         assert vars(mask).keys() == {"active"}
-        assert mask.head_active is mask.active[-1]
-        assert not mask.head_active[1] and mask.head_active[[0, 2, 3]].all()
+        assert not mask.active[-1][1] and mask.active[-1][[0, 2, 3]].all()
 
     def test_cannot_prune_current_task_units(self):
         net, _, _ = self._expanded()
@@ -238,20 +236,26 @@ def _expand_bits(layer, bits):
     return cols.reshape(cols.shape + (1,) * (layer.w.data.ndim - 2))
 
 
+def _masked(t, bits):
+    """``t`` times constant bits broadcast to its shape."""
+    return t * Tensor(np.broadcast_to(bits, t.shape))
+
+
 def _connection_masked_forward(net, x, task_id):
-    """Oracle: the forward that multiplied the weights by the expanded
-    connection bits, each layer's current by the unit bits and the head by
-    the head bits; returns (logits, features)."""
+    """Oracle: the forward over the task's whole prefix that multiplies the
+    weights by the expanded connection bits, each layer's current by the
+    unit bits and the head by the final layer's bits; returns (logits,
+    prefix-width features)."""
     mask = net.masks[task_id]
     cfg = net.lif
     params = []
     for layer, conn in zip(net.layers, net.connections(task_id)):
-        rows, cols = conn.shape
-        weff = layer.w.crop(rows, cols * layer.block).mask_mul(
-            _expand_bits(layer, conn))
+        rows = np.arange(conn.shape[0])
+        cols = np.arange(conn.shape[1] * layer.block)
+        weff = _masked(layer.w.take(rows, cols), _expand_bits(layer, conn))
         if layer.kind == "dense":
             weff = weff.transpose()
-        params.append((weff, layer.b.crop(rows)))
+        params.append((weff, layer.b.take(rows)))
 
     def step(x, states):
         if states is None:
@@ -266,9 +270,8 @@ def _connection_masked_forward(net, x, task_id):
                 if len(h.shape) > 2:
                     h = h.reshape(h.shape[0], -1)
                 cur = h.matmul(weff)
-            cur = cur.add_bias(bias)
-            cur = cur.mask_mul(mask.active[li].reshape(
-                (1, -1) + (1,) * len(layer.out_shape)))
+            cur = _masked(cur.add_bias(bias), mask.active[li].reshape(
+                (-1,) + (1,) * len(layer.out_shape)))
             state = lif_step(states[li], cur, cfg)
             new_states.append(state)
             h = state.spikes
@@ -276,7 +279,7 @@ def _connection_masked_forward(net, x, task_id):
 
     features = run_window(step, x, cfg)
     head = net.heads[task_id]
-    weff = head.w.mask_mul(mask.head_active[None, :])
+    weff = _masked(head.w, mask.active[-1])
     return features.matmul(weff.transpose()).add_bias(head.b), features
 
 
@@ -293,10 +296,14 @@ class TestUnitGatedForward:
             if step == 3:
                 net.prune_units(1, [(0, 1), (1, 2)])
             for t, task in ((0, t0), (1, t1)):
-                a = net.forward_task(Tensor(task.train_x), t)
-                b = _connection_masked_forward(net, Tensor(task.train_x), t)
-                for u, v in zip(a, b):
-                    np.testing.assert_array_equal(u.data, v.data)
+                x_t = Tensor(task.train_x)
+                logits, features = net.forward_task(x_t, t)
+                ref_logits, ref = _connection_masked_forward(net, x_t, t)
+                np.testing.assert_array_equal(logits.data, ref_logits.data)
+                np.testing.assert_array_equal(
+                    features.data, ref.data[:, net.masks[t].active[-1]])
+                np.testing.assert_array_equal(
+                    net.extract_features(task.train_x, t), ref.data)
             exist = {id(l.w): _expand_bits(l, net.synapses(li))
                      for li, l in enumerate(net.layers)}
             grads = []
@@ -307,11 +314,38 @@ class TestUnitGatedForward:
                 gradients(cross_entropy(logits, labels), params)
                 grads.append([p.grad.copy() for p in params])
             # gradients agree on every synapse; past an old row's synapses
-            # only the unmasked forward has any, and Adam never applies them
+            # only the gathered forward has any, and Adam never applies them
             for p, old, new in zip(params, *grads):
                 np.testing.assert_array_equal(
                     np.where(exist.get(id(p), True), new, 0.0), old)
-            optim.step()  # with the gradients of the unmasked forward
+            optim.step()  # with the gradients of the gathered forward
+
+    @pytest.mark.parametrize("build", [TestPruning()._expanded,
+                                       _conv_expanded], ids=["dense", "conv"])
+    def test_pruned_unit_is_not_computed(self, build, monkeypatch):
+        net, _, t1 = build(seed=1)
+        net.prune_units(1, [(0, 1), (1, 2)])
+        seen = []  # (rows, columns) of every weight a product reads
+        conv, matmul = conv2d, Tensor.matmul
+
+        def spy_conv(x, kernels, *args):
+            seen.append(kernels.shape[:2])
+            return conv(x, kernels, *args)
+
+        def spy_matmul(a, b):
+            seen.append(b.shape[::-1])
+            return matmul(a, b)
+
+        monkeypatch.setattr("spikecl.network.conv2d", spy_conv)
+        monkeypatch.setattr(Tensor, "matmul", spy_matmul)
+        net.forward_task(Tensor(t1.train_x), 1)
+        active = [int(a.sum()) for a in net.masks[1].active]
+        assert all(n < l.width for n, l in zip(active, net.layers))
+        inputs = [net.input_shape[0]] + active[:-1]
+        layers = [(n, i * l.block)
+                  for n, i, l in zip(active, inputs, net.layers)]
+        assert seen == (layers * net.lif.window
+                        + [(len(t1.classes), active[-1])])
 
     @pytest.mark.parametrize("lif", [
         LIFConfig(tau=0.6, v_th=0.5, window=2, reset_mode=LITERAL_EQ3),
@@ -327,7 +361,7 @@ class TestUnitGatedForward:
         x = t1.train_x[:5]
         features = net.extract_features(x, 1)
         assert not features[:, 2].any()
-        # gating a unit's output equals cutting its outgoing weights
+        # pruning a unit equals cutting its outgoing weights
         cut = copy.deepcopy(net)
         cut.masks[1].active[0][1] = cut.masks[1].active[1][2] = True
         cut.layers[1].w.data[:, 1] = 0.0
@@ -499,8 +533,6 @@ class TestPersistence:
                     np.testing.assert_array_equal(a, b)
                 for a, b in zip(net.connections(t), loaded.connections(t)):
                     np.testing.assert_array_equal(a, b)
-                np.testing.assert_array_equal(net.masks[t].head_active,
-                                              loaded.masks[t].head_active)
                 np.testing.assert_array_equal(net.heads[t].w.data,
                                               loaded.heads[t].w.data)
             for c in net.anchors[0]:

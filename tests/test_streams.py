@@ -153,6 +153,12 @@ class TestSynthetic:
         kl = gaussian_kl(np.zeros(4), 1.0, delta, 1.0)
         assert kl == pytest.approx(np.dot(delta, delta) / 2)
 
+    def test_unequal_variances_hand_computed(self):
+        # d = 2, |delta|^2 = 25, var1 / var2 = 1/2:
+        # 0.5 * (2 * 0.5 + 25 / 2 - 2 + 2 * ln 2) = 5.75 + ln 2
+        kl = gaussian_kl(np.zeros(2), 1.0, np.array([3.0, 4.0]), 2.0)
+        assert kl == pytest.approx(5.75 + math.log(2.0), rel=1e-15)
+
     def test_stream_shapes_and_labels(self):
         spec = SyntheticTaskSpec(
             [GaussianClass(0, np.zeros(4), 0.1),

@@ -346,18 +346,41 @@ class TestFiniteDiffCheck:
 
         assert finite_diff_check(f, [w], step=1e-5) < 1e-4
 
-    @pytest.mark.parametrize("extent", [(2, 3), (3, 4)])
-    def test_crop_matches_finite_differences(self, extent):
+    def test_take_of_kernel_rows_and_columns_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-        coef = rng.normal(size=extent + (2,))
+        w = Tensor(rng.normal(size=(4, 5, 2, 2)), requires_grad=True)
+        rows, cols = np.array([0, 2, 3]), np.array([1, 4])
+        coef = rng.normal(size=(3, 2, 2, 2))
 
         def f():
-            block = w.crop(*extent)
-            return (block.mask_mul(coef) * block).sum()
+            block = w.take(rows, cols)
+            return (block * Tensor(coef) * block).sum()
 
-        assert (w.crop(*extent) is w) == (extent == w.shape[:2])
+        np.testing.assert_array_equal(w.take(rows, cols).data,
+                                      w.data[[0, 2, 3]][:, [1, 4]])
         assert finite_diff_check(f, [w], step=1e-5) < 1e-8
+        grad = gradients(f(), [w])[w]  # zero outside the gathered block
+        assert not grad[1].any() and not grad[:, [0, 2, 3]].any()
+
+    def test_take_of_bias_rows_matches_finite_differences(self):
+        rng = np.random.default_rng(1)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        rows = np.array([1, 2, 4])
+        coef = rng.normal(size=3)
+
+        def f():
+            part = b.take(rows)
+            return (part * Tensor(coef) * part).sum()
+
+        assert finite_diff_check(f, [b], step=1e-5) < 1e-8
+        assert not gradients(f(), [b])[b][[0, 3]].any()
+
+    def test_take_of_every_row_and_column_is_self(self):
+        w = Tensor(np.ones((3, 4, 2)), requires_grad=True)
+        assert w.take(np.arange(3)) is w
+        assert w.take(np.arange(3), np.arange(4)) is w
+        assert w.take(np.arange(3), np.arange(3)) is not w
+        assert w.take(np.arange(2), np.arange(4)).shape == (2, 4, 2)
 
 
 class TestOpsAndErrors:

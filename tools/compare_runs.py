@@ -17,11 +17,12 @@ benchmark ``--seed`` instead: a workload runs that seed's input streams
 (``10 * SEED + k``, ``k < streams``), the other configs run SEED.
 
 For each report it prints whether each artefact's sha256 matches, whether
-``til``/``cil`` are equal, whether the rest of the report is equal
+``til``/``cil`` are equal, which fields of the rest of the report differ
 (``timings_s`` and ``config`` aside), and, for every checkpoint array that
-differs, its drift: max |change - parent| / max |parent|.  Exits 1 when a
-CSV, ``til``/``cil`` or a command's exit code differs, else 0; checkpoint
-drift alone is reported, not failed.
+differs, why: its drift, max |change - parent| / max |parent|; or that it is
+missing on one side; or its shape change; or, for ``__meta__``, which JSON
+keys differ.  Exits 1 when a CSV, ``til``/``cil`` or a command's exit code
+differs, else 0; checkpoint differences alone are reported, not failed.
 """
 
 from __future__ import annotations
@@ -157,19 +158,53 @@ def _run_pair(src, ini, seed, out):
     return results
 
 
+def _json_leaves(obj, path=""):
+    """{dotted path: value} of every leaf of nested JSON objects and arrays."""
+    if not isinstance(obj, (dict, list)) or not obj:
+        return {path: obj}
+    pairs = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return {key: value for k, v in pairs
+            for key, value in _json_leaves(v, f"{path}.{k}" if path
+                                           else str(k)).items()}
+
+
+def _differing(a, b):
+    """Dotted paths of the JSON leaves that differ between ``a`` and ``b``."""
+    a, b = _json_leaves(a), _json_leaves(b)
+    return [k for k in sorted(set(a) | set(b))
+            if k not in a or k not in b or a[k] != b[k]]
+
+
 def _drift(parent_npz, change_npz):
-    """{array name: relative drift} for every array that is not equal."""
+    """{array name: why it differs} for every array that is not equal: a
+    relative drift (float), or a reason (str) when the values cannot be
+    compared."""
     drift = {}
     with np.load(parent_npz) as a, np.load(change_npz) as b:
         for name in sorted(set(a.files) | set(b.files)):
-            if name not in a.files or name not in b.files \
-                    or a[name].shape != b[name].shape:
-                drift[name] = float("inf")
-            elif not np.array_equal(a[name], b[name]):
-                x, y = a[name].astype(np.float64), b[name].astype(np.float64)
+            if name not in a.files or name not in b.files:
+                side = "change" if name in a.files else "parent"
+                drift[name] = f"missing in {side}"
+                continue
+            x, y = a[name], b[name]
+            if x.shape == y.shape and np.array_equal(x, y):
+                continue
+            if name == "__meta__":
+                keys = _differing(*(json.loads(bytes(m).decode())
+                                    for m in (x, y)))
+                drift[name] = ("JSON keys differ: " + ", ".join(keys)
+                               if keys else "JSON layout differs, keys equal")
+            elif x.shape != y.shape:
+                drift[name] = f"shape {x.shape} -> {y.shape}"
+            else:
+                x, y = x.astype(np.float64), y.astype(np.float64)
                 scale = float(np.max(np.abs(x))) or 1.0
                 drift[name] = float(np.max(np.abs(y - x))) / scale
     return drift
+
+
+def _describe(d):
+    return d if isinstance(d, str) else f"drift {d:.3g}"
 
 
 def _body(report):
@@ -193,14 +228,17 @@ def compare(label, parent, change, worst):
     same = {n: p["artifacts"][n] == c["artifacts"][n] for n in p["artifacts"]}
     marks = [f"{n} {'=' if same[n] else 'DIFFERS'}" for n in sorted(same)]
     til_cil = p["til"] == c["til"] and p["cil"] == c["cil"]
-    body = _body(p) == _body(c)
+    fields = _differing(_body(p), _body(c))
     print(f"{label}: {', '.join(marks)}; til/cil "
           f"{'equal' if til_cil else 'DIFFER'}; rest of report "
-          f"{'equal' if body else 'differs'}")
+          f"{'differs: ' + ', '.join(fields) if fields else 'equal'}")
     drift = _drift(p_dir / "checkpoint.npz", c_dir / "checkpoint.npz")
     for name, d in drift.items():
-        print(f"    {name}: drift {d:.3g}")
-        worst[name] = max(worst.get(name, 0.0), d)
+        print(f"    {name}: {_describe(d)}")
+        if isinstance(d, str):
+            worst[name] = d  # a reason outranks any drift
+        elif not isinstance(worst.get(name), str):
+            worst[name] = max(worst.get(name, 0.0), d)
     return all(same[n] for n in CSVS) and til_cil
 
 
@@ -247,9 +285,12 @@ def main(argv=None):
     verdict = "CSVs and til/cil all equal" if ok else "MISMATCH"
     print(f"\n{reports} reports: {verdict}")
     if worst:
-        print("largest checkpoint drift per array:")
-        for name, d in sorted(worst.items(), key=lambda kv: -kv[1]):
-            print(f"    {name}: {d:.3g}")
+        print("largest checkpoint difference per array:")
+        reasons = sorted((n, d) for n, d in worst.items() if isinstance(d, str))
+        drifts = sorted(((n, d) for n, d in worst.items()
+                         if not isinstance(d, str)), key=lambda kv: -kv[1])
+        for name, d in reasons + drifts:
+            print(f"    {name}: {_describe(d)}")
     else:
         print("every checkpoint array is equal")
     return 0 if ok else 1
