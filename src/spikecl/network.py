@@ -30,6 +30,11 @@ active units and the columns of the active units below, so a pruned unit is
 absent from it: it is never computed and feeds nothing.  No weight is masked:
 old rows are zero outside their synapses and never train.  Convolutional
 layers treat a channel as one unit.
+
+The forward runs layer by layer over the whole window: per layer one product
+and one LIF node (``run_window``).  Layer 0's input is the same at every
+step, so its current is computed once and held; every later layer's product
+reads the window-stacked ``(T*B, ...)`` spikes of the layer below.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .spiking import LIFConfig, SpikeState, lif_step, run_window
+from .spiking import LIFConfig, lif_step, run_window, window_rate
 from .tensor import Tensor, _conv_geometry, conv2d, no_grad
 
 FORMAT_VERSION = 6
@@ -223,51 +228,14 @@ class Network:
             raise KeyError(f"unknown task {task_id}")
         return self.masks[task_id]
 
-    def step_fn(self, task_id):
-        """Single-timestep closure over the feature layers for ``task_id``.
-
-        Once per window each layer gathers the rows of the task's active
-        units and the columns of the active units below it (``block``
-        columns per input unit); states and spikes cover active units only.
-        """
-        mask = self._require_mask(task_id)
-        params = []
-        below = np.arange(self.input_shape[0])  # active units of the input
-        for layer, active in zip(self.layers, mask.active):
-            rows = np.flatnonzero(active)
-            cols = (below[:, None] * layer.block
-                    + np.arange(layer.block)).ravel()
-            weff = layer.w.take(rows, cols)
-            if layer.kind == "dense":
-                weff = weff.transpose()
-            params.append((weff, layer.b.take(rows)))
-            below = rows
-
-        def step(x, states):
-            if states is None:
-                states = [SpikeState.zeros((x.shape[0],) + b.shape
-                                           + l.out_shape)
-                          for (_, b), l in zip(params, self.layers)]
-            h = x
-            new_states = []
-            for li, layer in enumerate(self.layers):
-                weff, bias = params[li]
-                if layer.kind == "conv":
-                    cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
-                else:
-                    if len(h.shape) > 2:
-                        h = h.reshape(h.shape[0], -1)
-                    cur = h.matmul(weff)
-                state = lif_step(states[li], cur.add_bias(bias), self.lif)
-                new_states.append(state)
-                h = state.spikes
-            return h, new_states
-
-        return step
-
     def features_tensor(self, x, task_id):
         """Rate-coded output of the task's active final-layer units over the
-        window (graph-recording)."""
+        window (graph-recording).
+
+        Each layer gathers the rows of the task's active units and the
+        columns of the active units below it (``block`` columns per input
+        unit); currents and spikes cover active units only.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.data.ndim != 4 or x.shape[1:] != self.input_shape:
@@ -275,7 +243,24 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{self.input_shape}"
             )
-        return run_window(self.step_fn(task_id), x, self.lif)
+        mask = self._require_mask(task_id)
+        below = np.arange(self.input_shape[0])  # active units of the input
+        h = x
+        for li, (layer, active) in enumerate(zip(self.layers, mask.active)):
+            rows = np.flatnonzero(active)
+            cols = (below[:, None] * layer.block
+                    + np.arange(layer.block)).ravel()
+            weff = layer.w.take(rows, cols)
+            if layer.kind == "conv":
+                cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
+            else:
+                if len(h.shape) > 2:
+                    h = h.reshape(h.shape[0], -1)
+                cur = h.matmul(weff.transpose())
+            h = run_window(lif_step, cur.add_bias(layer.b.take(rows)),
+                           self.lif, held=(li == 0))
+            below = rows
+        return window_rate(h, self.lif.window)
 
     def forward_task(self, x, task_id):
         """Masked forward; returns (logits over the task's classes, features

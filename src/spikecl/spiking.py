@@ -14,6 +14,12 @@ the triangular surrogate: zero outside |u| > 1/lambda, otherwise
 ``smooth`` mode replaces the hard threshold by the surrogate's antiderivative
 (a C^1 ramp from 0 to 1) so that analytic gradients agree with finite
 differences; it exists for gradient-checking, not for training.
+
+``lif_step`` is one membrane update on numpy arrays.  ``run_window`` runs a
+layer's recurrence over the whole window as one graph node (the multi-step
+mode of SpikingJelly): its forward calls ``lif_step`` once per timestep, and
+its backward is hand-written backpropagation through time with the
+surrogate.  ``window_rate`` turns a layer's window of spikes into its rate.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .errors import ConfigError, NumericalError, ShapeError
 
 HARD_RESET = "hard-reset"
 LITERAL_EQ3 = "literal-eq3"
@@ -51,16 +56,6 @@ class LIFConfig:
             raise ConfigError(f"unknown reset mode {self.reset_mode!r}")
 
 
-@dataclass
-class SpikeState:
-    membrane: Tensor
-    spikes: Tensor
-
-    @staticmethod
-    def zeros(shape):
-        return SpikeState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
-
-
 def surrogate_grad(u_centered, lam):
     """Triangular surrogate derivative at centered potential u = U - v_th."""
     u = np.abs(np.asarray(u_centered, dtype=np.float64))
@@ -76,45 +71,86 @@ def smooth_spike_value(u_centered, lam):
     return np.where(u <= lo, 0.0, np.where(u >= hi, 1.0, ramp))
 
 
-def spike(membrane, cfg):
-    """Threshold the membrane tensor; surrogate derivative on the way back."""
-
-    def forward(u):
-        if cfg.smooth:
-            return smooth_spike_value(u - cfg.v_th, cfg.lam)
-        return (u >= cfg.v_th).astype(np.float64)
-
-    def local_grad(u):
-        return surrogate_grad(u - cfg.v_th, cfg.lam)
-
-    return membrane.custom_unary(forward, local_grad)
-
-
-def lif_step(state, input_current, cfg):
-    """One membrane update + spike decision; differentiable through time."""
-    if input_current.shape != state.membrane.shape:
+def lif_step(membrane, spikes, current, cfg):
+    """One membrane update and spike decision; returns the new
+    ``(membrane, spikes)`` arrays."""
+    if current.shape != membrane.shape:
         raise ShapeError(
-            f"input current shape {input_current.shape} does not match "
-            f"membrane shape {state.membrane.shape}"
+            f"input current shape {current.shape} does not match "
+            f"membrane shape {membrane.shape}"
         )
     if cfg.reset_mode == HARD_RESET:
-        keep = state.membrane * (1.0 - state.spikes)
-        membrane = cfg.tau * keep + input_current
+        membrane = membrane * (1.0 - spikes) * cfg.tau + current
     else:
-        membrane = cfg.tau * (1.0 - state.membrane) + input_current
-    return SpikeState(membrane, spike(membrane, cfg))
+        membrane = (1.0 - membrane) * cfg.tau + current
+    if cfg.smooth:
+        return membrane, smooth_spike_value(membrane - cfg.v_th, cfg.lam)
+    return membrane, (membrane >= cfg.v_th).astype(np.float64)
 
 
-def run_window(step, x, cfg):
-    """Unroll ``cfg.window`` timesteps, re-presenting ``x`` each step.
+def run_window(step, current, cfg, held=False):
+    """One layer's LIF recurrence over ``cfg.window`` timesteps, as one node.
 
-    ``step(x, states)`` must return ``(output Tensor, new states)``.  The
-    result is the mean of the per-step outputs (the spike rate when outputs
-    are spikes).
+    ``current`` is a Tensor, either held, ``(B, ...)`` and presented at every
+    step, or window-stacked, ``(T*B, ...)`` with step t's rows at
+    ``[t*B, (t+1)*B)``.  ``step`` is ``lif_step``, called once per timestep
+    from a zero membrane and no spikes.  Returns the window-stacked
+    ``(T*B, ...)`` spikes.  The backward runs BPTT with the surrogate
+    derivative; a held current's gradient is the sum over the steps.
     """
-    states = None
-    total = None
-    for _ in range(cfg.window):
-        out, states = step(x, states)
-        total = out if total is None else total + out
-    return total * (1.0 / cfg.window)
+    window = cfg.window
+    cur = current.data
+    rows = cur.shape[0] if held else cur.shape[0] // window
+    if not held and rows * window != cur.shape[0]:
+        raise ShapeError(f"stacked current has {cur.shape[0]} rows, not a "
+                         f"multiple of the window {window}")
+    shape = (rows,) + cur.shape[1:]
+    membranes = []
+    spikes = np.empty((window,) + shape)
+    m = o = np.zeros(shape)
+    for t in range(window):
+        m, o = step(m, o, cur if held else cur[t * rows:(t + 1) * rows], cfg)
+        if not np.all(np.isfinite(m)):
+            raise NumericalError("membrane potential is not finite")
+        membranes.append(m)
+        spikes[t] = o
+
+    def vjp(grad):
+        grad = grad.reshape(spikes.shape)
+        g_cur = None if held else np.empty(spikes.shape)
+        g_next = None  # dL/dU^{t+1}; the last step feeds no later one
+        for t in reversed(range(window)):
+            m, g_o = membranes[t], grad[t]
+            slope = surrogate_grad(m - cfg.v_th, cfg.lam)
+            if g_next is None:
+                g_m = g_o * slope
+            elif cfg.reset_mode == HARD_RESET:
+                g_keep = g_next * cfg.tau  # dL/d(U^t * (1 - O^t))
+                g_m = ((g_o - g_keep * m) * slope
+                       + g_keep * (1.0 - spikes[t]))
+            else:
+                g_m = g_o * slope - g_next * cfg.tau
+            if held:
+                g_cur = g_m if g_cur is None else g_cur + g_m
+            else:
+                g_cur[t] = g_m
+            g_next = g_m
+        return g_cur.reshape(cur.shape)
+
+    return current.custom_op(spikes.reshape((window * rows,) + shape[1:]),
+                             vjp)
+
+
+def window_rate(spikes, window):
+    """Spike rate of window-stacked ``(T*B, ...)`` spikes: the steps summed
+    in order, times 1/T."""
+    steps = spikes.data.reshape((window, -1) + spikes.shape[1:])
+    total = steps[0]
+    for s in steps[1:]:
+        total = total + s
+    scale = 1.0 / window
+
+    def vjp(grad):
+        return np.concatenate([grad * scale] * window)
+
+    return spikes.custom_op(total * scale, vjp)

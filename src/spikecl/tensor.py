@@ -2,9 +2,11 @@
 
 Everything is float64 and row-major.  A ``Tensor`` wraps a numpy array and,
 while gradient recording is enabled, remembers how it was produced so that
-``backward`` can run the chain rule over the (acyclic) graph.  The only
-extension point is ``custom_unary``, which lets a caller supply the local
-derivative directly -- this is how the spike surrogate is injected.
+``backward`` can run the chain rule over the (acyclic) graph.  Two hooks let a
+caller define an op: ``custom_unary`` takes an elementwise function and its
+local derivative, and ``custom_op`` takes a value computed outside the graph
+and its vector-Jacobian product.  ``spiking.run_window`` is built on
+``custom_op``: a layer's whole LIF window is one node.
 
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
@@ -233,18 +235,24 @@ class Tensor:
         """Apply ``forward_fn`` elementwise with a caller-supplied local derivative.
 
         ``local_grad_fn(x)`` must return d(out)/d(x) evaluated elementwise; it is
-        multiplied into the upstream gradient.  This is the single hook used for
-        the spike surrogate.
+        multiplied into the upstream gradient.
         """
         value = np.asarray(forward_fn(self.data), dtype=np.float64)
         if value.shape != self.data.shape:
             raise ShapeError(
                 f"custom_unary changed shape: {self.data.shape} -> {value.shape}"
             )
+        return self.custom_op(value,
+                              lambda grad: grad * local_grad_fn(self.data))
+
+    def custom_op(self, value, vjp):
+        """A node whose ``value``, of any shape, the caller computed from
+        ``self.data``; ``vjp(grad)`` maps the gradient of the value to the
+        gradient of ``self``."""
 
         def backward(out):
             if self.requires_grad:
-                _accum(self, out.grad * local_grad_fn(self.data))
+                _accum(self, vjp(out.grad))
 
         return Tensor._make(value, (self,), backward)
 

@@ -16,7 +16,7 @@ from spikecl.plasticity import (ExpansionPolicy, association,
                                 expansion_counts)
 from spikecl.similarity import (compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
-from spikecl.spiking import LIFConfig, SpikeState, lif_step, surrogate_grad
+from spikecl.spiking import LIFConfig, lif_step, surrogate_grad
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec,
                              default_synthetic_stream, gaussian_kl,
                              synthetic_stream)
@@ -97,11 +97,10 @@ def test_criterion_2_equation_fidelity():
     assert counts == [76] and math.floor(100 * (1 - math.exp(-1.45))) == 76
     # one-step membrane trace
     cfg = LIFConfig(tau=0.2, v_th=1.0)
-    state = lif_step(SpikeState(Tensor(np.array([0.8])),
-                                Tensor(np.array([0.0]))),
-                     Tensor(np.array([0.5])), cfg)
-    assert state.membrane.data[0] == pytest.approx(0.66)
-    assert state.spikes.data[0] == 0.0
+    membrane, spikes = lif_step(np.array([0.8]), np.array([0.0]),
+                                np.array([0.5]), cfg)
+    assert membrane[0] == pytest.approx(0.66)
+    assert spikes[0] == 0.0
     # relatedness one-step arithmetic: R' = 0.99*0 - e^0 * (2*Norm - rho)
     assert 0.99 * 0.0 - 1.0 * (2 * 1.0 - 1.0) == -1.0
     assert 0.99 * 0.0 - 1.0 * (2 * 0.0 - 0.71) == pytest.approx(0.71)

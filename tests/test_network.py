@@ -12,11 +12,12 @@ from spikecl.errors import ConfigError, ContractError, FormatError, ShapeError
 from spikecl.metrics import count_active, energy_report
 from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
                              init_first_task)
-from spikecl.spiking import (LITERAL_EQ3, LIFConfig, SpikeState, lif_step,
-                             run_window)
+from spikecl.spiking import LITERAL_EQ3, LIFConfig, lif_step
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
 from spikecl.trainer import Adam, _trainable_rows
+
+import lif_oracle
 
 
 def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
@@ -257,11 +258,11 @@ def _connection_masked_forward(net, x, task_id):
             weff = weff.transpose()
         params.append((weff, layer.b.take(rows)))
 
-    def step(x, states):
-        if states is None:
-            states = [SpikeState.zeros((x.shape[0], a.size) + l.out_shape)
-                      for a, l in zip(mask.active, net.layers)]
-        h, new_states = x, []
+    states = [lif_oracle.rest((x.shape[0], a.size) + l.out_shape)
+              for a, l in zip(mask.active, net.layers)]
+    outputs = []
+    for _ in range(cfg.window):  # the per-step unroll
+        h = x
         for li, layer in enumerate(net.layers):
             weff, bias = params[li]
             if layer.kind == "conv":
@@ -272,12 +273,10 @@ def _connection_masked_forward(net, x, task_id):
                 cur = h.matmul(weff)
             cur = _masked(cur.add_bias(bias), mask.active[li].reshape(
                 (-1,) + (1,) * len(layer.out_shape)))
-            state = lif_step(states[li], cur, cfg)
-            new_states.append(state)
-            h = state.spikes
-        return h, new_states
-
-    features = run_window(step, x, cfg)
+            states[li] = lif_oracle.step(states[li], cur, cfg)
+            h = states[li][1]
+        outputs.append(h)
+    features = lif_oracle.rate(outputs, cfg)
     head = net.heads[task_id]
     weff = _masked(head.w, mask.active[-1])
     return features.matmul(weff.transpose()).add_bias(head.b), features
@@ -313,11 +312,13 @@ class TestUnitGatedForward:
                 optim.zero_grad()
                 gradients(cross_entropy(logits, labels), params)
                 grads.append([p.grad.copy() for p in params])
-            # gradients agree on every synapse; past an old row's synapses
-            # only the gathered forward has any, and Adam never applies them
+            # gradients agree on every synapse, up to the order of the sum
+            # over the window; past an old row's synapses only the gathered
+            # forward has any, and Adam never applies them
             for p, old, new in zip(params, *grads):
-                np.testing.assert_array_equal(
-                    np.where(exist.get(id(p), True), new, 0.0), old)
+                np.testing.assert_allclose(
+                    np.where(exist.get(id(p), True), new, 0.0), old,
+                    rtol=1e-12)
             optim.step()  # with the gradients of the gathered forward
 
     @pytest.mark.parametrize("build", [TestPruning()._expanded,
@@ -325,15 +326,15 @@ class TestUnitGatedForward:
     def test_pruned_unit_is_not_computed(self, build, monkeypatch):
         net, _, t1 = build(seed=1)
         net.prune_units(1, [(0, 1), (1, 2)])
-        seen = []  # (rows, columns) of every weight a product reads
+        seen = []  # (input rows, (rows, columns) of the weight) per product
         conv, matmul = conv2d, Tensor.matmul
 
         def spy_conv(x, kernels, *args):
-            seen.append(kernels.shape[:2])
+            seen.append((x.shape[0], kernels.shape[:2]))
             return conv(x, kernels, *args)
 
         def spy_matmul(a, b):
-            seen.append(b.shape[::-1])
+            seen.append((a.shape[0], b.shape[::-1]))
             return matmul(a, b)
 
         monkeypatch.setattr("spikecl.network.conv2d", spy_conv)
@@ -342,10 +343,14 @@ class TestUnitGatedForward:
         active = [int(a.sum()) for a in net.masks[1].active]
         assert all(n < l.width for n, l in zip(active, net.layers))
         inputs = [net.input_shape[0]] + active[:-1]
-        layers = [(n, i * l.block)
-                  for n, i, l in zip(active, inputs, net.layers)]
-        assert seen == (layers * net.lif.window
-                        + [(len(t1.classes), active[-1])])
+        # one product per layer per window: layer 0 reads the B input rows
+        # once, every later layer the window-stacked T*B rows of spikes
+        batch = len(t1.train_x)
+        rows = [batch] + [net.lif.window * batch] * (len(active) - 1)
+        layers = [(r, (n, i * l.block))
+                  for r, n, i, l in zip(rows, active, inputs, net.layers)]
+        assert net.lif.window > 1
+        assert seen == layers + [(batch, (len(t1.classes), active[-1]))]
 
     @pytest.mark.parametrize("lif", [
         LIFConfig(tau=0.6, v_th=0.5, window=2, reset_mode=LITERAL_EQ3),
@@ -353,8 +358,9 @@ class TestUnitGatedForward:
     ], ids=["literal-eq3", "smooth"])
     def test_pruned_units_are_silent_in_every_mode(self, lif):
         # in this mode a unit fires with no input current at all
-        idle = lif_step(SpikeState.zeros((1, 1)), Tensor(np.zeros((1, 1))), lif)
-        assert idle.spikes.data.any()
+        _, idle = lif_step(np.zeros((1, 1)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), lif)
+        assert idle.any()
         net, _, t1 = TestPruning()._expanded(seed=1)
         net.prune_units(1, [(0, 1), (1, 2)])
         net.lif = lif

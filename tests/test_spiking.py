@@ -1,15 +1,19 @@
 """LIF dynamics and surrogate: hand-trace oracles and branch-point checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ConfigError, ShapeError
-from spikecl.spiking import (HARD_RESET, LITERAL_EQ3, LIFConfig, SpikeState,
-                             lif_step, run_window, smooth_spike_value, spike,
-                             surrogate_grad)
-from spikecl.tensor import Tensor, backward
+from spikecl.errors import ConfigError, NumericalError, ShapeError
+from spikecl.spiking import (HARD_RESET, LITERAL_EQ3, LIFConfig, lif_step,
+                             run_window, smooth_spike_value, surrogate_grad,
+                             window_rate)
+from spikecl.tensor import Tensor, backward, finite_diff_check
+
+import lif_oracle
 
 
 class TestLIFConfig:
@@ -28,48 +32,48 @@ class TestLIFConfig:
         assert cfg.reset_mode == HARD_RESET
 
 
+def _arrays(*values):
+    return [np.array(v, dtype=float) for v in values]
+
+
 class TestLIFStep:
     def test_hand_trace_subthreshold(self):
         # U = tau * U_prev * (1 - O_prev) + I = 0.2 * 0.8 + 0.5 = 0.66 < v_th
         cfg = LIFConfig(tau=0.2, v_th=1.0)
-        state = SpikeState(Tensor(np.array([0.8])), Tensor(np.array([0.0])))
-        new = lif_step(state, Tensor(np.array([0.5])), cfg)
-        assert new.membrane.data[0] == pytest.approx(0.66)
-        assert new.spikes.data[0] == 0.0
+        membrane, spikes = lif_step(*_arrays([0.8], [0.0], [0.5]), cfg)
+        assert membrane[0] == pytest.approx(0.66)
+        assert spikes[0] == 0.0
 
     def test_threshold_crossing(self):
         cfg = LIFConfig(tau=0.2, v_th=1.0)
-        state = SpikeState.zeros((1,))
-        new = lif_step(state, Tensor(np.array([1.2])), cfg)
-        assert new.membrane.data[0] == pytest.approx(1.2)
-        assert new.spikes.data[0] == 1.0
+        membrane, spikes = lif_step(*_arrays([0.0], [0.0], [1.2]), cfg)
+        assert membrane[0] == pytest.approx(1.2)
+        assert spikes[0] == 1.0
 
     def test_zero_input_never_spikes(self):
         cfg = LIFConfig(tau=0.2, v_th=1.0)
-        state = SpikeState.zeros((3,))
+        membrane = spikes = np.zeros(3)
         for _ in range(10):
-            state = lif_step(state, Tensor(np.zeros(3)), cfg)
-            assert np.all(state.spikes.data == 0.0)
-            assert np.all(state.membrane.data == 0.0)
+            membrane, spikes = lif_step(membrane, spikes, np.zeros(3), cfg)
+            assert np.all(spikes == 0.0)
+            assert np.all(membrane == 0.0)
 
     def test_hard_reset_clears_membrane_contribution(self):
         cfg = LIFConfig(tau=0.5, v_th=1.0)
-        state = SpikeState(Tensor(np.array([2.0])), Tensor(np.array([1.0])))
-        new = lif_step(state, Tensor(np.array([0.3])), cfg)
+        membrane, _ = lif_step(*_arrays([2.0], [1.0], [0.3]), cfg)
         # the spiking neuron restarts from the reset baseline
-        assert new.membrane.data[0] == pytest.approx(0.3)
+        assert membrane[0] == pytest.approx(0.3)
 
     def test_literal_mode_update(self):
         cfg = LIFConfig(tau=0.2, v_th=1.0, reset_mode=LITERAL_EQ3)
-        state = SpikeState(Tensor(np.array([0.8])), Tensor(np.array([0.0])))
-        new = lif_step(state, Tensor(np.array([0.5])), cfg)
+        membrane, _ = lif_step(*_arrays([0.8], [0.0], [0.5]), cfg)
         # U = tau * (1 - U_prev) + I = 0.2 * 0.2 + 0.5
-        assert new.membrane.data[0] == pytest.approx(0.54)
+        assert membrane[0] == pytest.approx(0.54)
 
     def test_shape_mismatch(self):
         cfg = LIFConfig()
         with pytest.raises(ShapeError, match="shape"):
-            lif_step(SpikeState.zeros((2,)), Tensor(np.zeros(3)), cfg)
+            lif_step(np.zeros(2), np.zeros(2), np.zeros(3), cfg)
 
 
 class TestSurrogate:
@@ -87,8 +91,10 @@ class TestSurrogate:
 
     def test_spike_backward_uses_surrogate(self):
         cfg = LIFConfig(v_th=0.5, lam=2.0)
-        u = Tensor(np.array([0.5, 0.75, 2.0]), requires_grad=True)
-        out = spike(u, cfg)
+        # over one step from rest the membrane is the current itself
+        u = Tensor(np.array([[0.5, 0.75, 2.0]]), requires_grad=True)
+        out = run_window(lif_step, u, LIFConfig(v_th=0.5, lam=2.0, window=1),
+                         held=True)
         backward(out.sum())
         np.testing.assert_allclose(
             u.grad, surrogate_grad(u.data - cfg.v_th, cfg.lam))
@@ -111,23 +117,14 @@ class TestSurrogate:
 
 
 class TestRunWindow:
-    def _step(self, w, cfg):
-        def step(x, states):
-            if states is None:
-                states = SpikeState.zeros((x.shape[0], w.shape[1]))
-            current = x @ Tensor(w)
-            new = lif_step(states, current, cfg)
-            return new.spikes, new
-        return step
-
     def test_window_one_equals_single_step(self):
         rng = np.random.default_rng(7)
-        w = rng.normal(size=(3, 4))
-        x = Tensor(rng.normal(size=(2, 3)))
+        current = rng.normal(size=(2, 4))
         cfg = LIFConfig(window=1)
-        out = run_window(self._step(w, cfg), x, cfg)
-        state = lif_step(SpikeState.zeros((2, 4)), x @ Tensor(w), cfg)
-        np.testing.assert_array_equal(out.data, state.spikes.data)
+        out = run_window(lif_step, Tensor(current), cfg, held=True)
+        _, spikes = lif_step(np.zeros((2, 4)), np.zeros((2, 4)), current, cfg)
+        np.testing.assert_array_equal(out.data, spikes)
+        np.testing.assert_array_equal(window_rate(out, 1).data, spikes)
 
     def test_rate_stays_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -135,7 +132,9 @@ class TestRunWindow:
         x = Tensor(rng.normal(size=(5, 3)))
         for window in (2, 4, 8):
             cfg = LIFConfig(window=window)
-            out = run_window(self._step(w, cfg), x, cfg)
+            out = window_rate(run_window(lif_step, x @ Tensor(w), cfg,
+                                         held=True), window)
+            assert out.shape == (5, 4)
             assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
 
     def test_four_step_hand_simulation(self):
@@ -143,17 +142,19 @@ class TestRunWindow:
         w = rng.normal(size=(3, 4))
         xv = rng.normal(size=(2, 3))
         cfg = LIFConfig(tau=0.2, v_th=0.5, window=4)
-        out = run_window(self._step(w, cfg), Tensor(xv), cfg)
+        out = run_window(lif_step, Tensor(xv) @ Tensor(w), cfg, held=True)
         # manual numpy trace of the same four steps
         u = np.zeros((2, 4))
         o = np.zeros((2, 4))
         total = np.zeros((2, 4))
         current = xv @ w
-        for _ in range(4):
+        for t in range(4):
             u = cfg.tau * u * (1.0 - o) + current
             o = (u >= cfg.v_th).astype(float)
+            np.testing.assert_array_equal(out.data[2 * t:2 * t + 2], o)
             total += o
-        np.testing.assert_allclose(out.data, total / 4.0, rtol=1e-12)
+        np.testing.assert_allclose(window_rate(out, 4).data, total / 4.0,
+                                   rtol=1e-12)
 
     def test_backward_equals_explicit_unroll(self):
         rng = np.random.default_rng(10)
@@ -162,22 +163,98 @@ class TestRunWindow:
         cfg = LIFConfig(window=3)
 
         w1 = Tensor(wv, requires_grad=True)
-        def step1(x, states):
-            if states is None:
-                states = SpikeState.zeros((x.shape[0], 4))
-            new = lif_step(states, x @ w1, cfg)
-            return new.spikes, new
-        backward(run_window(step1, Tensor(xv), cfg).sum())
+        spikes = run_window(lif_step, Tensor(xv) @ w1, cfg, held=True)
+        backward(window_rate(spikes, cfg.window).sum())
 
         w2 = Tensor(wv, requires_grad=True)
-        state = SpikeState.zeros((2, 4))
-        total = None
-        for _ in range(cfg.window):
-            state = lif_step(state, Tensor(xv) @ w2, cfg)
-            total = state.spikes if total is None else total + state.spikes
-        backward((total * (1.0 / cfg.window)).sum())
+        steps = lif_oracle.unroll([Tensor(xv) @ w2] * cfg.window, cfg)
+        backward(lif_oracle.rate(steps, cfg).sum())
 
-        np.testing.assert_array_equal(w1.grad, w2.grad)
+        np.testing.assert_allclose(w1.grad, w2.grad, rtol=1e-12)
+
+    def test_stacked_current_must_fill_the_window(self):
+        with pytest.raises(ShapeError, match="multiple of the window"):
+            run_window(lif_step, Tensor(np.zeros((5, 2))), LIFConfig(window=2))
+
+    def test_non_finite_membrane_rejected(self):
+        # the current is finite, but a silent membrane's sum of two overflows
+        current = Tensor(np.full((2, 1), -1e308))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="membrane"):
+            run_window(lif_step, current, LIFConfig(tau=1.0, window=2),
+                       held=True)
+
+
+MODES = {
+    "hard-reset": LIFConfig(window=4),
+    "literal-eq3": LIFConfig(tau=0.6, window=4, reset_mode=LITERAL_EQ3),
+    "smooth-hard-reset": LIFConfig(v_th=0.4, window=4, smooth=True),
+    "smooth-literal-eq3": LIFConfig(tau=0.6, v_th=0.4, window=4, smooth=True,
+                                    reset_mode=LITERAL_EQ3),
+}
+
+
+class TestRunWindowOracle:
+    """``run_window`` against the per-step Tensor path of ``lif_oracle``."""
+
+    @staticmethod
+    def _case(mode, held, window, seed=0):
+        """(cfg, current, coefficients over the stacked spikes)."""
+        cfg = dataclasses.replace(MODES[mode], window=window)
+        rng = np.random.default_rng(seed)
+        rows = 3 if held else 3 * window
+        current = rng.normal(0.4, 0.5, size=(rows, 2, 2))
+        coef = rng.normal(size=(3 * window, 2, 2))
+        return cfg, current, coef
+
+    @staticmethod
+    def _oracle(cfg, current, held):
+        """Per-step spikes and the current leaves they were built from."""
+        if held:
+            leaves = [Tensor(current, requires_grad=True)]
+            currents = leaves * cfg.window
+        else:
+            leaves = [Tensor(c, requires_grad=True)
+                      for c in np.split(current, cfg.window)]
+            currents = leaves
+        return lif_oracle.unroll(currents, cfg), leaves
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "stacked"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_matches_per_step_graph(self, mode, held, window):
+        cfg, current, coef = self._case(mode, held, window)
+        leaf = Tensor(current, requires_grad=True)
+        out = run_window(lif_step, leaf, cfg, held=held)
+        backward((out * Tensor(coef)).sum())
+
+        steps, leaves = self._oracle(cfg, current, held)
+        loss = None
+        for s, c in zip(steps, np.split(coef, window)):
+            term = (s * Tensor(c)).sum()
+            loss = term if loss is None else loss + term
+        backward(loss)
+
+        np.testing.assert_array_equal(
+            out.data, np.concatenate([s.data for s in steps]))
+        np.testing.assert_array_equal(
+            window_rate(out, window).data, lif_oracle.rate(steps, cfg).data)
+        expected = np.concatenate([l.grad for l in leaves])
+        assert np.any(expected != 0.0)
+        np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "stacked"])
+    @pytest.mark.parametrize("mode", ["smooth-hard-reset",
+                                      "smooth-literal-eq3"])
+    def test_smooth_mode_matches_finite_differences(self, mode, held):
+        cfg, current, coef = self._case(mode, held, 4, seed=1)
+        leaf = Tensor(current, requires_grad=True)
+
+        def f():
+            spikes = run_window(lif_step, leaf, cfg, held=held)
+            return (spikes * Tensor(coef)).sum()
+
+        assert finite_diff_check(f, [leaf], step=1e-6) < 1e-5
 
 
 @settings(max_examples=50, deadline=None)
@@ -198,7 +275,7 @@ def test_property_surrogate_even_bounded(u, lam):
 def test_property_spikes_are_binary(seed):
     rng = np.random.default_rng(seed)
     cfg = LIFConfig(window=3)
-    state = SpikeState.zeros((4,))
+    membrane = spikes = np.zeros(4)
     for _ in range(cfg.window):
-        state = lif_step(state, Tensor(rng.normal(size=4)), cfg)
-        assert set(np.unique(state.spikes.data)) <= {0.0, 1.0}
+        membrane, spikes = lif_step(membrane, spikes, rng.normal(size=4), cfg)
+        assert set(np.unique(spikes)) <= {0.0, 1.0}

@@ -333,16 +333,14 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(f, [w], step=1e-5) == 0.0
 
     def test_surrogate_smoothed_neuron(self):
-        from spikecl.spiking import LIFConfig, SpikeState, lif_step
+        from spikecl.spiking import LIFConfig, lif_step, run_window
 
         cfg = LIFConfig(window=1, smooth=True)
         w = Tensor(np.array([[0.3, 0.7]]), requires_grad=True)
         x = Tensor(np.array([[0.9], [0.4]]))
 
         def f():
-            current = w @ x
-            state = lif_step(SpikeState.zeros(current.shape), current, cfg)
-            return state.spikes.sum()
+            return run_window(lif_step, w @ x, cfg, held=True).sum()
 
         assert finite_diff_check(f, [w], step=1e-5) < 1e-4
 
