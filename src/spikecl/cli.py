@@ -363,9 +363,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
     matrix = metrics.AccuracyMatrix()
     matrix.entries = [list(til[0])]  # evaluation-only: final accuracies
     timings = {"evaluate": time.perf_counter() - t0}
-    logs = [{"task": t.id, "similarity": [], "association": None,
-             "expansion": None, "losses": [], "pruning_rates": {},
-             "train_accuracy": None} for t in tasks]
+    logs = [trainer.task_log(t.id) for t in tasks]
     return _write_reports(out, _echo(cfg, seed, out), tasks, network, logs,
                           matrix, til, cil, timings)
 

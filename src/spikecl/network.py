@@ -32,9 +32,12 @@ old rows are zero outside their synapses and never train.  Convolutional
 layers treat a channel as one unit.
 
 The forward runs layer by layer over the whole window: per layer one product
-and one LIF node (``run_window``).  Layer 0's input is the same at every
-step, so its current is computed once and held; every later layer's product
-reads the window-stacked ``(T*B, ...)`` spikes of the layer below.
+and one LIF recurrence.  Layer 0's input is the same at every step, so its
+current is computed once and held; every later layer's product reads the
+window-stacked ``(T*B, ...)`` spikes of the layer below.  Training runs it
+on the graph (``features_tensor``); every pass that needs no gradient runs
+the same ops in the same order on arrays (``infer``), so its values are
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .spiking import LIFConfig, lif_step, run_window, window_rate
-from .tensor import Tensor, _conv_geometry, conv2d, no_grad
+from .errors import (ConfigError, ContractError, FormatError, NumericalError,
+                     ShapeError)
+from .spiking import (LIFConfig, lif_step, lif_window, rate, run_window,
+                      window_rate)
+from .tensor import Tensor, _conv_geometry, conv2d, conv_forward
 
 FORMAT_VERSION = 6
 
@@ -67,6 +72,15 @@ class DenseSpec:
 
 def _spec_units(spec):
     return spec.channels if isinstance(spec, ConvSpec) else spec.units
+
+
+def head_logits(features, w, b):
+    """``features @ w.T + b`` on arrays in ``forward_task``'s op order,
+    checked finite."""
+    logits = features @ w.T.copy() + b
+    if not np.all(np.isfinite(logits)):
+        raise NumericalError("logits are not finite")
+    return logits
 
 
 def _he_init(rng, shape, fan_in):
@@ -137,12 +151,13 @@ class TaskHead:
         self.classes = list(classes)
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
-        # CIL inference uses calibrated copies so the TIL head stays frozen.
+        # CIL inference uses calibrated copies so the TIL head stays frozen;
+        # they are fitted off the graph, so they never require a gradient.
         self.sync_cil()
 
     def sync_cil(self):
-        self.cil_w = Tensor(self.w.data.copy(), requires_grad=True)
-        self.cil_b = Tensor(self.b.data.copy(), requires_grad=True)
+        self.cil_w = Tensor(self.w.data.copy())
+        self.cil_b = Tensor(self.b.data.copy())
 
 
 class Network:
@@ -228,39 +243,50 @@ class Network:
             raise KeyError(f"unknown task {task_id}")
         return self.masks[task_id]
 
+    def _gathers(self, shape, task_id):
+        """Check an input batch's ``shape``; yield each layer's index, the
+        layer, the rows of the task's active units and the columns of the
+        active units below it (``block`` columns per input unit)."""
+        if len(shape) != 4 or tuple(shape[1:]) != self.input_shape:
+            raise ShapeError(f"input shape {tuple(shape[1:])} does not match "
+                             f"network input {self.input_shape}")
+        below = np.arange(self.input_shape[0])  # active units of the input
+        for li, (layer, active) in enumerate(
+                zip(self.layers, self._require_mask(task_id).active)):
+            rows = np.flatnonzero(active)
+            yield li, layer, rows, (below[:, None] * layer.block
+                                    + np.arange(layer.block)).ravel()
+            below = rows
+
     def features_tensor(self, x, task_id):
         """Rate-coded output of the task's active final-layer units over the
-        window (graph-recording).
-
-        Each layer gathers the rows of the task's active units and the
-        columns of the active units below it (``block`` columns per input
-        unit); currents and spikes cover active units only.
-        """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        if x.data.ndim != 4 or x.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"input shape {x.shape[1:]} does not match network input "
-                f"{self.input_shape}"
-            )
-        mask = self._require_mask(task_id)
-        below = np.arange(self.input_shape[0])  # active units of the input
-        h = x
-        for li, (layer, active) in enumerate(zip(self.layers, mask.active)):
-            rows = np.flatnonzero(active)
-            cols = (below[:, None] * layer.block
-                    + np.arange(layer.block)).ravel()
+        window, on the graph: each layer computes its ``_gathers`` only."""
+        h = x if isinstance(x, Tensor) else Tensor(x)
+        for li, layer, rows, cols in self._gathers(h.shape, task_id):
             weff = layer.w.take(rows, cols)
             if layer.kind == "conv":
                 cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
             else:
                 if len(h.shape) > 2:
-                    h = h.reshape(h.shape[0], -1)
+                    h = h.reshape(h.shape[0], cols.size)
                 cur = h.matmul(weff.transpose())
             h = run_window(lif_step, cur.add_bias(layer.b.take(rows)),
                            self.lif, held=(li == 0))
-            below = rows
         return window_rate(h, self.lif.window)
+
+    def infer(self, x, task_id):
+        """``features_tensor``'s value on arrays, by the same ops in the same
+        order: for every pass that needs no gradient."""
+        h = np.asarray(x, dtype=np.float64)
+        for li, layer, rows, cols in self._gathers(h.shape, task_id):
+            w, b = layer.w.data[rows[:, None], cols], layer.b.data[rows]
+            if layer.kind == "conv":
+                cur = conv_forward(h, w, layer.spec.stride,
+                                   layer.spec.padding)[0] + b[:, None, None]
+            else:
+                cur = h.reshape(h.shape[0], cols.size) @ w.T.copy() + b
+            h = lif_window(lif_step, cur, self.lif, held=(li == 0))[1]
+        return rate(h, self.lif.window)
 
     def forward_task(self, x, task_id):
         """Masked forward; returns (logits over the task's classes, features
@@ -272,21 +298,16 @@ class Network:
         return logits.add_bias(head.b), features
 
     def extract_features(self, x, task_id):
-        """Features at the task's prefix width, a pruned unit's 0, with no
-        gradient recording."""
-        with no_grad():
-            compact = self.features_tensor(x, task_id).data
-        active = self.masks[task_id].active[-1]
-        features = np.zeros((compact.shape[0], active.size))
-        features[:, active] = compact
+        """``infer`` at the task's prefix width: a pruned unit reads 0."""
+        active = self._require_mask(task_id).active[-1]
+        features = np.zeros((len(x), active.size))
+        features[:, active] = self.infer(x, task_id)
         return features
 
     def cil_logits(self, features, task_id):
-        """Logits of ``task_id``'s calibrated CIL head copy over its
-        ``extract_features`` output."""
+        """Logits of ``task_id``'s CIL head copy over ``extract_features``."""
         head = self.heads[task_id]
-        return Tensor(features).matmul(head.cil_w.transpose()).add_bias(
-            head.cil_b)
+        return head_logits(features, head.cil_w.data, head.cil_b.data)
 
     def parameters(self, task_id):
         """Trainable parameter tensors while learning ``task_id``."""
@@ -470,10 +491,8 @@ class Network:
             head_shape = (len(cls), net._widths(t)[-1])
             head = TaskHead(cls, array(f"task{t}/head_w", head_shape),
                             array(f"task{t}/head_b", head_shape[:1]))
-            head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape),
-                                requires_grad=True)
-            head.cil_b = Tensor(array(f"task{t}/cil_b", head_shape[:1]),
-                                requires_grad=True)
+            head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape))
+            head.cil_b = Tensor(array(f"task{t}/cil_b", head_shape[:1]))
             net.heads[t] = head
         for t, cls in anchor_classes.items():
             feat = net._widths(t)[-1]

@@ -15,11 +15,11 @@ the triangular surrogate: zero outside |u| > 1/lambda, otherwise
 (a C^1 ramp from 0 to 1) so that analytic gradients agree with finite
 differences; it exists for gradient-checking, not for training.
 
-``lif_step`` is one membrane update on numpy arrays.  ``run_window`` runs a
-layer's recurrence over the whole window as one graph node (the multi-step
-mode of SpikingJelly): its forward calls ``lif_step`` once per timestep, and
-its backward is hand-written backpropagation through time with the
-surrogate.  ``window_rate`` turns a layer's window of spikes into its rate.
+``lif_step`` is one membrane update on numpy arrays.  ``lif_window`` runs it
+over a layer's whole window and ``rate`` turns the window's spikes into a
+rate; ``run_window`` and ``window_rate`` are the same kernels as graph nodes
+(SpikingJelly's multi-step mode), ``run_window``'s backward hand-written
+backpropagation through time with the surrogate.
 """
 
 from __future__ import annotations
@@ -88,18 +88,12 @@ def lif_step(membrane, spikes, current, cfg):
     return membrane, (membrane >= cfg.v_th).astype(np.float64)
 
 
-def run_window(step, current, cfg, held=False):
-    """One layer's LIF recurrence over ``cfg.window`` timesteps, as one node.
-
-    ``current`` is a Tensor, either held, ``(B, ...)`` and presented at every
-    step, or window-stacked, ``(T*B, ...)`` with step t's rows at
-    ``[t*B, (t+1)*B)``.  ``step`` is ``lif_step``, called once per timestep
-    from a zero membrane and no spikes.  Returns the window-stacked
-    ``(T*B, ...)`` spikes.  The backward runs BPTT with the surrogate
-    derivative; a held current's gradient is the sum over the steps.
-    """
+def lif_window(step, cur, cfg, held=False):
+    """One layer's ``cfg.window`` steps of ``step`` (``lif_step``) on arrays,
+    from rest.  ``cur`` is held, ``(B, ...)`` at every step, or stacked,
+    ``(T*B, ...)`` with step t's rows at ``[t*B, (t+1)*B)``.  Returns every
+    step's membrane and the stacked ``(T*B, ...)`` spikes."""
     window = cfg.window
-    cur = current.data
     rows = cur.shape[0] if held else cur.shape[0] // window
     if not held and rows * window != cur.shape[0]:
         raise ShapeError(f"stacked current has {cur.shape[0]} rows, not a "
@@ -114,12 +108,21 @@ def run_window(step, current, cfg, held=False):
             raise NumericalError("membrane potential is not finite")
         membranes.append(m)
         spikes[t] = o
+    return membranes, spikes.reshape((window * rows,) + shape[1:])
+
+
+def run_window(step, current, cfg, held=False):
+    """``lif_window``'s spikes of a Tensor ``current``, as one graph node
+    whose backward runs BPTT with the surrogate derivative; a held current's
+    gradient is the sum over the steps."""
+    membranes, stacked = lif_window(step, current.data, cfg, held)
+    spikes = stacked.reshape((cfg.window,) + membranes[0].shape)
 
     def vjp(grad):
         grad = grad.reshape(spikes.shape)
         g_cur = None if held else np.empty(spikes.shape)
         g_next = None  # dL/dU^{t+1}; the last step feeds no later one
-        for t in reversed(range(window)):
+        for t in reversed(range(cfg.window)):
             m, g_o = membranes[t], grad[t]
             slope = surrogate_grad(m - cfg.v_th, cfg.lam)
             if g_next is None:
@@ -135,22 +138,22 @@ def run_window(step, current, cfg, held=False):
             else:
                 g_cur[t] = g_m
             g_next = g_m
-        return g_cur.reshape(cur.shape)
+        return g_cur.reshape(current.shape)
 
-    return current.custom_op(spikes.reshape((window * rows,) + shape[1:]),
-                             vjp)
+    return current.custom_op(stacked, vjp)
 
 
-def window_rate(spikes, window):
-    """Spike rate of window-stacked ``(T*B, ...)`` spikes: the steps summed
-    in order, times 1/T."""
-    steps = spikes.data.reshape((window, -1) + spikes.shape[1:])
+def rate(spikes, window):
+    """Spike rate of window-stacked ``(T*B, ...)`` spike arrays: the steps
+    summed in order, times 1/T."""
+    steps = np.split(spikes, window)  # by row count: a layer may have no unit
     total = steps[0]
     for s in steps[1:]:
         total = total + s
-    scale = 1.0 / window
+    return total * (1.0 / window)
 
-    def vjp(grad):
-        return np.concatenate([grad * scale] * window)
 
-    return spikes.custom_op(total * scale, vjp)
+def window_rate(spikes, window):
+    """``rate`` of window-stacked spikes as a graph node."""
+    return spikes.custom_op(rate(spikes.data, window), lambda grad: (
+        np.concatenate([grad * (1.0 / window)] * window)))

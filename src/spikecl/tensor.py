@@ -1,12 +1,13 @@
 """Minimal dense-tensor reverse-mode autodiff.
 
 Everything is float64 and row-major.  A ``Tensor`` wraps a numpy array and,
-while gradient recording is enabled, remembers how it was produced so that
-``backward`` can run the chain rule over the (acyclic) graph.  Two hooks let a
-caller define an op: ``custom_unary`` takes an elementwise function and its
-local derivative, and ``custom_op`` takes a value computed outside the graph
-and its vector-Jacobian product.  ``spiking.run_window`` is built on
-``custom_op``: a layer's whole LIF window is one node.
+when an input requires a gradient, remembers how it was produced so that
+``backward`` can run the chain rule over the (acyclic) graph.  Only training
+builds one: a pass that needs no gradient runs on arrays (``Network.infer``).
+Two hooks let a caller define an op: ``custom_unary`` takes an elementwise
+function and its local derivative, and ``custom_op`` takes a value computed
+outside the graph and its vector-Jacobian product.  ``spiking.run_window`` is
+built on ``custom_op``: a layer's whole LIF window is one node.
 
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
@@ -14,30 +15,15 @@ number stays a number, adding one node and no constant Tensor.  The only
 broadcast form is bias-add.  ``take`` gathers rows (and columns) of a
 parameter and scatters its gradient back at the full shape.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
-per sample, so a sample's output never depends on the rest of its batch.
+per sample, so a sample's output never depends on the rest of its batch;
+``conv_forward`` is that forward on plain arrays.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (used for feature probes)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -61,14 +47,11 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out._parents = ()
-        out._backward = None
         if not np.all(np.isfinite(data)):
             raise NumericalError("operation produced non-finite values")
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward_fn
+        out.requires_grad = any(p.requires_grad for p in parents)
+        out._parents = tuple(parents) if out.requires_grad else ()
+        out._backward = backward_fn if out.requires_grad else None
         return out
 
     @property
@@ -313,29 +296,33 @@ def _col2im(cols, xshape, kh, kw, stride, padding):
     return xp
 
 
-def conv2d(x, kernels, stride=1, padding=0):
-    """Batched 2-D cross-correlation.
-
-    x: Tensor (B, C_in, H, W); kernels: (C_out, C_in, kh, kw).
-    Differentiable w.r.t. both input and kernels.  The forward and the input
-    gradient run one GEMM per sample, so a sample's output never depends on
-    the rest of its batch; the kernel gradient is one GEMM over the batch.
-    """
-    if x.data.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects 4-D input and kernels, got {x.shape} and {kernels.shape}"
-        )
-    b, c_in, h, w = x.shape
+def conv_forward(x, kernels, stride=1, padding=0):
+    """``conv2d``'s forward on arrays: returns (output, im2col patches,
+    kernel matrix)."""
+    if x.ndim != 4 or kernels.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-D input and kernels, got "
+                         f"{x.shape} and {kernels.shape}")
+    b, c_in = x.shape[:2]
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {c_in}, kernels expect {kc}"
-        )
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = kernels.data.reshape(c_out, c_in * kh * kw)
+        raise ShapeError(f"conv2d channel mismatch: input has {c_in}, "
+                         f"kernels expect {kc}")
+    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+    wmat = kernels.reshape(c_out, c_in * kh * kw)
     # matmul broadcasts wmat: one GEMM per sample.  Stacking the batch into
     # one GEMM would not do: a BLAS row can depend on the rest of its batch.
-    out = np.matmul(wmat, cols).reshape(b, c_out, ho, wo)
+    return np.matmul(wmat, cols).reshape(b, c_out, ho, wo), cols, wmat
+
+
+def conv2d(x, kernels, stride=1, padding=0):
+    """Batched 2-D cross-correlation of Tensors x (B, C_in, H, W) and
+    kernels (C_out, C_in, kh, kw), differentiable w.r.t. both.  The forward
+    and the input gradient run one GEMM per sample, so a sample's output
+    never depends on the rest of its batch; the kernel gradient is one GEMM
+    over the batch."""
+    out, cols, wmat = conv_forward(x.data, kernels.data, stride, padding)
+    b, c_out, ho, wo = out.shape
+    kh, kw = kernels.shape[2:]
 
     def backward(outt):
         g = outt.grad.reshape(b, c_out, ho * wo)
@@ -347,29 +334,6 @@ def conv2d(x, kernels, stride=1, padding=0):
             _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding))
 
     return Tensor._make(out, (x, kernels), backward)
-
-
-def concat_cols(tensors):
-    """Concatenate 2-D tensors along axis 1 (used to join per-task logits)."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_cols needs at least one tensor")
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[0] != rows:
-            raise ShapeError(
-                f"concat_cols expects 2-D tensors with {rows} rows, got {t.shape}"
-            )
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                _accum(t, out.grad[:, lo:hi])
-
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=1),
-                        tuple(tensors), backward)
 
 
 # -- losses -------------------------------------------------------------------

@@ -13,7 +13,8 @@ on the replay buffer.  A one-task stream keeps the copy equal to its TIL head,
 so its CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
-TIL accuracy is exactly stable by construction.
+TIL accuracy is exactly stable by construction.  Only training builds a
+graph: the probe, anchors, evaluation and calibration run ``Network.infer``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, NumericalError, TrainingError
-from .network import ConvSpec, DenseSpec, Network, init_first_task
+from .network import (ConvSpec, DenseSpec, Network, head_logits,
+                      init_first_task)
 from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          association, build_relatedness, expansion_counts,
                          pruning_rates, update_relatedness)
 from .similarity import (CLAMPED, LITERAL, check_gamma, compute_anchors,
                          similarity_vector)
 from .spiking import LIFConfig
-from .tensor import Tensor, concat_cols, cross_entropy, gradients, no_grad
+from .tensor import Tensor, cross_entropy, gradients
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+EVAL_BATCH = 256  # rows per evaluation forward: a BLAS row can depend on it
 
 
 @dataclass
@@ -79,28 +84,27 @@ class Adam:
     """Adam with frozen leading rows: rows before a parameter's first
     trainable row (``first_rows[id(p)]``, default 0) never move."""
 
-    def __init__(self, params, first_rows=None, lr=1e-3, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    def __init__(self, params, first_rows=None, lr=1e-3):
         self.entries = []
         first_rows = first_rows or {}
         for p in params:
             r0 = first_rows.get(id(p), 0)
             self.entries.append((p, r0, np.zeros_like(p.data[r0:]),
                                  np.zeros_like(p.data[r0:])))
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for p, r0, m, v in self.entries:
             if p.grad is None:
                 continue
             g = p.grad[r0:]
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g ** 2 - v)
-            p.data[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m += (1 - ADAM_BETA1) * (g - m)
+            v += (1 - ADAM_BETA2) * (g ** 2 - v)
+            p.data[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
     def zero_grad(self):
         for p, _, _, _ in self.entries:
@@ -184,6 +188,13 @@ def _diverged(cfg, where):
                             f"{exc}") from exc
 
 
+def task_log(task_id):
+    """The per-task log ``learn_task`` fills in, as yet empty."""
+    return {"task": task_id, "similarity": [], "association": None,
+            "expansion": None, "losses": [], "pruning_rates": {},
+            "train_accuracy": None}
+
+
 def learn_task(network, task, cfg, buffer=None):
     """Run the full per-task procedure; returns (network, log dict).
 
@@ -194,9 +205,7 @@ def learn_task(network, task, cfg, buffer=None):
 
 
 def _learn_task(network, task, cfg, buffer):
-    log = {"task": task.id, "similarity": [], "association": None,
-           "expansion": None, "losses": [], "pruning_rates": {},
-           "train_accuracy": None}
+    log = task_log(task.id)
     state = None
     if network is None:
         network = init_first_task(cfg.arch, cfg.input_shape, task,
@@ -257,13 +266,15 @@ def _learn_task(network, task, cfg, buffer):
     return network, log
 
 
-def _accuracy(network, task, x, y, batch=256):
+def _accuracy(network, task, x, y):
     local = _local_labels(task, y)
+    head = network.heads[task.id]
+    w = head.w.data[:, network.masks[task.id].active[-1]]  # its active units
     hits = 0
-    with no_grad():
-        for i in range(0, x.shape[0], batch):
-            logits, _ = network.forward_task(Tensor(x[i : i + batch]), task.id)
-            hits += int((np.argmax(logits.data, axis=1) == local[i : i + batch]).sum())
+    for i in range(0, x.shape[0], EVAL_BATCH):
+        logits = head_logits(network.infer(x[i : i + EVAL_BATCH], task.id),
+                             w, head.b.data)
+        hits += int((np.argmax(logits, axis=1) == local[i : i + EVAL_BATCH]).sum())
     return hits / x.shape[0]
 
 
@@ -293,7 +304,7 @@ def _check_disjoint(tasks):
         )
 
 
-def cil_evaluate(network, tasks, batch=256):
+def cil_evaluate(network, tasks):
     """Accuracy on the union test set with no task identity given, read from
     the CIL head copies that ``calibrate_heads`` sets."""
     _check_disjoint(tasks)
@@ -301,13 +312,12 @@ def cil_evaluate(network, tasks, batch=256):
     y = np.concatenate([t.test_y for t in tasks])
     cols = np.asarray([c for t in tasks for c in network.heads[t.id].classes])
     hits = 0
-    with no_grad():
-        for i in range(0, x.shape[0], batch):
-            parts = [network.cil_logits(
-                network.extract_features(x[i : i + batch], t.id), t.id)
-                for t in tasks]
-            pred = cols[np.argmax(concat_cols(parts).data, axis=1)]
-            hits += int((pred == y[i : i + batch]).sum())
+    for i in range(0, x.shape[0], EVAL_BATCH):
+        logits = np.concatenate([network.cil_logits(
+            network.extract_features(x[i : i + EVAL_BATCH], t.id), t.id)
+            for t in tasks], axis=1)
+        hits += int((cols[np.argmax(logits, axis=1)]
+                     == y[i : i + EVAL_BATCH]).sum())
     return hits / x.shape[0]
 
 
@@ -315,30 +325,36 @@ def calibrate_heads(network, buffer, cfg):
     """Set every task's CIL head copy; call once, after the last task.
 
     Each copy restarts from its TIL head.  With two or more tasks the copies
-    are then fitted jointly on the replay buffer, features frozen.
-    Non-finite values end in a ``TrainingError`` naming the seed.
+    are then fitted jointly on the replay buffer, features frozen, each from
+    its own columns of the joined logits' gradient.  Non-finite values, the
+    fitted copies' logits included, end in a ``TrainingError`` naming the seed.
     """
     tasks = sorted(network.masks)
-    for t in tasks:
-        network.heads[t].sync_cil()
+    heads = [network.heads[t] for t in tasks]
+    for h in heads:
+        h.sync_cil()
     if len(tasks) < 2:
         return
     bx, by = buffer.all_samples()
-    cols = [c for t in tasks for c in network.heads[t].classes]
-    col_of = {c: i for i, c in enumerate(cols)}
+    col_of = {c: i for i, c in enumerate(c for h in heads for c in h.classes)}
     target = np.asarray([col_of[v] for v in by], dtype=np.int64)
-    params = []
-    for t in tasks:
-        params.extend([network.heads[t].cil_w, network.heads[t].cil_b])
-    optim = Adam(params, lr=cfg.calib_lr)
+    bounds = np.cumsum([0] + [len(h.classes) for h in heads])
+    optim = Adam([p for h in heads for p in (h.cil_w, h.cil_b)],
+                 lr=cfg.calib_lr)
     with _diverged(cfg, "head calibration"):
-        feats = {t: network.extract_features(bx, t) for t in tasks}
+        feats = [network.extract_features(bx, t) for t in tasks]
         for epoch in range(cfg.calib_epochs):
             rng = np.random.default_rng([cfg.seed, 7331, epoch])
             for idx in _batches(bx.shape[0], cfg.batch_size, rng):
-                parts = [network.cil_logits(feats[t][idx], t) for t in tasks]
-                loss = cross_entropy(concat_cols(parts), target[idx])
-                optim.zero_grad()
-                gradients(loss, params)
+                batch = [f[idx] for f in feats]
+                logits = Tensor(np.concatenate(
+                    [network.cil_logits(f, t) for f, t in zip(batch, tasks)],
+                    axis=1), requires_grad=True)
+                loss = cross_entropy(logits, target[idx])
+                grad = gradients(loss, [logits])[logits]
+                for h, f, lo, hi in zip(heads, batch, bounds, bounds[1:]):
+                    g = grad[:, lo:hi].copy()  # contiguous, as on the graph
+                    h.cil_w.grad, h.cil_b.grad = (f.T @ g).T, g.sum(axis=0)
                 optim.step()
-            optim.zero_grad()
+        for f, t in zip(feats, tasks):  # the last step's copies
+            network.cil_logits(f, t)

@@ -140,6 +140,37 @@ class TestRun:
         assert "training error" in err
         assert "seed 0, head calibration" in err
 
+    def test_calibration_diverging_on_its_last_step_exits_three(
+            self, tmp_path, capsys):
+        # one step of one epoch: only the check after the fit can see it
+        cfg = tmp_path / "calib.ini"
+        cfg.write_text(
+            "[stream]\nkind = synthetic\ntasks = 2\nn_train = 40\n"
+            "n_test = 20\n\n[network]\narch = dense16,dense8\n\n"
+            "[train]\nepochs = 2\n\n[replay]\ncapacity = 20\n"
+            "calib_epochs = 1\ncalib_lr = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_TRAINING
+        assert "seed 0, head calibration" in capsys.readouterr().err
+
+    def test_layer_with_every_unit_pruned_runs(self, tmp_path):
+        # task 1 adds no final-layer unit and prunes all 8 reused ones
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(
+            "[stream]\nkind = synthetic\ntasks = 2\nn_train = 40\n"
+            "n_test = 20\n\n[network]\narch = dense16,dense8\n\n"
+            "[train]\nepochs = 2\n\n[expansion]\nmax_per_layer = 4,0\n\n"
+            "[reuse]\nbeta = -100\n")
+        out, again = tmp_path / "out", tmp_path / "eval"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["evaluate", str(out / "checkpoint.npz"), str(cfg),
+                     "--out", str(again)]) == EXIT_OK
+        for d in (out, again):
+            report = json.loads((d / "report.json").read_text())
+            # no feature left: the logits are the bias, so chance on 2 classes
+            assert report["til"]["per_task"][1] == 0.5
+
     def test_disjoint_run_calibrates_once_after_the_last_task(
             self, tmp_path, monkeypatch):
         import spikecl.trainer as trainer

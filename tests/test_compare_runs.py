@@ -36,6 +36,15 @@ def test_drift_says_why_each_array_differs(tmp_path):
     }
 
 
+def test_package_lines_counts_every_module_line(tmp_path):
+    pkg = tmp_path / "spikecl"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""Doc."""\n\nX = 1\n')
+    (pkg / "sub" / "mod.py").write_text("def f():\n    return 2\n")
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    assert compare_runs.package_lines(tmp_path) == 5
+
+
 def test_differing_names_every_changed_leaf():
     parent = {"per_task": [{"losses": [0.1, 0.2], "task": 0}], "energy": 3}
     change = {"per_task": [{"losses": [0.1, 0.3], "task": 0}], "gain": 1}

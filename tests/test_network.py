@@ -377,6 +377,57 @@ class TestUnitGatedForward:
         np.testing.assert_array_equal(logits.data, expected.data)
 
 
+def _emptied(arch, shape, counts, li, seed=0):
+    """Task 1 adds ``counts`` units and prunes every reused unit of layer
+    ``li``, to which it adds none: the layer has no active unit."""
+    t0 = _task(0, shape=shape)
+    net = init_first_task(arch, shape, t0, lif=LIFConfig(window=2), seed=seed)
+    t1 = _task(1, shape=shape, seed=5)
+    net.expand(t1, counts)
+    net.prune_units(1, [(li, u) for u in range(net.layers[li].width)])
+    return net, t0, t1
+
+
+def _pruned(build):
+    def pruned(seed=0):
+        net, t0, t1 = build(seed=seed)
+        net.prune_units(1, [(0, 1), (1, 2)])
+        return net, t0, t1
+    return pruned
+
+
+class TestInfer:
+    """``infer`` against the graph forward it stands in for."""
+
+    @pytest.mark.parametrize("build", [
+        _pruned(TestPruning()._expanded), _pruned(_conv_expanded),
+        lambda seed: _emptied(DENSE_ARCH, SHAPE, [3, 0], 1, seed),
+        lambda seed: _emptied([ConvSpec(3, 3, 2, 1), DenseSpec(4)],
+                              (1, 5, 5), [0, 2], 0, seed),
+    ], ids=["dense", "conv", "empty-final-layer", "empty-conv-layer"])
+    @pytest.mark.parametrize("lif", [
+        LIFConfig(window=3),
+        LIFConfig(tau=0.6, window=3, reset_mode=LITERAL_EQ3),
+        LIFConfig(v_th=0.4, window=3, smooth=True),
+        LIFConfig(tau=0.6, v_th=0.4, window=3, smooth=True,
+                  reset_mode=LITERAL_EQ3),
+    ], ids=["hard-reset", "literal-eq3", "smooth-hard-reset",
+            "smooth-literal-eq3"])
+    def test_equals_graph_forward_bit_for_bit(self, build, lif):
+        net, t0, t1 = build(seed=1)
+        net.lif = lif
+        for t, task in ((0, t0), (1, t1)):
+            graph = net.features_tensor(Tensor(task.train_x), t).data
+            assert graph.shape == (len(task.train_x),
+                                   int(net.masks[t].active[-1].sum()))
+            np.testing.assert_array_equal(net.infer(task.train_x, t), graph)
+
+    def test_checks_the_input_shape(self):
+        net, t0 = _dense_net()
+        with pytest.raises(ShapeError, match="does not match network input"):
+            net.infer(t0.train_x[0], 0)
+
+
 def _first_task_draws(arch, shape, n_classes, seed):
     """The He-normal draws of the first task, in order: layers, then head."""
     rng = np.random.default_rng([seed, 0])

@@ -184,6 +184,14 @@ class TestRunWindow:
             run_window(lif_step, current, LIFConfig(tau=1.0, window=2),
                        held=True)
 
+    def test_rate_of_zero_units(self):
+        # a layer whose every unit is pruned: 3 rows, no columns
+        spikes = Tensor(np.zeros((2 * 3, 0)), requires_grad=True)
+        out = window_rate(spikes, 2)
+        assert out.shape == (3, 0)
+        backward(out.sum())
+        assert spikes.grad.shape == (6, 0)
+
 
 MODES = {
     "hard-reset": LIFConfig(window=4),

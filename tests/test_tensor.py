@@ -11,9 +11,8 @@ from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import (Tensor, _im2col, backward, concat_cols, conv2d,
-                            cross_entropy, finite_diff_check, gradients,
-                            no_grad)
+from spikecl.tensor import (Tensor, _im2col, backward, conv2d, cross_entropy,
+                            finite_diff_check, gradients)
 
 
 def _matmul_oracle(a, b):
@@ -414,15 +413,6 @@ class TestOpsAndErrors:
         out = x.add_bias(Tensor(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_array_equal(out.data[:, 1], np.full((2, 4, 4), 2.0))
 
-    def test_concat_cols_forward_and_backward(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.full((2, 3), 2.0), requires_grad=True)
-        joined = concat_cols([a, b])
-        assert joined.shape == (2, 5)
-        backward((joined * Tensor(np.arange(10.0).reshape(2, 5))).sum())
-        np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
-        np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
-
     def test_cross_entropy_uniform_logits(self):
         loss = cross_entropy(Tensor(np.zeros((4, 3))), np.zeros(4, dtype=int))
         assert loss.data == pytest.approx(np.log(3.0))
@@ -436,12 +426,6 @@ class TestOpsAndErrors:
             return cross_entropy(logits, labels)
 
         assert finite_diff_check(f, [logits], step=1e-5) < 1e-7
-
-    def test_no_grad_blocks_recording(self):
-        w = Tensor(np.ones(2), requires_grad=True)
-        with no_grad():
-            out = (w * 2.0).sum()
-        assert not out.requires_grad
 
     def test_determinism(self):
         rng = np.random.default_rng(6)

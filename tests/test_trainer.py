@@ -179,6 +179,19 @@ class TestEvaluation:
         til_avg = til_evaluate(net, stream)[1]
         assert cil_evaluate(net, stream) <= til_avg + 1e-9
 
+    def test_evaluation_builds_no_tensor(self, monkeypatch):
+        net, stream = self._trained(2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pass without gradients built a Tensor")
+
+        monkeypatch.setattr(Tensor, "__init__", forbidden)
+        monkeypatch.setattr(Tensor, "_make", staticmethod(forbidden))
+        assert net.extract_features(stream[0].test_x, 1).shape[1] == \
+            net.layers[-1].width
+        til_evaluate(net, stream)
+        cil_evaluate(net, stream)
+
     def test_cil_needs_disjoint_labels(self):
         net, stream = self._trained(2)
         stream[1].classes = list(stream[0].classes)

@@ -21,8 +21,10 @@ For each report it prints whether each artefact's sha256 matches, whether
 (``timings_s`` and ``config`` aside), and, for every checkpoint array that
 differs, why: its drift, max |change - parent| / max |parent|; or that it is
 missing on one side; or its shape change; or, for ``__meta__``, which JSON
-keys differ.  Exits 1 when a CSV, ``til``/``cil`` or a command's exit code
-differs, else 0; checkpoint differences alone are reported, not failed.
+keys differ.  Last it prints the line count of each tree's ``spikecl``
+package and the difference.  Exits 1 when a CSV, ``til``/``cil`` or a
+command's exit code differs, else 0; checkpoint differences alone are
+reported, not failed.
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ def _src(path):
     if not (src / "spikecl" / "__init__.py").is_file():
         raise SystemExit(f"error: no spikecl package under {path}")
     return src
+
+
+def package_lines(src):
+    """Lines of the ``.py`` files of the ``spikecl`` package under ``src``."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "spikecl").rglob("*.py"))
 
 
 def _spikecl(src, argv):
@@ -293,6 +301,9 @@ def main(argv=None):
             print(f"    {name}: {_describe(d)}")
     else:
         print("every checkpoint array is equal")
+    lines = [package_lines(src) for src in (parent, change)]
+    print(f"src/spikecl lines: {lines[0]} -> {lines[1]} "
+          f"({lines[1] - lines[0]:+d})")
     return 0 if ok else 1
 
 
