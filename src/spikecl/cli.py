@@ -28,8 +28,7 @@ import time
 from pathlib import Path
 
 from . import metrics, streams, trainer
-from .errors import (ConfigError, ContractError, DataError, FormatError,
-                     TrainingError)
+from .errors import ConfigError, DataError, FormatError, TrainingError
 from .network import ConvSpec, DenseSpec, Network
 from .plasticity import ExpansionPolicy
 from .spiking import LIFConfig
@@ -86,8 +85,7 @@ _SECTIONS = {
             "window": int, "reset_mode": str},
     "expansion": {"alpha": float, "max_per_layer": lambda text: tuple(
         int(v) for v in text.split(",") if v.strip())},
-    "similarity": {"gamma": float, "mode": ("sim_mode", str),
-                   "probe_size": int},
+    "similarity": {"gamma": float, "probe_size": int},
     "reuse": {"beta": float, "bias0": float, "bias_slope": float},
     "replay": {"capacity": ("replay_capacity", int), "calib_epochs": int,
                "calib_lr": float},
@@ -191,18 +189,16 @@ def _check_inputs(tasks, input_shape):
 def build_train_config(cfg, seed):
     """The training settings of an INI; any invalid value is a ConfigError."""
     s = _settings(cfg)
-    try:
-        return TrainConfig(
-            **s["network"], **s["train"], **s["similarity"], **s["reuse"],
-            **s["replay"], lif=LIFConfig(**s["lif"]),
-            policy=ExpansionPolicy(**s["expansion"]), seed=seed)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(
+        **s["network"], **s["train"], **s["similarity"], **s["reuse"],
+        **s["replay"], lif=LIFConfig(**s["lif"]),
+        policy=ExpansionPolicy(**s["expansion"]), seed=seed)
 
 
 def _read_config(path, seed, out, default_out):
     """The checked INI at ``path`` with its run seed and output directory;
-    a ``seed`` or ``out`` that is not None overrides ``[run]``."""
+    a ``seed`` or ``out`` that is not None overrides ``[run]``, and a
+    negative seed is a ConfigError."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(interpolation=None)
@@ -211,8 +207,10 @@ def _read_config(path, seed, out, default_out):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     given = _settings(cfg)["run"]
-    return (cfg, given.get("seed", 0) if seed is None else seed,
-            given.get("out", default_out) if out is None else out)
+    seed = given.get("seed", 0) if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return cfg, seed, given.get("out", default_out) if out is None else out
 
 
 def _fmt(x):

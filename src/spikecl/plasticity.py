@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 
 
 @dataclass
@@ -31,9 +31,9 @@ class ExpansionPolicy:
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
-            raise ContractError(f"alpha must be positive and finite: {self.alpha}")
+            raise ConfigError(f"alpha must be positive and finite: {self.alpha}")
         if any(m < 0 for m in self.max_per_layer):
-            raise ContractError("max expansion counts must be non-negative")
+            raise ConfigError("max expansion counts must be non-negative")
 
 
 def association(sims):

@@ -2,9 +2,11 @@
 
 After a task finishes training, the per-class mean feature vectors are stored
 as its anchors, a plain ``{class: mean}`` dict.  When a new task arrives, its
-samples are pushed through each old task's subnetwork; the divergence between
-the new features and the old anchors maps to a similarity score in [0, 1]
-(small = similar).
+samples are pushed through each old task's subnetwork; the divergence kl
+between the new features and the old anchors maps to a similarity score
+``s = 1 - exp(-2 max(kl, 0))`` in [0, 1) (small = similar), which sizes the
+new task's expansion.  The paper's printed map, ``min(kl, 1 - exp(2 kl))``,
+is <= 0 for every kl and so could never size one.
 
 The probe set is split into two halves so the within-task reference means are
 estimated independently of the query means; otherwise the within-distance
@@ -18,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 EPS = 1e-9
-
-LITERAL = "literal"
-CLAMPED = "clamped"
 
 
 @dataclass
@@ -47,7 +46,7 @@ def compute_anchors(features_by_class):
 def check_gamma(gamma):
     """Reject a ``gamma`` outside (0, 1]."""
     if not 0.0 < gamma < 1.0 + 1e-12:
-        raise ContractError(f"gamma must lie in (0, 1], got {gamma}")
+        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
 
 
 def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):
@@ -75,20 +74,12 @@ def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):
     return 0.0 if degenerate else total
 
 
-def similarity_score(kl, mode=CLAMPED):
-    """Map a KL estimate to similarity.
-
-    ``clamped`` (default): clamp(1 - exp(-2 * max(kl, 0)), 0, 1), monotone and
-    inside [0, 1].  ``literal``: min(kl, 1 - exp(2 * kl)) exactly as printed,
-    which goes negative for kl > 0; kept for fidelity comparisons.
-    """
+def similarity_score(kl):
+    """Map a KL estimate to similarity ``1 - exp(-2 * max(kl, 0))``, which
+    lies in [0, 1) and rises with kl."""
     if not math.isfinite(kl):
         raise ContractError(f"kl must be finite, got {kl}")
-    if mode == LITERAL:
-        return min(kl, 1.0 - math.exp(2.0 * kl))
-    if mode == CLAMPED:
-        return min(max(1.0 - math.exp(-2.0 * max(kl, 0.0)), 0.0), 1.0)
-    raise ContractError(f"unknown similarity mode {mode!r}")
+    return 1.0 - math.exp(-2.0 * max(kl, 0.0))
 
 
 def _split_by_class(x, y, classes):
@@ -101,8 +92,7 @@ def _split_by_class(x, y, classes):
     return out
 
 
-def similarity_vector(network, task, gamma=0.9, mode=CLAMPED,
-                      probe_size=512, seed=0):
+def similarity_vector(network, task, gamma=0.9, probe_size=512, seed=0):
     """Similarity of ``task`` against every stored old task.
 
     Probes a bounded subset of the task's training data, extracting features
@@ -128,5 +118,5 @@ def similarity_vector(network, task, gamma=0.9, mode=CLAMPED,
             ref[c] = feats[idx[half:]]
         # features under task p have p's width, as its stored anchors do
         kl = kl_estimate(query, network.anchors[p], compute_anchors(ref), gamma)
-        records.append(SimilarityRecord(p, kl, similarity_score(kl, mode)))
+        records.append(SimilarityRecord(p, kl, similarity_score(kl)))
     return records

@@ -215,8 +215,9 @@ def synthetic_stream(specs, shape, seed=0):
                 raise ConfigError(
                     f"class mean length {gc.mean.size} does not match grid {shape}"
                 )
-            if gc.var <= 0:
-                raise ConfigError("isotropic variance must be positive")
+            if not 0 < gc.var < math.inf:
+                raise ConfigError(f"isotropic variance must be positive and "
+                                  f"finite, got {gc.var}")
             std = math.sqrt(gc.var)
             xs_tr.append(rng.normal(gc.mean, std, size=(spec.n_train, d)))
             ys_tr.append(np.full(spec.n_train, gc.label, dtype=np.int64))
@@ -240,6 +241,9 @@ def default_synthetic_stream(n_tasks=5, classes_per_task=2, shape=(1, 9, 9),
     _check_positive("classes per task", classes_per_task)
     _check_positive("training samples per class", n_train)
     _check_positive("test samples per class", n_test)
+    if not 0 <= spread < math.inf:
+        raise ConfigError(f"spread must be finite and >= 0, got {spread}")
+    spread = abs(spread)  # -0.0 passes, but numpy rejects a scale of -0.0
     d = int(np.prod(shape))
     rng = np.random.default_rng(seed)
     specs = []

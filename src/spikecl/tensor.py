@@ -4,10 +4,9 @@ Everything is float64 and row-major.  A ``Tensor`` wraps a numpy array and,
 when an input requires a gradient, remembers how it was produced so that
 ``backward`` can run the chain rule over the (acyclic) graph.  Only training
 builds one: a pass that needs no gradient runs on arrays (``Network.infer``).
-Two hooks let a caller define an op: ``custom_unary`` takes an elementwise
-function and its local derivative, and ``custom_op`` takes a value computed
+A caller defines an op with ``custom_op``, which takes a value computed
 outside the graph and its vector-Jacobian product.  ``spiking.run_window`` is
-built on ``custom_op``: a layer's whole LIF window is one node.
+built on it: a layer's whole LIF window is one node.
 
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
@@ -213,20 +212,6 @@ class Tensor:
         return Tensor._make(self.data + b, (self, bias), backward)
 
     # -- custom derivative injection ------------------------------------------
-
-    def custom_unary(self, forward_fn, local_grad_fn):
-        """Apply ``forward_fn`` elementwise with a caller-supplied local derivative.
-
-        ``local_grad_fn(x)`` must return d(out)/d(x) evaluated elementwise; it is
-        multiplied into the upstream gradient.
-        """
-        value = np.asarray(forward_fn(self.data), dtype=np.float64)
-        if value.shape != self.data.shape:
-            raise ShapeError(
-                f"custom_unary changed shape: {self.data.shape} -> {value.shape}"
-            )
-        return self.custom_op(value,
-                              lambda grad: grad * local_grad_fn(self.data))
 
     def custom_op(self, value, vjp):
         """A node whose ``value``, of any shape, the caller computed from

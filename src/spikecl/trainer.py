@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericalError, TrainingError
+from .errors import ConfigError, DataError, NumericalError, TrainingError
 from .network import (ConvSpec, DenseSpec, Network, head_logits,
                       init_first_task)
 from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          association, build_relatedness, expansion_counts,
                          pruning_rates, update_relatedness)
-from .similarity import (CLAMPED, LITERAL, check_gamma, compute_anchors,
-                         similarity_vector)
+from .similarity import check_gamma, compute_anchors, similarity_vector
 from .spiking import LIFConfig
 from .tensor import Tensor, cross_entropy, gradients
 
@@ -50,7 +49,6 @@ class TrainConfig:
     lif: LIFConfig = field(default_factory=LIFConfig)
     policy: ExpansionPolicy = field(default_factory=ExpansionPolicy)
     gamma: float = 0.9
-    sim_mode: str = CLAMPED
     probe_size: int = 512
     beta: float = 1.0
     bias0: float = 0.2
@@ -64,19 +62,17 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "probe_size", "replay_capacity",
                      "calib_epochs"):
             if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if not (0 < self.lr < np.inf and 0 < self.calib_lr < np.inf):
-            raise ContractError("learning rates must be positive and finite")
+            raise ConfigError("learning rates must be positive and finite")
         if not np.isfinite([self.beta, self.bias0, self.bias_slope]).all():
-            raise ContractError("beta, bias0 and bias_slope must be finite")
-        if self.sim_mode not in (CLAMPED, LITERAL):
-            raise ContractError(f"unknown similarity mode {self.sim_mode!r}")
+            raise ConfigError("beta, bias0 and bias_slope must be finite")
         check_gamma(self.gamma)
         # a ConfigError unless the architecture fits the input
         Network(self.arch, self.input_shape, self.lif, self.seed)
         caps = self.policy.max_per_layer
         if caps and len(caps) != len(self.arch):
-            raise ContractError(
+            raise ConfigError(
                 f"expected {len(self.arch)} expansion counts, got {len(caps)}")
 
 
@@ -212,7 +208,7 @@ def _learn_task(network, task, cfg, buffer):
                                   lif=cfg.lif, seed=cfg.seed)
     else:
         sims = similarity_vector(network, task, gamma=cfg.gamma,
-                                 mode=cfg.sim_mode, probe_size=cfg.probe_size,
+                                 probe_size=cfg.probe_size,
                                  seed=cfg.seed + task.id)
         a = association(sims)
         policy = cfg.policy

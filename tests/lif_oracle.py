@@ -13,6 +13,13 @@ from spikecl.spiking import HARD_RESET, smooth_spike_value, surrogate_grad
 from spikecl.tensor import Tensor
 
 
+def custom_unary(x, forward_fn, local_grad_fn):
+    """``forward_fn`` applied elementwise to Tensor ``x``, as one node whose
+    gradient is the upstream gradient times ``local_grad_fn(x.data)``."""
+    return x.custom_op(np.asarray(forward_fn(x.data), dtype=np.float64),
+                       lambda grad: grad * local_grad_fn(x.data))
+
+
 def spike(membrane, cfg):
     """Threshold (or smooth ramp) of a membrane Tensor; the surrogate on the
     way back."""
@@ -25,7 +32,7 @@ def spike(membrane, cfg):
     def local_grad(u):
         return surrogate_grad(u - cfg.v_th, cfg.lam)
 
-    return membrane.custom_unary(forward, local_grad)
+    return custom_unary(membrane, forward, local_grad)
 
 
 def rest(shape):

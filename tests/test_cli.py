@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -16,7 +17,6 @@ from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, build_stream,
 from spikecl.errors import ConfigError, TrainingError
 from spikecl.network import ConvSpec, DenseSpec
 from spikecl.plasticity import ExpansionPolicy
-from spikecl.similarity import LITERAL
 from spikecl.spiking import LITERAL_EQ3, LIFConfig
 from spikecl.trainer import TrainConfig
 
@@ -50,6 +50,34 @@ probe_size = 48
 [replay]
 capacity = 100
 calib_epochs = 5
+"""
+
+# the smallest run that reaches every stage: two tasks, one epoch
+SWEEP_CONFIG = """\
+[stream]
+kind = synthetic
+tasks = 2
+classes_per_task = 2
+n_train = 4
+n_test = 2
+
+[network]
+arch = dense4,dense3
+input_shape = 1x2x2
+
+[lif]
+window = 1
+
+[train]
+epochs = 1
+batch_size = 8
+
+[similarity]
+probe_size = 8
+
+[replay]
+capacity = 8
+calib_epochs = 1
 """
 
 CSV_NAMES = ("accuracy_matrix.csv", "similarity.csv", "pruning_rates.csv",
@@ -226,7 +254,12 @@ class TestRun:
         ("stream", "n_test", "0", "test samples per class must be >= 1"),
         ("similarity", "probe_size", "0", "probe_size must be positive"),
         ("stream", None, None, "no [stream] section"),
-        ("similarity", "mode", "bogus", "unknown similarity mode 'bogus'"),
+        ("similarity", "mode", "bogus", "unknown key [similarity] mode"),
+        ("similarity", "mode", "literal", "unknown key [similarity] mode"),
+        ("run", "seed", "-1", "seed must be >= 0, got -1"),
+        ("stream", "spread", "-1", "spread must be finite and >= 0, got -1.0"),
+        ("stream", "variance", "nan",
+         "isotropic variance must be positive and finite, got nan"),
         ("similarity", "gamma", "0", "gamma must lie in (0, 1]"),
         ("expansion", "max_per_layer", "4", "expected 2 expansion counts"),
         ("expansion", "alpha", "nan", "alpha must be positive and finite"),
@@ -250,7 +283,8 @@ class TestRun:
     ], ids=["epochs=abc", "batch_size=1e3", "spread=x", "input_shape=1xax3",
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
-            "no-stream-section", "mode=bogus", "gamma=0",
+            "no-stream-section", "mode=bogus", "mode=literal", "seed=-1",
+            "spread=-1", "variance=nan", "gamma=0",
             "max_per_layer-length", "alpha=nan",
             "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan",
             "train-epoch", "replay-mix", "bogus-section", "default-section",
@@ -289,14 +323,51 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unknown key [replay] mix" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_negative_seed_option_exits_config_error(self, tmp_path, capsys,
+                                                     command):
+        paths = [str(_write_config(tmp_path))]
+        if command == "evaluate":  # the seed is checked before the checkpoint
+            paths.insert(0, str(tmp_path / "no-such-checkpoint.npz"))
+        assert main([command, *paths, "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_every_value_ends_in_an_exit_code(self, tmp_path, monkeypatch):
+        import spikecl.cli as cli
+
+        monkeypatch.chdir(tmp_path)  # a relative [run] out lands here
+        keys = [(section, key) for section, given in cli._SECTIONS.items()
+                for key in given]
+        keys += [("stream", key) for key in cli._STREAM_KINDS["synthetic"]]
+        outcomes = {}
+        for (section, key), value in itertools.product(
+                keys, ["-1", "0", "-0", "nan", "inf", "1e308"]):
+            cfg = configparser.ConfigParser(interpolation=None)
+            cfg.read_string(SWEEP_CONFIG)
+            if section not in cfg:
+                cfg.add_section(section)
+            cfg[section][key] = value
+            path = tmp_path / "sweep.ini"
+            with open(path, "w") as fh:
+                cfg.write(fh)
+            try:
+                with np.errstate(all="ignore"):
+                    code = main(["run", str(path)])
+            except Exception as exc:  # recorded, so one run names them all
+                code = repr(exc)
+            outcomes[f"[{section}] {key} = {value}"] = code
+        assert {k: c for k, c in outcomes.items()
+                if c not in (EXIT_OK, EXIT_CONFIG, EXIT_TRAINING)} == {}
+        # a non-finite stream value is bad data, not a diverged training
+        assert {k: c for k, c in outcomes.items() if k.startswith("[stream]")
+                and k.endswith(("nan", "inf")) and c != EXIT_CONFIG} == {}
+
     def test_literal_forms_come_from_ini_keys(self, tmp_path):
         cfg = configparser.ConfigParser()
         cfg.read_string(CONFIG.format(out=tmp_path, tasks=2, lr=0.01))
         cfg["lif"]["reset_mode"] = "literal-eq3"
-        cfg["similarity"]["mode"] = "literal"
         tcfg = build_train_config(cfg, seed=0)
         assert tcfg.lif.reset_mode == LITERAL_EQ3
-        assert tcfg.sim_mode == LITERAL
 
     def test_final_til_reuses_the_last_matrix_row(self, tmp_path,
                                                   monkeypatch):
@@ -487,8 +558,7 @@ class TestConfigSchema:
             "lif": {"tau": "0.5", "v_th": "0.75", "lambda": "3.5",
                     "window": "6", "reset_mode": "literal-eq3"},
             "expansion": {"alpha": "1.5", "max_per_layer": "2,3"},
-            "similarity": {"gamma": "0.5", "mode": "literal",
-                           "probe_size": "7"},
+            "similarity": {"gamma": "0.5", "probe_size": "7"},
             "reuse": {"beta": "0.5", "bias0": "0.25", "bias_slope": "0.125"},
             "replay": {"capacity": "9", "calib_epochs": "2",
                        "calib_lr": "0.5"},
@@ -499,7 +569,7 @@ class TestConfigSchema:
             lif=LIFConfig(tau=0.5, v_th=0.75, lam=3.5, window=6,
                           reset_mode=LITERAL_EQ3),
             policy=ExpansionPolicy(alpha=1.5, max_per_layer=(2, 3)),
-            gamma=0.5, sim_mode=LITERAL, probe_size=7, beta=0.5, bias0=0.25,
+            gamma=0.5, probe_size=7, beta=0.5, bias0=0.25,
             bias_slope=0.125, replay_capacity=9, calib_epochs=2,
             calib_lr=0.5, seed=3)
         # every INI-settable field is off its default, so none can be lost

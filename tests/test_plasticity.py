@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ContractError
+from spikecl.errors import ConfigError, ContractError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.plasticity import (ExpansionPolicy, RelatednessState,
                                 accumulate_gradients, apply_pruning,
@@ -55,11 +55,11 @@ class TestExpansionCounts:
         assert expansion_counts(1.0, policy) == [99]
 
     def test_invalid_policy(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             ExpansionPolicy(alpha=0.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             ExpansionPolicy(alpha=float("nan"))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             ExpansionPolicy(max_per_layer=(-1,))
 
 

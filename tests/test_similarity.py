@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ContractError, DataError
+from spikecl.errors import ConfigError, ContractError, DataError
 from spikecl.network import DenseSpec, init_first_task
-from spikecl.similarity import (CLAMPED, LITERAL, compute_anchors,
-                                kl_estimate,
+from spikecl.similarity import (compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec, gaussian_kl,
@@ -68,7 +67,7 @@ class TestKLEstimate:
 
     def test_gamma_out_of_range(self):
         anchors = {0: np.ones(2)}
-        with pytest.raises(ContractError, match="gamma"):
+        with pytest.raises(ConfigError, match="gamma"):
             kl_estimate({0: np.ones((1, 2))}, anchors, anchors, gamma=1.5)
 
     def test_preserves_gaussian_ordering(self):
@@ -92,28 +91,18 @@ class TestKLEstimate:
 
 
 class TestSimilarityScore:
-    def test_zero_maps_to_zero_both_modes(self):
-        assert similarity_score(0.0, CLAMPED) == 0.0
-        assert similarity_score(0.0, LITERAL) == 0.0
+    def test_zero_maps_to_zero(self):
+        assert similarity_score(0.0) == 0.0
 
     def test_large_kl_saturates(self):
-        assert similarity_score(50.0, CLAMPED) == pytest.approx(1.0)
+        assert similarity_score(50.0) == pytest.approx(1.0)
 
     def test_half_value(self):
-        assert similarity_score(0.5, CLAMPED) == pytest.approx(1 - math.exp(-1))
-
-    def test_literal_formula_as_printed(self):
-        kl = 0.3
-        assert similarity_score(kl, LITERAL) == min(kl, 1 - math.exp(2 * kl))
-        assert similarity_score(0.3, LITERAL) < 0.0  # goes negative as printed
+        assert similarity_score(0.5) == pytest.approx(1 - math.exp(-1))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError, match="finite"):
             similarity_score(float("nan"))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ContractError, match="mode"):
-            similarity_score(0.1, "bogus")
 
 
 def _toy_network_with_anchors(seed=0):

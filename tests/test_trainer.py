@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikecl.errors import ContractError, DataError
+from spikecl.errors import ConfigError, ContractError, DataError
 from spikecl.network import DenseSpec
 from spikecl.plasticity import ExpansionPolicy
 from spikecl.spiking import LIFConfig
@@ -260,11 +260,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("batch_size", 0), ("probe_size", 0), ("lr", -1.0),
         ("replay_capacity", 0), ("calib_epochs", 0), ("calib_lr", 0.0),
-        ("sim_mode", "bogus"), ("gamma", 0.0),
-        ("policy", ExpansionPolicy(5.0, (4,))), ("lr", float("inf")),
+        ("lr", float("inf")), ("gamma", 0.0),
+        ("policy", ExpansionPolicy(5.0, (4,))),
         ("calib_lr", float("nan")), ("beta", float("nan")),
         ("bias0", float("inf")), ("bias_slope", float("nan")),
     ])
     def test_invalid_rejected(self, field, value):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             _cfg(**{field: value})
