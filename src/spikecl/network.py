@@ -17,7 +17,7 @@ owns the units between task t-1's mask widths and its own
 
 * which synapses exist: a row owned by task p reads the input units of p's
   prefix, so an old unit never gains input synapses;
-* which entries are trainable: the rows the latest task owns.
+* which entries are trainable: the rows the latest task owns (``parameters``).
 
 ``TaskMask`` holds per-task active units over its prefix; pruning
 deactivates whole units here and never touches other tasks' masks.  The head
@@ -152,12 +152,12 @@ class TaskHead:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
         # CIL inference uses calibrated copies so the TIL head stays frozen;
-        # they are fitted off the graph, so they never require a gradient.
+        # they are fitted off the graph, so they are plain arrays.
         self.sync_cil()
 
     def sync_cil(self):
-        self.cil_w = Tensor(self.w.data.copy())
-        self.cil_b = Tensor(self.b.data.copy())
+        self.cil_w = self.w.data.copy()
+        self.cil_b = self.b.data.copy()
 
 
 class Network:
@@ -307,14 +307,15 @@ class Network:
     def cil_logits(self, features, task_id):
         """Logits of ``task_id``'s CIL head copy over ``extract_features``."""
         head = self.heads[task_id]
-        return head_logits(features, head.cil_w.data, head.cil_b.data)
+        return head_logits(features, head.cil_w, head.cil_b)
 
     def parameters(self, task_id):
-        """Trainable parameter tensors while learning ``task_id``."""
+        """(parameter, first trainable row) pairs while learning ``task_id``:
+        the head trains whole, a layer from the first unit the task owns."""
         head = self.heads[task_id]
-        params = [head.w, head.b]
-        for layer in self.layers:
-            params.extend([layer.w, layer.b])
+        params = [(head.w, 0), (head.b, 0)]
+        for layer, own in zip(self.layers, self.owned(task_id)):
+            params.extend([(layer.w, own.start), (layer.b, own.start)])
         return params
 
     # -- pruning -------------------------------------------------------------
@@ -400,8 +401,8 @@ class Network:
             head = self.heads[t]
             arrays[f"task{t}/head_w"] = head.w.data
             arrays[f"task{t}/head_b"] = head.b.data
-            arrays[f"task{t}/cil_w"] = head.cil_w.data
-            arrays[f"task{t}/cil_b"] = head.cil_b.data
+            arrays[f"task{t}/cil_w"] = head.cil_w
+            arrays[f"task{t}/cil_b"] = head.cil_b
         for t, anch in self.anchors.items():
             for c in anch:
                 arrays[f"anchor{t}/{c}"] = anch[c]
@@ -491,8 +492,8 @@ class Network:
             head_shape = (len(cls), net._widths(t)[-1])
             head = TaskHead(cls, array(f"task{t}/head_w", head_shape),
                             array(f"task{t}/head_b", head_shape[:1]))
-            head.cil_w = Tensor(array(f"task{t}/cil_w", head_shape))
-            head.cil_b = Tensor(array(f"task{t}/cil_b", head_shape[:1]))
+            head.cil_w = array(f"task{t}/cil_w", head_shape)
+            head.cil_b = array(f"task{t}/cil_b", head_shape[:1])
             net.heads[t] = head
         for t, cls in anchor_classes.items():
             feat = net._widths(t)[-1]

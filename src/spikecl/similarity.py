@@ -44,9 +44,11 @@ def compute_anchors(features_by_class):
 
 
 def check_gamma(gamma):
-    """Reject a ``gamma`` outside (0, 1]."""
-    if not 0.0 < gamma < 1.0 + 1e-12:
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
+    """Reject a ``gamma`` outside [EPS, 1]: ``kl_estimate``'s divisor,
+    ``gamma`` times a distance floored at ``EPS``, then stays >= 1e-18."""
+    if not EPS <= gamma < 1.0 + 1e-12:
+        raise ConfigError(
+            f"gamma must lie in (0, 1] and be >= {EPS:g}, got {gamma}")
 
 
 def kl_estimate(new_feats_by_class, anchors_p, anchors_tp, gamma):

@@ -28,6 +28,9 @@ class TaskDescriptor:
     test_y: np.ndarray
 
     def __post_init__(self):
+        for name in ("train_x", "test_x"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"task {self.id} {name} is not finite")
         for y in (self.train_y, self.test_y):
             bad = set(np.unique(y)) - set(self.classes)
             if bad:

@@ -2,11 +2,11 @@
 
 Everything is float64 and row-major.  A ``Tensor`` wraps a numpy array and,
 when an input requires a gradient, remembers how it was produced so that
-``backward`` can run the chain rule over the (acyclic) graph.  Only training
-builds one: a pass that needs no gradient runs on arrays (``Network.infer``).
-A caller defines an op with ``custom_op``, which takes a value computed
-outside the graph and its vector-Jacobian product.  ``spiking.run_window`` is
-built on it: a layer's whole LIF window is one node.
+``backward`` can run the chain rule over the (acyclic) graph.  Only the
+training step builds one.  A caller defines an op with ``custom_op`` from a
+value computed outside the graph and its vector-Jacobian product: a layer's
+LIF window (``spiking.run_window``) is one node, and so is ``cross_entropy``
+over the array kernel ``softmax_cross_entropy``.
 
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
@@ -324,27 +324,27 @@ def conv2d(x, kernels, stride=1, padding=0):
 # -- losses -------------------------------------------------------------------
 
 
-def cross_entropy(logits, labels):
-    """Mean softmax cross-entropy.  logits: Tensor (B, K); labels: int array (B,)."""
+def softmax_cross_entropy(logits, labels):
+    """Mean softmax cross-entropy on arrays: logits (B, K), int labels (B,);
+    returns (loss, its gradient w.r.t. the logits)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(
             f"cross_entropy expects (B,K) logits and (B,) labels, "
             f"got {logits.shape} and {labels.shape}"
         )
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logsumexp
-    b = labels.shape[0]
-    loss = -logp[np.arange(b), labels].mean()
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(labels.shape[0])
+    probs = np.exp(logp)
+    probs[rows, labels] -= 1.0
+    return -logp[rows, labels].mean(), probs / rows.size
 
-    def backward(out):
-        if logits.requires_grad:
-            probs = np.exp(logp)
-            probs[np.arange(b), labels] -= 1.0
-            _accum(logits, float(out.grad) * probs / b)
 
-    return Tensor._make(np.asarray(loss), (logits,), backward)
+def cross_entropy(logits, labels):
+    """``softmax_cross_entropy`` as a graph node over Tensor logits."""
+    loss, grad = softmax_cross_entropy(logits.data, labels)
+    return logits.custom_op(np.asarray(loss), lambda g: float(g) * grad)
 
 
 # -- backward traversal -------------------------------------------------------

@@ -13,8 +13,9 @@ on the replay buffer.  A one-task stream keeps the copy equal to its TIL head,
 so its CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
-TIL accuracy is exactly stable by construction.  Only training builds a
-graph: the probe, anchors, evaluation and calibration run ``Network.infer``.
+TIL accuracy is exactly stable by construction.  Only the training batch
+loop builds or steps a ``Tensor``: every other pass, calibration included,
+runs on arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
                          pruning_rates, update_relatedness)
 from .similarity import check_gamma, compute_anchors, similarity_vector
 from .spiking import LIFConfig
-from .tensor import Tensor, cross_entropy, gradients
+from .tensor import cross_entropy, gradients, softmax_cross_entropy
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 EVAL_BATCH = 256  # rows per evaluation forward: a BLAS row can depend on it
@@ -77,34 +78,25 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with frozen leading rows: rows before a parameter's first
-    trainable row (``first_rows[id(p)]``, default 0) never move."""
+    """Adam over ``(array, first row)`` pairs, each array stepped in place
+    (so whatever holds it sees every step) from its first row on; earlier
+    rows never move.  ``step(grads)`` takes one full-shape gradient a pair."""
 
-    def __init__(self, params, first_rows=None, lr=1e-3):
-        self.entries = []
-        first_rows = first_rows or {}
-        for p in params:
-            r0 = first_rows.get(id(p), 0)
-            self.entries.append((p, r0, np.zeros_like(p.data[r0:]),
-                                 np.zeros_like(p.data[r0:])))
+    def __init__(self, params, lr=1e-3):
+        self.entries = [(p, r0, np.zeros_like(p[r0:]), np.zeros_like(p[r0:]))
+                        for p, r0 in params]
         self.lr = lr
         self.t = 0
 
-    def step(self):
+    def step(self, grads):
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for p, r0, m, v in self.entries:
-            if p.grad is None:
-                continue
-            g = p.grad[r0:]
+        for (p, r0, m, v), grad in zip(self.entries, grads, strict=True):
+            g = grad[r0:]
             m += (1 - ADAM_BETA1) * (g - m)
             v += (1 - ADAM_BETA2) * (g ** 2 - v)
-            p.data[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-
-    def zero_grad(self):
-        for p, _, _, _ in self.entries:
-            p.grad = None
+            p[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 class ReplayBuffer:
@@ -158,15 +150,6 @@ def _batches(n, batch_size, rng):
     order = rng.permutation(n)
     for i in range(0, n, batch_size):
         yield order[i : i + batch_size]
-
-
-def _trainable_rows(network):
-    """First trainable row of each layer parameter: the latest task's units."""
-    rows = {}
-    latest = network.owned(len(network.masks) - 1)
-    for layer, own in zip(network.layers, latest):
-        rows[id(layer.w)] = rows[id(layer.b)] = own.start
-    return rows
 
 
 def _local_labels(task, y):
@@ -226,7 +209,7 @@ def _learn_task(network, task, cfg, buffer):
         log["expansion"] = counts
 
     params = network.parameters(task.id)
-    optim = Adam(params, _trainable_rows(network), lr=cfg.lr)
+    optim = Adam([(p.data, r0) for p, r0 in params], lr=cfg.lr)
     x, y = task.train_x, _local_labels(task, task.train_y)
     for epoch in range(cfg.epochs):
         with _diverged(cfg, f"task {task.id}, epoch {epoch}"):
@@ -234,13 +217,12 @@ def _learn_task(network, task, cfg, buffer):
             epoch_loss = 0.0
             n_batches = 0
             for idx in _batches(x.shape[0], cfg.batch_size, rng):
-                logits, _ = network.forward_task(Tensor(x[idx]), task.id)
+                logits, _ = network.forward_task(x[idx], task.id)
                 loss = cross_entropy(logits, y[idx])
-                optim.zero_grad()
-                gradients(loss, params)
+                gradients(loss, [p for p, _ in params])
                 if state is not None:
                     accumulate_gradients(state, network)
-                optim.step()
+                optim.step([p.grad for p, _ in params])
                 epoch_loss += float(loss.data)
                 n_batches += 1
             log["losses"].append(epoch_loss / max(n_batches, 1))
@@ -248,7 +230,8 @@ def _learn_task(network, task, cfg, buffer):
                 doomed = update_relatedness(state, network, epoch)
                 report = apply_pruning(network, task.id, doomed)
                 log["pruning_rates"] = pruning_rates(report)
-            optim.zero_grad()
+            for p, _ in params:  # release the last step's gradients
+                p.grad = None
 
     # store the task's feature anchors for later similarity assessment
     network.anchors[task.id] = compute_anchors({
@@ -335,7 +318,7 @@ def calibrate_heads(network, buffer, cfg):
     col_of = {c: i for i, c in enumerate(c for h in heads for c in h.classes)}
     target = np.asarray([col_of[v] for v in by], dtype=np.int64)
     bounds = np.cumsum([0] + [len(h.classes) for h in heads])
-    optim = Adam([p for h in heads for p in (h.cil_w, h.cil_b)],
+    optim = Adam([(p, 0) for h in heads for p in (h.cil_w, h.cil_b)],
                  lr=cfg.calib_lr)
     with _diverged(cfg, "head calibration"):
         feats = [network.extract_features(bx, t) for t in tasks]
@@ -343,14 +326,14 @@ def calibrate_heads(network, buffer, cfg):
             rng = np.random.default_rng([cfg.seed, 7331, epoch])
             for idx in _batches(bx.shape[0], cfg.batch_size, rng):
                 batch = [f[idx] for f in feats]
-                logits = Tensor(np.concatenate(
+                logits = np.concatenate(
                     [network.cil_logits(f, t) for f, t in zip(batch, tasks)],
-                    axis=1), requires_grad=True)
-                loss = cross_entropy(logits, target[idx])
-                grad = gradients(loss, [logits])[logits]
-                for h, f, lo, hi in zip(heads, batch, bounds, bounds[1:]):
+                    axis=1)
+                grad = softmax_cross_entropy(logits, target[idx])[1]
+                grads = []
+                for f, lo, hi in zip(batch, bounds, bounds[1:]):
                     g = grad[:, lo:hi].copy()  # contiguous, as on the graph
-                    h.cil_w.grad, h.cil_b.grad = (f.T @ g).T, g.sum(axis=0)
-                optim.step()
+                    grads += [(f.T @ g).T, g.sum(axis=0)]
+                optim.step(grads)
         for f, t in zip(feats, tasks):  # the last step's copies
             network.cil_logits(f, t)

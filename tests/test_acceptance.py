@@ -63,7 +63,7 @@ def test_criterion_1_gradient_correctness():
         net = init_first_task(
             [ConvSpec(2, 3, 1, 0), ConvSpec(2, 3, 1, 0), DenseSpec(5),
              DenseSpec(4)], (1, 5, 5), task, lif=lif, seed=seed)
-        params = net.parameters(0)
+        params = [p for p, _ in net.parameters(0)]
         n_params = sum(p.size for p in params)
         x = Tensor(task.train_x[:2])
         labels = np.array([0, 1])

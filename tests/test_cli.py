@@ -261,6 +261,7 @@ class TestRun:
         ("stream", "variance", "nan",
          "isotropic variance must be positive and finite, got nan"),
         ("similarity", "gamma", "0", "gamma must lie in (0, 1]"),
+        ("similarity", "gamma", "1e-300", "be >= 1e-09, got 1e-300"),
         ("expansion", "max_per_layer", "4", "expected 2 expansion counts"),
         ("expansion", "alpha", "nan", "alpha must be positive and finite"),
         ("lif", "v_th", "nan", "v_th must be positive and finite"),
@@ -284,7 +285,7 @@ class TestRun:
             "epochs=0", "capacity=0", "alpha=0", "classes_per_task=0",
             "tasks=0", "n_train=0", "n_test=0", "probe_size=0",
             "no-stream-section", "mode=bogus", "mode=literal", "seed=-1",
-            "spread=-1", "variance=nan", "gamma=0",
+            "spread=-1", "variance=nan", "gamma=0", "gamma=1e-300",
             "max_per_layer-length", "alpha=nan",
             "v_th=nan", "lambda=inf", "lr=inf", "calib_lr=nan", "beta=nan",
             "train-epoch", "replay-mix", "bogus-section", "default-section",
@@ -341,7 +342,8 @@ class TestRun:
         keys += [("stream", key) for key in cli._STREAM_KINDS["synthetic"]]
         outcomes = {}
         for (section, key), value in itertools.product(
-                keys, ["-1", "0", "-0", "nan", "inf", "1e308"]):
+                keys, ["-1", "0", "-0", "nan", "inf", "1e308", "1e-300",
+                       "5e-324"]):
             cfg = configparser.ConfigParser(interpolation=None)
             cfg.read_string(SWEEP_CONFIG)
             if section not in cfg:

@@ -15,7 +15,7 @@ from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
 from spikecl.spiking import LITERAL_EQ3, LIFConfig, lif_step
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
-from spikecl.trainer import Adam, _trainable_rows
+from spikecl.trainer import Adam
 
 import lif_oracle
 
@@ -108,7 +108,7 @@ class TestExpand:
 
         def state():
             return (mask.active + net.connections(0)
-                    + [head.w.data, head.cil_w.data]
+                    + [head.w.data, head.cil_w]
                     + [net.anchors[0][c] for c in t0.classes])
 
         before = [a.copy() for a in state()]
@@ -139,15 +139,15 @@ class TestExpand:
         net.expand(t1, [3, 2])
         starts = [r.start for r in net.owned(1)]
         before = [(l.w.data.copy(), l.b.data.copy()) for l in net.layers]
-        params = net.parameters(1)
-        optim = Adam(params, _trainable_rows(net), lr=0.1)
+        pairs = net.parameters(1)
+        params = [p for p, _ in pairs]
+        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.1)
         x = Tensor(t1.train_x[:4])
         labels = np.zeros(4, dtype=int)
         for _ in range(3):
             logits, _ = net.forward_task(x, 1)
-            optim.zero_grad()
             gradients(cross_entropy(logits, labels), params)
-            optim.step()
+            optim.step([p.grad for p in params])
         # rows task 0 owns are frozen, task 1's rows moved
         for layer, r0, (w, b) in zip(net.layers, starts, before):
             np.testing.assert_array_equal(layer.w.data[:r0], w[:r0])
@@ -287,8 +287,9 @@ class TestUnitGatedForward:
                                        _conv_expanded], ids=["dense", "conv"])
     def test_matches_connection_masked_forward(self, build):
         net, t0, t1 = build(seed=1)
-        params = net.parameters(1)
-        optim = Adam(params, _trainable_rows(net), lr=0.05)
+        pairs = net.parameters(1)
+        params = [p for p, _ in pairs]
+        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
         x = Tensor(t1.train_x)
         labels = (t1.train_y - t1.classes[0]).astype(int)
         for step in range(6):
@@ -309,7 +310,6 @@ class TestUnitGatedForward:
             for forward in (lambda: _connection_masked_forward(net, x, 1),
                             lambda: net.forward_task(x, 1)):
                 logits, _ = forward()
-                optim.zero_grad()
                 gradients(cross_entropy(logits, labels), params)
                 grads.append([p.grad.copy() for p in params])
             # gradients agree on every synapse, up to the order of the sum
@@ -319,7 +319,7 @@ class TestUnitGatedForward:
                 np.testing.assert_allclose(
                     np.where(exist.get(id(p), True), new, 0.0), old,
                     rtol=1e-12)
-            optim.step()  # with the gradients of the gathered forward
+            optim.step(grads[1])  # with the gradients of the gathered forward
 
     @pytest.mark.parametrize("build", [TestPruning()._expanded,
                                        _conv_expanded], ids=["dense", "conv"])
@@ -532,7 +532,7 @@ class TestDerivedState:
                     counts[rng.integers(len(arch))] = 0
                 net.expand(t, counts)
                 oracle.grow(net, counts)
-                rows = _trainable_rows(net)
+                rows = {id(p): r0 for p, r0 in net.parameters(t.id)}
                 for li, layer in enumerate(net.layers):
                     np.testing.assert_array_equal(net.synapses(li),
                                                   oracle.exist[li])
@@ -654,7 +654,7 @@ class TestPersistence:
             width = net.masks[t].active[-1].size
             net.anchors[t] = {c: rng.normal(size=width) for c in task.classes}
         net.prune_units(1, [(0, 1), (1, 2)])
-        net.heads[1].cil_w.data += 0.5
+        net.heads[1].cil_w += 0.5
         net.save(tmp_path / "a.npz")
         Network.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
         # the zip headers carry the write time, so compare every member

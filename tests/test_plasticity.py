@@ -18,7 +18,7 @@ from spikecl.similarity import SimilarityRecord
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import Tensor, cross_entropy, gradients
-from spikecl.trainer import Adam, _trainable_rows
+from spikecl.trainer import Adam
 
 
 def _records(values):
@@ -282,17 +282,17 @@ class TestAccumulateGradients:
         state = build_relatedness(net, 2, sims)
         oracle = build_relatedness(net, 2, sims)
         net.prune_units(2, [(0, 0), (0, 4), (len(arch) - 1, 1)])
-        params = net.parameters(2)
-        optim = Adam(params, _trainable_rows(net), lr=0.05)
+        pairs = net.parameters(2)
+        params = [p for p, _ in pairs]
+        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
         x = Tensor(stream[2].train_x)
         labels = (stream[2].train_y - stream[2].classes[0]).astype(int)
         for _ in range(3):
             logits, _ = net.forward_task(x, 2)
-            optim.zero_grad()
             gradients(cross_entropy(logits, labels), params)
             accumulate_gradients(state, net)
             _accumulate_masked(oracle, net, 2)
-            optim.step()
+            optim.step([p.grad for p in params])
         for a, b in zip(state.grad_accum, oracle.grad_accum):
             np.testing.assert_array_equal(a, b)
         assert all(a.any() for a in state.grad_accum)

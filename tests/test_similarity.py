@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spikecl.errors import ConfigError, ContractError, DataError
 from spikecl.network import DenseSpec, init_first_task
-from spikecl.similarity import (compute_anchors, kl_estimate,
+from spikecl.similarity import (EPS, compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec, gaussian_kl,
@@ -69,6 +69,12 @@ class TestKLEstimate:
         anchors = {0: np.ones(2)}
         with pytest.raises(ConfigError, match="gamma"):
             kl_estimate({0: np.ones((1, 2))}, anchors, anchors, gamma=1.5)
+        # below EPS the floored divisor gamma * EPS could overflow the ratio
+        with pytest.raises(ConfigError, match="gamma"):
+            kl_estimate({0: np.ones((1, 2))}, anchors, anchors, gamma=EPS / 2)
+        far = {0: np.full(2, 1e9)}
+        assert math.isfinite(kl_estimate({0: np.zeros((1, 2))}, far,
+                                         {0: np.zeros(2)}, gamma=EPS))
 
     def test_preserves_gaussian_ordering(self):
         """Farther true Gaussians produce larger estimates (closed-form oracle)."""

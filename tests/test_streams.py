@@ -224,3 +224,14 @@ class TestTaskDescriptor:
         x = np.zeros((2, 1, 2, 2))
         with pytest.raises(DataError, match="outside"):
             TaskDescriptor(0, [0, 1], x, np.array([0, 5]), x, np.array([0, 1]))
+
+    @pytest.mark.parametrize("name", ["train_x", "test_x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        # bad data, not a diverged training: caught before any forward
+        arrays = {"train_x": np.zeros((2, 1, 2, 2)),
+                  "test_x": np.zeros((2, 1, 2, 2))}
+        arrays[name][1, 0, 1, 0] = bad
+        y = np.array([0, 1])
+        with pytest.raises(DataError, match=f"task 3 {name} is not finite"):
+            TaskDescriptor(3, [0, 1], arrays["train_x"], y, arrays["test_x"], y)

@@ -12,7 +12,8 @@ from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import (Tensor, _im2col, backward, conv2d, cross_entropy,
-                            finite_diff_check, gradients)
+                            finite_diff_check, gradients,
+                            softmax_cross_entropy)
 
 from lif_oracle import custom_unary
 
@@ -270,7 +271,7 @@ class TestBackward:
                               stream[0], lif=LIFConfig(window=3), seed=0)
         net.expand(stream[1], [2, 2])
         net.prune_units(1, [(0, 1)])
-        params = net.parameters(1)
+        params = [p for p, _ in net.parameters(1)]
         labels = (stream[1].train_y - stream[1].classes[0]).astype(int)
         results = []
         for walk in (backward, _backward_recursive):
@@ -428,6 +429,20 @@ class TestOpsAndErrors:
             return cross_entropy(logits, labels)
 
         assert finite_diff_check(f, [logits], step=1e-5) < 1e-7
+        # the array kernel gives the node's loss and logits gradient bit for
+        # bit, and its gradient matches central differences of its loss
+        node = f()
+        loss, grad = softmax_cross_entropy(logits.data, labels)
+        assert loss == float(node.data)
+        np.testing.assert_array_equal(grad, gradients(node, [logits])[logits])
+        central = np.zeros_like(grad)
+        for i in np.ndindex(grad.shape):
+            step = np.zeros_like(grad)
+            step[i] = 1e-5
+            hi = softmax_cross_entropy(logits.data + step, labels)[0]
+            lo = softmax_cross_entropy(logits.data - step, labels)[0]
+            central[i] = (hi - lo) / 2e-5
+        np.testing.assert_allclose(grad, central, rtol=1e-7, atol=1e-10)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
