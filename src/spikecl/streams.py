@@ -31,6 +31,8 @@ class TaskDescriptor:
         for name in ("train_x", "test_x"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"task {self.id} {name} is not finite")
+        if self.test_y.size == 0:
+            raise DataError(f"task {self.id} has no test sample")
         for y in (self.train_y, self.test_y):
             bad = set(np.unique(y)) - set(self.classes)
             if bad:

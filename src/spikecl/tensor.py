@@ -15,10 +15,15 @@ broadcast form is bias-add.  ``take`` gathers rows (and columns) of a
 parameter and scatters its gradient back at the full shape.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
-``conv_forward`` is that forward on plain arrays.
+``conv_forward`` is that forward on plain arrays.  im2col is one ``np.take``
+and its adjoint one ``np.take`` per patch entry an input element can have,
+by index arrays built once per geometry; the adjoint sums each element's
+entries from +0.0 in the order of their kernel offsets (i, j).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -250,35 +255,61 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return ho + 1, wo + 1
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """(B, C*kh*kw, Ho*Wo) patches: kh*kw strided copies, no arithmetic."""
-    b, c, h, w = x.shape
+@functools.lru_cache(maxsize=None)
+def _patch_index(c, h, w, kh, kw, stride, padding):
+    """The gathers of one conv geometry, built at its first use.
+
+    ``src[e]`` is the flat input element that patch entry e = (c, i, j, oh,
+    ow), in row-major order, reads: ``(c*h + r)*w + q`` at ``r = i +
+    stride*oh - padding``, ``q = j + stride*ow - padding``, or ``c*h*w``,
+    one zero past the input, where (r, q) is padding.  ``rounds[k, m]`` is
+    input element m's k-th patch entry in that order, or ``src.size``, one
+    zero past the patches, once it has no more.  Returns (src, rounds, Ho,
+    Wo)."""
     ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = x
-    if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-    cols = np.empty((b, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride,
-                                  j : j + stride * wo : stride]
-    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
+    n = c * h * w
+    ci, i, j, oh, ow = np.ix_(range(c), range(kh), range(kw), range(ho),
+                              range(wo))
+    r, q = i + stride * oh - padding, j + stride * ow - padding
+    inside = (0 <= r) & (r < h) & (0 <= q) & (q < w)
+    src = np.where(inside, (ci * h + r) * w + q, n).ravel()
+    # stable: an element's entries keep their order; padding sorts last
+    entries = np.argsort(src, kind="stable")[:np.count_nonzero(src < n)]
+    element = src[entries]
+    counts = np.bincount(element, minlength=n)
+    rank = np.arange(entries.size) - (np.cumsum(counts) - counts)[element]
+    rounds = np.full((counts.max(initial=0), n), src.size)
+    rounds[rank, element] = entries
+    src.flags.writeable = rounds.flags.writeable = False
+    return src, rounds, ho, wo
+
+
+def _im2col(x, kh, kw, stride, padding):
+    """(B, C*kh*kw, Ho*Wo) patches, C-contiguous: one gather of the input
+    with a zero column appended, no arithmetic.  ``np.take`` rather than
+    fancy indexing, which returns a non-contiguous result here and slows
+    the GEMM that reads it."""
+    b, c, h, w = x.shape
+    src, _, ho, wo = _patch_index(c, h, w, kh, kw, stride, padding)
+    flat = np.zeros((b, c * h * w + 1))
+    flat[:, :-1] = x.reshape(b, c * h * w)
+    return np.take(flat, src, axis=1).reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols, xshape, kh, kw, stride, padding):
+    """The adjoint of ``_im2col``: each input element is the sum, from +0.0,
+    of its patch entries in ``cols`` order, i.e. kernel offset (i, j) by
+    (i, j), one gather round per entry.  A round past an element's last
+    entry adds +0.0, which leaves the sum as it is: a sum begun at +0.0 is
+    never -0.0."""
     b, c, h, w = xshape
-    ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    cols6 = cols.reshape(b, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                cols6[:, :, i, j]
-            )
-    if padding:
-        return xp[:, :, padding : padding + h, padding : padding + w]
-    return xp
+    src, rounds, _, _ = _patch_index(c, h, w, kh, kw, stride, padding)
+    flat = np.zeros((b, src.size + 1))
+    flat[:, :-1] = cols.reshape(b, src.size)
+    x = np.zeros((b, c * h * w))
+    for idx in rounds:
+        x += np.take(flat, idx, axis=1)
+    return x.reshape(xshape)
 
 
 def conv_forward(x, kernels, stride=1, padding=0):

@@ -199,6 +199,30 @@ class TestRun:
             # no feature left: the logits are the bias, so chance on 2 classes
             assert report["til"]["per_task"][1] == 0.5
 
+    def test_conv_layer_with_no_active_input_channel_runs(self, tmp_path,
+                                                          monkeypatch):
+        # task 1 adds no layer-0 unit and prunes all 4 reused ones, so the
+        # second conv layer reads a 0-channel input
+        import spikecl.network as network
+
+        channels, original = set(), network.conv2d
+
+        def recorded(x, kernels, *args):
+            channels.add(x.shape[1])
+            return original(x, kernels, *args)
+
+        monkeypatch.setattr(network, "conv2d", recorded)
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(
+            "[stream]\nkind = synthetic\ntasks = 2\nn_train = 40\n"
+            "n_test = 20\n\n[network]\n"
+            "arch = conv4k3s2p1,conv4k3s2p1,dense8\ninput_shape = 1x5x5\n\n"
+            "[train]\nepochs = 3\n\n[expansion]\nmax_per_layer = 0,2,2\n\n"
+            "[reuse]\nbeta = -100\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert 0 in channels
+
     def test_disjoint_run_calibrates_once_after_the_last_task(
             self, tmp_path, monkeypatch):
         import spikecl.trainer as trainer
@@ -653,6 +677,20 @@ class TestInputChecks:
             == EXIT_CONFIG
         assert ("task 0 inputs have shape (1, 3, 3) but the network input is "
                 "(1, 4, 4)") in capsys.readouterr().err
+
+    def test_task_without_test_sample_exits_config_error(self, tmp_path,
+                                                         capsys):
+        # classes 2 and 3, task 1's, have training rows but no test row
+        for split, n, classes in (("train", 16, 4), ("test", 8, 2)):
+            _write_idx(tmp_path / f"{split}-images", np.zeros((n, 3, 3)),
+                       0x803)
+            _write_idx(tmp_path / f"{split}-labels", np.arange(n) % classes,
+                       0x801)
+        cfg = self._split_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "task 1 has no test sample" in err
 
     def test_evaluate_stream_must_match_checkpoint_input(self, tmp_path,
                                                          capsys):

@@ -11,8 +11,8 @@ from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import (Tensor, _im2col, backward, conv2d, cross_entropy,
-                            finite_diff_check, gradients,
+from spikecl.tensor import (Tensor, _col2im, _im2col, backward, conv2d,
+                            cross_entropy, finite_diff_check, gradients,
                             softmax_cross_entropy)
 
 from lif_oracle import custom_unary
@@ -82,9 +82,35 @@ def _im2col_pad_window(x, kh, kw, stride, padding):
     return np.ascontiguousarray(cols), ho, wo
 
 
+def _col2im_strided(cols, xshape, kh, kw, stride, padding):
+    """Oracle: the strided-slice col2im conv2d once used.  Each element of
+    the padded input sums its patch entries from +0.0, kernel offset (i, j)
+    by (i, j), and the padding border is cropped."""
+    b, c, h, w = xshape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    cols6 = cols.reshape(b, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride,
+               j : j + stride * wo : stride] += cols6[:, :, i, j]
+    return xp[:, :, padding : padding + h, padding : padding + w]
+
+
 # (kernel, stride, padding, input extent): the network's 3x3 geometries and
 # one wide 7x7 stride-2 kernel without padding
 CONV_CASES = [(3, 1, 0, 5), (3, 1, 1, 5), (3, 2, 1, 5), (7, 2, 0, 11)]
+# (kh, kw, stride, padding, input shape) for the lowering's bit-for-bit
+# oracles, square cases named kernel-stride-padding-extent: CONV_CASES; a
+# 1x1 kernel; a 1x1 stride-2 kernel, which leaves inputs that no patch
+# reads; a padding of 2; a kh != kw kernel; an empty batch; no channel
+LOWERING_CASES = (
+    [pytest.param(k, k, s, p, (3, 2, n, n), id=f"{k}-{s}-{p}-{n}")
+     for k, s, p, n in CONV_CASES + [(1, 1, 0, 4), (1, 2, 0, 5), (3, 2, 2, 7)]]
+    + [pytest.param(3, 2, 1, 1, (3, 2, 6, 8), id="3x2-1-1-6x8"),
+       pytest.param(3, 3, 2, 1, (0, 2, 5, 5), id="empty-batch"),
+       pytest.param(3, 3, 2, 1, (3, 0, 5, 5), id="no-channel")])
 
 
 class TestMatmul:
@@ -154,16 +180,32 @@ class TestConv2d:
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12)
         np.testing.assert_allclose(kt.grad, dw, rtol=1e-12)
 
-    @pytest.mark.parametrize("k,stride,padding,size",
-                             CONV_CASES + [(1, 1, 0, 4), (3, 2, 2, 7)])
-    def test_im2col_equals_pad_and_window_bit_for_bit(self, k, stride,
-                                                      padding, size):
-        x = np.random.default_rng(8).normal(size=(3, 2, size, size))
-        cols, ho, wo = _im2col(x, k, k, stride, padding)
-        ref, ho_ref, wo_ref = _im2col_pad_window(x, k, k, stride, padding)
+    @pytest.mark.parametrize("kh,kw,stride,padding,shape", LOWERING_CASES)
+    def test_im2col_equals_pad_and_window_bit_for_bit(self, kh, kw, stride,
+                                                      padding, shape):
+        x = np.random.default_rng(8).normal(size=shape)
+        cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+        ref, ho_ref, wo_ref = _im2col_pad_window(x, kh, kw, stride, padding)
         assert (ho, wo) == (ho_ref, wo_ref)
         assert cols.shape == ref.shape
+        assert cols.flags.c_contiguous  # the per-sample GEMM reads it
         np.testing.assert_array_equal(cols, ref)
+
+    @pytest.mark.parametrize("kh,kw,stride,padding,shape", LOWERING_CASES)
+    def test_col2im_equals_strided_slice_adds_bit_for_bit(self, kh, kw,
+                                                          stride, padding,
+                                                          shape):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=shape)
+        cols = rng.normal(size=_im2col(x, kh, kw, stride, padding)[0].shape)
+        cols[cols < -0.5] = -0.0
+        cols[:1] = -0.0  # sample 0 sums only -0.0 entries, to +0.0
+        got = _col2im(cols, shape, kh, kw, stride, padding)
+        ref = _col2im_strided(cols, shape, kh, kw, stride, padding)
+        assert got.shape == ref.shape == shape
+        # int64 views: a signed-zero difference fails as well
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      np.ascontiguousarray(ref).view(np.int64))
 
     @pytest.mark.parametrize("k,stride,padding,size", CONV_CASES)
     def test_sample_output_does_not_depend_on_its_batch(self, k, stride,

@@ -83,7 +83,7 @@ test_images = {d}/test-images
 test_labels = {d}/test-labels
 
 [network]
-arch = conv4k3s1p1,dense8
+arch = conv4k3s1p1,conv4k3s1p0,dense8
 input_shape = 1x6x6
 
 [lif]
