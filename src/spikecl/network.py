@@ -418,6 +418,9 @@ class Network:
             meta = json.loads(bytes(data["__meta__"]).decode())
         except Exception as exc:
             raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"checkpoint {path} has malformed metadata: "
+                              f"not a JSON object")
         if meta.get("version") != FORMAT_VERSION:
             raise FormatError(
                 f"checkpoint version {meta.get('version')} unsupported"
@@ -430,11 +433,12 @@ class Network:
             ]
             net = Network(arch, meta["input_shape"], LIFConfig(**meta["lif"]),
                           meta["seed"])
-            classes = {int(t): info["classes"]
+            classes = {int(t): list(info["classes"])
                        for t, info in meta["tasks"].items()}
-            anchor_classes = {int(t): c
+            anchor_classes = {int(t): list(c)
                               for t, c in meta["anchor_classes"].items()}
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                IndexError) as exc:
             raise FormatError(f"checkpoint {path} has malformed metadata: "
                               f"{exc!r}") from exc
         tasks = list(range(len(classes)))

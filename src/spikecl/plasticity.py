@@ -110,18 +110,22 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
 def accumulate_gradients(state, network):
     """Add |input-synapse gradients| of frozen units (current batch) to G.
 
+    Only the rows before the task's first own unit are read: the old units.
     Only synapses still connected under the task's mask count: a pruned
     unit is absent from the task's forward, so its row and the columns it
     feeds get zero gradient, and an old row's columns past its task's
-    prefix, which are not synapses, are zeroed here.  Must be called after a
-    backward pass and before the optimizer clears gradients.
+    prefix, which are not synapses but the gather reads for newer units,
+    are zeroed here.  Must be called after a backward pass and before the
+    step releases the gradients.
     """
-    tasks = [(network.owned(t), network._in_widths(t)) for t in network.masks]
+    first = [own.start for own in network.owned(state.task_id)]
+    tasks = [(network.owned(t), network._in_widths(t))
+             for t in range(state.task_id)]
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:
             continue
-        g = np.abs(layer.w.grad)
+        g = np.abs(layer.w.grad[:first[li]])
         for owned, in_widths in tasks:
             rows = owned[li]
             g[rows.start:rows.stop, in_widths[li] * layer.block:] = 0.0

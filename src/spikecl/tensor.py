@@ -12,7 +12,8 @@ Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
 number stays a number, adding one node and no constant Tensor.  The only
 broadcast form is bias-add.  ``take`` gathers rows (and columns) of a
-parameter and scatters its gradient back at the full shape.  ``conv2d``
+parameter and adds its gradient into the parameter's full-shape ``.grad`` at
+those entries.  ``backward`` leaves gradients on leaves only.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
 ``conv_forward`` is that forward on plain arrays.  im2col is one ``np.take``
@@ -126,8 +127,11 @@ class Tensor:
 
     def take(self, rows, cols=None):
         """Gather ``[rows][:, cols]`` by increasing index arrays; ``self``
-        when they cover every row and column.  The gradient is scattered
-        back into zeros of the full shape."""
+        when they cover every row and column.  The gradient is added into
+        ``self.grad`` at the gathered entries, from zeros of the full shape
+        at its first write, so each entry sums from +0.0 as in ``_accum``.
+        ``+=`` on a fancy index adds once per entry: increasing indices
+        repeat none."""
         if rows.size == self.shape[0] and (cols is None
                                            or cols.size == self.shape[1]):
             return self
@@ -135,9 +139,9 @@ class Tensor:
 
         def backward(out):
             if self.requires_grad:
-                grad = np.zeros(self.shape)
-                grad[index] = out.grad
-                _accum(self, grad)
+                if self.grad is None:
+                    self.grad = np.zeros(self.shape)
+                self.grad[index] += out.grad
 
         return Tensor._make(self.data[index], (self,), backward)
 
@@ -384,8 +388,10 @@ def cross_entropy(logits, labels):
 def backward(loss):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Gradients land on each reachable tensor's ``.grad``; returns the list of
-    leaf tensors (``requires_grad`` with no parents) that received a gradient.
+    Gradients land on the ``.grad`` of each reachable leaf (``requires_grad``
+    with no parents); returns the leaves that received one.  A node's own
+    gradient is dropped once its backward has passed it to its parents, so
+    after the walk only leaves hold one.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -407,6 +413,7 @@ def backward(loss):
     for t in reversed(topo):
         if t._backward is not None:
             t._backward(t)
+            t.grad = None  # its parents hold their share of it now
     return [t for t in topo if t._backward is None and t.grad is not None]
 
 

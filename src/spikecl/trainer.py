@@ -223,6 +223,8 @@ def _learn_task(network, task, cfg, buffer):
                 if state is not None:
                     accumulate_gradients(state, network)
                 optim.step([p.grad for p, _ in params])
+                for p, _ in params:  # a gradient lives for one step
+                    p.grad = None
                 epoch_loss += float(loss.data)
                 n_batches += 1
             log["losses"].append(epoch_loss / max(n_batches, 1))
@@ -230,8 +232,6 @@ def _learn_task(network, task, cfg, buffer):
                 doomed = update_relatedness(state, network, epoch)
                 report = apply_pruning(network, task.id, doomed)
                 log["pruning_rates"] = pruning_rates(report)
-            for p, _ in params:  # release the last step's gradients
-                p.grad = None
 
     # store the task's feature anchors for later similarity assessment
     network.anchors[task.id] = compute_anchors({

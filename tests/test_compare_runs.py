@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import resource
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,3 +52,17 @@ def test_differing_names_every_changed_leaf():
     change = {"per_task": [{"losses": [0.1, 0.3], "task": 0}], "gain": 1}
     assert compare_runs._differing(parent, change) == [
         "energy", "gain", "per_task.0.losses.1"]
+
+
+def test_run_child_reads_each_childs_own_peak_rss():
+    # Linux starts a child's peak at its spawner's (this process's) peak
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    big = [sys.executable, "-c",
+           f"import sys; b = b'x' * ({int(floor) + 64} << 20); "
+           f"sys.stderr.write('done\\n')"]
+    code, err, big_mb = compare_runs.run_child(big)
+    assert (code, err) == (0, "done") and big_mb >= floor + 64
+    small = [sys.executable, "-c", "import sys; sys.exit(3)"]
+    code, err, small_mb = compare_runs.run_child(small)
+    # RUSAGE_CHILDREN would read at least big_mb here
+    assert (code, err) == (3, "") and small_mb < big_mb - 32

@@ -673,8 +673,14 @@ class TestPersistence:
         ("task1/active1 2-D", "task1/active1 has shape (1, 6), expected 1-D"),
         ("task0/active1 float", "task0/active1 has dtype float64"),
         ("task0/active1 object", "task0/active1: Object arrays cannot"),
+        ("meta [1, 2]", "bad.npz has malformed metadata: not a JSON object"),
+        ("tasks []", "bad.npz has malformed metadata"),
+        ("anchor_classes []", "bad.npz has malformed metadata"),
+        ("classes 5", "bad.npz has malformed metadata"),
+        ("anchor classes 5", "bad.npz has malformed metadata"),
     ], ids=["version-5", "task-ids-0-2", "anchor-task-2", "narrower", "2-D",
-            "float", "object"])
+            "float", "object", "meta-list", "tasks-list",
+            "anchor-classes-list", "classes-number", "anchor-classes-number"])
     def test_task_ids_and_masks_checked(self, tmp_path, change, message):
         net, t0, _ = TestPruning()._expanded()
         net.anchors[0] = {c: np.zeros(4) for c in t0.classes}
@@ -692,6 +698,14 @@ class TestPersistence:
             meta["anchor_classes"]["2"] = meta["anchor_classes"].pop("0")
             arrays = {k.replace("anchor0/", "anchor2/"): v
                       for k, v in arrays.items()}
+        elif change == "meta [1, 2]":
+            meta = [1, 2]
+        elif change.endswith(" []"):
+            meta[change.split()[0]] = []
+        elif change == "classes 5":
+            meta["tasks"]["0"]["classes"] = 5
+        elif change == "anchor classes 5":
+            meta["anchor_classes"]["0"] = 5
         else:
             name = change.split()[0]
             edit = {"narrower": lambda a: a[:5], "2-D": lambda a: a[None],

@@ -270,38 +270,78 @@ class TestAccumulateGradients:
         ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5)),
     ])
     def test_matches_masked_accumulation_after_pruning(self, arch, shape):
-        stream = default_synthetic_stream(n_tasks=3, classes_per_task=2,
-                                          shape=shape, n_train=8, n_test=2,
-                                          seed=0)
-        net = init_first_task(arch, shape, stream[0],
-                              lif=LIFConfig(window=2), seed=0)
-        net.expand(stream[1], [2] * len(arch))
-        net.expand(stream[2], [2] * len(arch))
-        sims = [SimilarityRecord(0, 0.1, 0.3),
-                SimilarityRecord(1, 0.2, 0.5)]
-        state = build_relatedness(net, 2, sims)
-        oracle = build_relatedness(net, 2, sims)
-        net.prune_units(2, [(0, 0), (0, 4), (len(arch) - 1, 1)])
-        pairs = net.parameters(2)
-        params = [p for p, _ in pairs]
-        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
-        x = Tensor(stream[2].train_x)
-        labels = (stream[2].train_y - stream[2].classes[0]).astype(int)
-        for _ in range(3):
-            logits, _ = net.forward_task(x, 2)
-            gradients(cross_entropy(logits, labels), params)
-            accumulate_gradients(state, net)
-            _accumulate_masked(oracle, net, 2)
-            optim.step([p.grad for p in params])
-        for a, b in zip(state.grad_accum, oracle.grad_accum):
+        got, expected = _accumulated(
+            arch, shape, [[2] * len(arch)] * 2,
+            [(0, 0), (0, 4), (len(arch) - 1, 1)], _accumulate_masked, seed=0)
+        for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
-        assert all(a.any() for a in state.grad_accum)
+        assert all(a.any() for a in got)
+
+    @pytest.mark.parametrize("arch,shape", [
+        ([DenseSpec(5), DenseSpec(4), DenseSpec(3)], (1, 2, 2)),
+        ([ConvSpec(3, 3, 2, 1), ConvSpec(2, 3, 1, 1), DenseSpec(4)],
+         (1, 5, 5)),
+    ])
+    def test_old_rows_equal_the_full_shape_sum_bit_for_bit(self, arch,
+                                                             shape):
+        # task 2 adds no layer-1 unit: its first own row is the layer width
+        got, expected = _accumulated(
+            arch, shape, [[2, 1, 2], [1, 0, 2]], [(0, 1), (1, 1), (2, 0)],
+            _accumulate_full_shape, seed=1)
+        for a, b in zip(got, expected):
+            assert a.any()
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _accumulate_masked(state, network, task_id):
+def _accumulated(arch, shape, counts, doomed, oracle, seed):
+    """G of every layer after 3 training steps of task 2 of a 3-task stream,
+    tasks 1 and 2 expanded by ``counts`` and ``doomed`` pruned from task 2:
+    by ``accumulate_gradients`` and by ``oracle(state, network)``."""
+    stream = default_synthetic_stream(n_tasks=3, classes_per_task=2,
+                                      shape=shape, n_train=8, n_test=2,
+                                      seed=seed)
+    net = init_first_task(arch, shape, stream[0], lif=LIFConfig(window=2),
+                          seed=seed)
+    for task, n in zip(stream[1:], counts):
+        net.expand(task, n)
+    sims = [SimilarityRecord(0, 0.1, 0.3), SimilarityRecord(1, 0.2, 0.5)]
+    state = build_relatedness(net, 2, sims)
+    expected = build_relatedness(net, 2, sims)
+    net.prune_units(2, doomed)
+    pairs = net.parameters(2)
+    params = [p for p, _ in pairs]
+    optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
+    x = Tensor(stream[2].train_x)
+    labels = (stream[2].train_y - stream[2].classes[0]).astype(int)
+    for _ in range(3):
+        logits, _ = net.forward_task(x, 2)
+        gradients(cross_entropy(logits, labels), params)
+        accumulate_gradients(state, net)
+        oracle(expected, net)
+        optim.step([p.grad for p in params])
+    return state.grad_accum, expected.grad_accum
+
+
+def _accumulate_full_shape(state, network):
+    """Oracle: the accumulation that took |gradient| of every row and zeroed
+    each task's rows past its input prefix, the current task's included."""
+    tasks = [(network.owned(t), network._in_widths(t)) for t in network.masks]
+    for li, layer in enumerate(network.layers):
+        ids = state.unit_ids[li]
+        if ids.size == 0 or layer.w.grad is None:
+            continue
+        g = np.abs(layer.w.grad)
+        for owned, in_widths in tasks:
+            rows = owned[li]
+            g[rows.start:rows.stop, in_widths[li] * layer.block:] = 0.0
+        per_unit = g.sum(axis=tuple(range(1, g.ndim)))
+        state.grad_accum[li] += per_unit[ids]
+
+
+def _accumulate_masked(state, network):
     """Oracle: the accumulation that multiplied in the task's connection
     bits, repeated over each input unit's block of weight columns."""
-    conns = network.connections(task_id)
+    conns = network.connections(state.task_id)
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
         if ids.size == 0 or layer.w.grad is None:

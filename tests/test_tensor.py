@@ -11,9 +11,9 @@ from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import (Tensor, _col2im, _im2col, backward, conv2d,
-                            cross_entropy, finite_diff_check, gradients,
-                            softmax_cross_entropy)
+from spikecl.tensor import (Tensor, _accum, _col2im, _im2col, backward,
+                            conv2d, cross_entropy, finite_diff_check,
+                            gradients, softmax_cross_entropy)
 
 from lif_oracle import custom_unary
 
@@ -256,6 +256,71 @@ class TestConv2d:
             conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
 
+def _graph_nodes(loss):
+    """Every node reachable from ``loss``, the loss included."""
+    nodes, seen = [loss], {id(loss)}
+    for t in nodes:
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    return nodes
+
+
+def _take_scatter(self, rows, cols=None):
+    """Oracle: ``take`` as it scattered its gradient into zeros of the full
+    shape, which ``_accum`` then added into ``.grad`` from zeros."""
+    if rows.size == self.shape[0] and (cols is None
+                                       or cols.size == self.shape[1]):
+        return self
+    index = (rows,) if cols is None else (rows[:, None], cols)
+
+    def backward(out):
+        if self.requires_grad:
+            grad = np.zeros(self.shape)
+            grad[index] = out.grad
+            _accum(self, grad)
+
+    return Tensor._make(self.data[index], (self,), backward)
+
+
+def _network_loss():
+    """Task 1's loss on a conv+dense network with an old unit pruned in
+    each layer, so every layer and the head gather; and its parameters."""
+    stream = default_synthetic_stream(n_tasks=2, shape=(1, 5, 5), n_train=6,
+                                      n_test=2, seed=1)
+    net = init_first_task([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5),
+                          stream[0], lif=LIFConfig(window=3), seed=1)
+    net.expand(stream[1], [2, 2])
+    net.prune_units(1, [(0, 1), (1, 0)])
+    labels = (stream[1].train_y - stream[1].classes[0]).astype(int)
+
+    def loss():
+        logits, _ = net.forward_task(Tensor(stream[1].train_x), 1)
+        return cross_entropy(logits, labels)
+
+    return loss, [p for p, _ in net.parameters(1)]
+
+
+def _shared_loss():
+    """A loss where ``p`` is read by two overlapping ``take``s and ``q`` by
+    a ``take`` and directly, some coefficients signed zeros; and [p, q]."""
+    rng = np.random.default_rng(6)
+    p = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    q = Tensor(rng.normal(size=5), requires_grad=True)
+    coefs = [rng.normal(size=s) for s in ((3, 2), (2, 3), (3,), (5,))]
+    coefs[0][0, 0], coefs[1][1, 2], coefs[3][4] = -0.0, 0.0, -0.0
+
+    def loss():
+        reads = [p.take(np.array([0, 1, 3]), np.array([1, 4])),
+                 p.take(np.array([1, 2]), np.array([0, 1, 4])),
+                 q.take(np.array([0, 2, 4])), q]
+        terms = [(t * Tensor(c)).sum() for t, c in zip(reads, coefs)]
+        return terms[0] + terms[1] + terms[2] + terms[3]
+
+    return loss, [p, q]
+
+
 class TestBackward:
     def test_linear_gradient_is_input(self):
         x = np.array([[1.0, -2.0, 3.0]])
@@ -337,6 +402,33 @@ class TestBackward:
         backward(loss)
         del loss
         assert gc.collect() == 0
+
+
+    @pytest.mark.parametrize("build", [_network_loss, _shared_loss],
+                             ids=["network", "shared"])
+    def test_only_leaves_keep_gradients(self, build):
+        loss_fn, params = build()
+        loss = loss_fn()
+        nodes = _graph_nodes(loss)  # before the walk, which drops them
+        gradients(loss, params)
+        assert all(p.grad is not None for p in params)
+        assert [t for t in nodes if t._parents and t.grad is not None] == []
+
+    @pytest.mark.parametrize("build", [_network_loss, _shared_loss],
+                             ids=["network", "shared"])
+    def test_take_gradients_equal_the_scatter_oracle_bit_for_bit(
+            self, build, monkeypatch):
+        loss_fn, params = build()
+        grads = gradients(loss_fn(), params)
+        got = [grads[p].copy() for p in params]
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "take", _take_scatter)
+            for p in params:
+                p.grad = None
+            _backward_recursive(loss_fn())
+        for g, p in zip(got, params):
+            np.testing.assert_array_equal(g.view(np.int64),
+                                          p.grad.view(np.int64))
 
 
 def _backward_recursive(loss):

@@ -21,7 +21,9 @@ For each report it prints whether each artefact's sha256 matches, whether
 (``timings_s`` and ``config`` aside), and, for every checkpoint array that
 differs, why: its drift, max |change - parent| / max |parent|; or that it is
 missing on one side; or its shape change; or, for ``__meta__``, which JSON
-keys differ.  Last it prints the line count of each tree's ``spikecl``
+keys differ.  Each report's label carries its command's peak RSS, parent ->
+change, as information: it never fails the gate, and it is never below this
+tool's own peak RSS.  Last it prints the line count of each tree's ``spikecl``
 package and the difference.  Exits 1 when a CSV, ``til``/``cil`` or a
 command's exit code differs, else 0; checkpoint differences alone are
 reported, not failed.
@@ -144,25 +146,38 @@ def package_lines(src):
                for p in (src / "spikecl").rglob("*.py"))
 
 
+def run_child(argv, env=None):
+    """Run ``argv``; return its exit code, its stderr and its own peak RSS in
+    MB.  ``os.wait4`` reads the child's usage alone; ``RUSAGE_CHILDREN``
+    would give the largest of every child waited for so far.  Linux starts
+    a child's peak at this process's own (34 MB with numpy 2.4 loaded), so
+    a reading never falls below it."""
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True) as child:
+        err = child.stderr.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, err.strip(), usage.ru_maxrss / 1024
+
+
 def _spikecl(src, argv):
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update({var: "1" for var in BLAS_THREAD_VARS})
-    done = subprocess.run([sys.executable, "-m", "spikecl", *argv], env=env,
-                          capture_output=True, text=True)
-    return done.returncode, done.stderr.strip()
+    return run_child([sys.executable, "-m", "spikecl", *argv], env)
 
 
 def _run_pair(src, ini, seed, out):
-    """Exit codes and reports of ``run`` then ``evaluate`` in ``out``."""
+    """(exit code, stderr, report directory, peak RSS) of ``run`` then
+    ``evaluate`` in ``out``."""
     run_dir, eval_dir = out / "run", out / "eval"
-    code, err = _spikecl(src, ["run", str(ini), "--seed", str(seed),
-                               "--out", str(run_dir)])
-    results = {"run": (code, err, run_dir)}
+    code, err, rss = _spikecl(src, ["run", str(ini), "--seed", str(seed),
+                                    "--out", str(run_dir)])
+    results = {"run": (code, err, run_dir, rss)}
     if code == 0:
-        code, err = _spikecl(src, ["evaluate", str(run_dir / "checkpoint.npz"),
-                                   str(ini), "--seed", str(seed),
-                                   "--out", str(eval_dir)])
-        results["evaluate"] = (code, err, eval_dir)
+        code, err, rss = _spikecl(src, [
+            "evaluate", str(run_dir / "checkpoint.npz"), str(ini),
+            "--seed", str(seed), "--out", str(eval_dir)])
+        results["evaluate"] = (code, err, eval_dir, rss)
     return results
 
 
@@ -211,6 +226,10 @@ def _drift(parent_npz, change_npz):
     return drift
 
 
+def _mb(rss):
+    return "-" if rss is None else f"{rss:.1f} MB"
+
+
 def _describe(d):
     return d if isinstance(d, str) else f"drift {d:.3g}"
 
@@ -222,7 +241,9 @@ def _body(report):
 
 def compare(label, parent, change, worst):
     """Print one report's comparison; return False when a gate fails."""
-    (p_code, p_err, p_dir), (c_code, c_err, c_dir) = parent, change
+    p_code, p_err, p_dir, p_rss = parent
+    c_code, c_err, c_dir, c_rss = change
+    label += f" (peak RSS {_mb(p_rss)} -> {_mb(c_rss)})"
     if p_code != 0 or c_code != 0:
         same = p_code == c_code
         print(f"{label}: exit {p_code} -> {c_code}"
@@ -285,7 +306,7 @@ def main(argv=None):
                      for side, src in (("parent", parent), ("change", change))]
             for command in ("run", "evaluate"):
                 if command in sides[0] or command in sides[1]:
-                    missing = (None, "not run", None)
+                    missing = (None, "not run", None, None)
                     ok &= compare(f"{name} seed {seed} {command}",
                                   sides[0].get(command, missing),
                                   sides[1].get(command, missing), worst)
