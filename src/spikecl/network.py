@@ -282,9 +282,11 @@ class Network:
             w, b = layer.w.data[rows[:, None], cols], layer.b.data[rows]
             if layer.kind == "conv":
                 cur = conv_forward(h, w, layer.spec.stride,
-                                   layer.spec.padding)[0] + b[:, None, None]
+                                   layer.spec.padding)[0]
+                cur += b[:, None, None]
             else:
-                cur = h.reshape(h.shape[0], cols.size) @ w.T.copy() + b
+                cur = h.reshape(h.shape[0], cols.size) @ w.T.copy()
+                cur += b
             h = lif_window(lif_step, cur, self.lif, held=(li == 0))[1]
         return rate(h, self.lif.window)
 

@@ -16,15 +16,20 @@ parameter and adds its gradient into the parameter's full-shape ``.grad`` at
 those entries.  ``backward`` leaves gradients on leaves only.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
-``conv_forward`` is that forward on plain arrays.  im2col is one ``np.take``
-and its adjoint one ``np.take`` per patch entry an input element can have,
-by index arrays built once per geometry; the adjoint sums each element's
-entries from +0.0 in the order of their kernel offsets (i, j).
+``conv_forward`` is that forward on plain arrays, im2col a fixed block of
+samples at a time.  im2col is one ``np.take`` and its adjoint one
+``np.take`` per patch entry an input element can have, by index arrays
+built once per geometry; the adjoint sums each element's entries from +0.0
+in the order of their kernel offsets (i, j).  The forward keeps no
+patches: the backward gathers them again as the rows of the kernel
+gradient's GEMM, and the input gradient's GEMM writes into the zero-padded
+buffer the adjoint gathers from.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -259,6 +264,12 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return ho + 1, wo + 1
 
 
+# Samples per im2col block in ``conv_forward``: the forward's patches exist
+# for one block at a time.  Blocks change no bit, since every sample is its
+# own GEMM.
+_SAMPLE_BLOCK = 32
+
+
 @functools.lru_cache(maxsize=None)
 def _patch_index(c, h, w, kh, kw, stride, padding):
     """The gathers of one conv geometry, built at its first use.
@@ -266,10 +277,11 @@ def _patch_index(c, h, w, kh, kw, stride, padding):
     ``src[e]`` is the flat input element that patch entry e = (c, i, j, oh,
     ow), in row-major order, reads: ``(c*h + r)*w + q`` at ``r = i +
     stride*oh - padding``, ``q = j + stride*ow - padding``, or ``c*h*w``,
-    one zero past the input, where (r, q) is padding.  ``rounds[k, m]`` is
-    input element m's k-th patch entry in that order, or ``src.size``, one
-    zero past the patches, once it has no more.  Returns (src, rounds, Ho,
-    Wo)."""
+    one zero past the input, where (r, q) is padding.  ``src_t`` is ``src``
+    in (oh, ow, c, i, j) order, which gathers each sample's patches as rows.
+    ``rounds[k, m]`` is input element m's k-th patch entry in ``src`` order,
+    or ``src.size``, one zero past the patches, once it has no more.
+    Returns (src, src_t, rounds, Ho, Wo)."""
     ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
     n = c * h * w
     ci, i, j, oh, ow = np.ix_(range(c), range(kh), range(kw), range(ho),
@@ -277,6 +289,7 @@ def _patch_index(c, h, w, kh, kw, stride, padding):
     r, q = i + stride * oh - padding, j + stride * ow - padding
     inside = (0 <= r) & (r < h) & (0 <= q) & (q < w)
     src = np.where(inside, (ci * h + r) * w + q, n).ravel()
+    src_t = src.reshape(c * kh * kw, ho * wo).T.ravel()
     # stable: an element's entries keep their order; padding sorts last
     entries = np.argsort(src, kind="stable")[:np.count_nonzero(src < n)]
     element = src[entries]
@@ -284,54 +297,74 @@ def _patch_index(c, h, w, kh, kw, stride, padding):
     rank = np.arange(entries.size) - (np.cumsum(counts) - counts)[element]
     rounds = np.full((counts.max(initial=0), n), src.size)
     rounds[rank, element] = entries
-    src.flags.writeable = rounds.flags.writeable = False
-    return src, rounds, ho, wo
+    for a in (src, src_t, rounds):
+        a.flags.writeable = False
+    return src, src_t, rounds, ho, wo
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """(B, C*kh*kw, Ho*Wo) patches, C-contiguous: one gather of the input
-    with a zero column appended, no arithmetic.  ``np.take`` rather than
-    fancy indexing, which returns a non-contiguous result here and slows
-    the GEMM that reads it."""
+def _flat(x, out=None):
+    """(B, C*H*W + 1): each sample of x flat, with one zero column appended,
+    which patch entries in the padding read; into ``out`` when given, whose
+    last column is zero."""
+    b, n = x.shape[0], math.prod(x.shape[1:])
+    if out is None:
+        out = np.zeros((b, n + 1))
+    out[:, :-1] = x.reshape(b, n)
+    return out
+
+
+def _im2col(x, kh, kw, stride, padding, flat=None, out=None):
+    """(B, C*kh*kw, Ho*Wo) patches, C-contiguous: one gather, no arithmetic,
+    through ``_flat(x, flat)`` into ``out`` (B, C*kh*kw*Ho*Wo) when given.
+    ``np.take`` rather than fancy indexing, which returns a non-contiguous
+    result here and slows the GEMM that reads it; ``mode="clip"`` (every
+    index is in range) so that it writes into ``out`` without a temporary."""
     b, c, h, w = x.shape
-    src, _, ho, wo = _patch_index(c, h, w, kh, kw, stride, padding)
-    flat = np.zeros((b, c * h * w + 1))
-    flat[:, :-1] = x.reshape(b, c * h * w)
-    return np.take(flat, src, axis=1).reshape(b, c * kh * kw, ho * wo), ho, wo
+    src, _, _, ho, wo = _patch_index(c, h, w, kh, kw, stride, padding)
+    cols = np.take(_flat(x, flat), src, axis=1, out=out, mode="clip")
+    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
-def _col2im(cols, xshape, kh, kw, stride, padding):
-    """The adjoint of ``_im2col``: each input element is the sum, from +0.0,
-    of its patch entries in ``cols`` order, i.e. kernel offset (i, j) by
-    (i, j), one gather round per entry.  A round past an element's last
-    entry adds +0.0, which leaves the sum as it is: a sum begun at +0.0 is
-    never -0.0."""
+def _col2im(padded, xshape, kh, kw, stride, padding):
+    """The adjoint of ``_im2col``, read from ``padded``: each sample's
+    patches in ``_im2col``'s order, flat, with one zero column appended.
+    Each input element is the sum, from +0.0, of its patch entries in that
+    order, i.e. kernel offset (i, j) by (i, j), one gather round per entry.
+    A round past an element's last entry adds the zero column's +0.0, which
+    leaves the sum as it is: a sum begun at +0.0 is never -0.0."""
     b, c, h, w = xshape
-    src, rounds, _, _ = _patch_index(c, h, w, kh, kw, stride, padding)
-    flat = np.zeros((b, src.size + 1))
-    flat[:, :-1] = cols.reshape(b, src.size)
+    _, _, rounds, _, _ = _patch_index(c, h, w, kh, kw, stride, padding)
     x = np.zeros((b, c * h * w))
     for idx in rounds:
-        x += np.take(flat, idx, axis=1)
+        x += np.take(padded, idx, axis=1)
     return x.reshape(xshape)
 
 
 def conv_forward(x, kernels, stride=1, padding=0):
-    """``conv2d``'s forward on arrays: returns (output, im2col patches,
-    kernel matrix)."""
+    """``conv2d``'s forward on arrays, im2col ``_SAMPLE_BLOCK`` samples at a
+    time: returns (output, kernel matrix)."""
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernels, got "
                          f"{x.shape} and {kernels.shape}")
-    b, c_in = x.shape[:2]
+    b, c_in, h, w = x.shape
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input has {c_in}, "
                          f"kernels expect {kc}")
-    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+    src, _, _, ho, wo = _patch_index(c_in, h, w, kh, kw, stride, padding)
     wmat = kernels.reshape(c_out, c_in * kh * kw)
+    out = np.empty((b, c_out, ho * wo))
+    # Every block reuses one input and one patch buffer: a fresh pair per
+    # block is heap churn that glibc trims and then faults back in.
+    flat = np.zeros((min(b, _SAMPLE_BLOCK), c_in * h * w + 1))
+    cols = np.empty((len(flat), src.size))
     # matmul broadcasts wmat: one GEMM per sample.  Stacking the batch into
     # one GEMM would not do: a BLAS row can depend on the rest of its batch.
-    return np.matmul(wmat, cols).reshape(b, c_out, ho, wo), cols, wmat
+    for s in range(0, b, _SAMPLE_BLOCK):
+        m = min(b - s, _SAMPLE_BLOCK)
+        np.matmul(wmat, _im2col(x[s:s + m], kh, kw, stride, padding,
+                                flat[:m], cols[:m])[0], out=out[s:s + m])
+    return out.reshape(b, c_out, ho, wo), wmat
 
 
 def conv2d(x, kernels, stride=1, padding=0):
@@ -339,19 +372,34 @@ def conv2d(x, kernels, stride=1, padding=0):
     kernels (C_out, C_in, kh, kw), differentiable w.r.t. both.  The forward
     and the input gradient run one GEMM per sample, so a sample's output
     never depends on the rest of its batch; the kernel gradient is one GEMM
-    over the batch."""
-    out, cols, wmat = conv_forward(x.data, kernels.data, stride, padding)
+    over the batch.  The forward keeps no patches: the backward gathers
+    them again, straight into the (B*Ho*Wo, C_in*kh*kw) rows that GEMM
+    reads, and drops them before the input gradient, whose GEMM writes
+    into the zero-padded buffer ``_col2im`` reads."""
+    out, wmat = conv_forward(x.data, kernels.data, stride, padding)
     b, c_out, ho, wo = out.shape
-    kh, kw = kernels.shape[2:]
+    (_, c_in, h, w), (kh, kw) = x.shape, kernels.shape[2:]
+    k = wmat.shape[1]
 
     def backward(outt):
         g = outt.grad.reshape(b, c_out, ho * wo)
         if kernels.requires_grad:
-            dw = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+            # np.dot on the operands, and their layouts, that
+            # np.tensordot(g, patches, ([0, 2], [0, 2])) would pass it
+            if b == 1:  # the patches' transposed view, not a copy
+                rows = _im2col(x.data, kh, kw, stride, padding)[0][0].T
+            else:
+                src_t = _patch_index(c_in, h, w, kh, kw, stride, padding)[1]
+                rows = np.take(_flat(x.data), src_t,
+                               axis=1).reshape(b * ho * wo, k)
+            dw = np.dot(g.transpose(1, 0, 2).reshape(c_out, b * ho * wo),
+                        rows)
+            del rows
             _accum(kernels, dw.reshape(kernels.shape))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, g)
-            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding))
+            padded = np.zeros((b, k * ho * wo + 1))
+            np.matmul(wmat.T, g, out=padded[:, :-1].reshape(b, k, ho * wo))
+            _accum(x, _col2im(padded, x.shape, kh, kw, stride, padding))
 
     return Tensor._make(out, (x, kernels), backward)
 

@@ -80,6 +80,46 @@ capacity = 8
 calib_epochs = 1
 """
 
+# the values the sweeps set each key of ``_sweep_keys`` to, and further
+# values of the keys that do not read a number, for the two-key sweep
+SWEEP_VALUES = ["-1", "0", "-0", "nan", "inf", "1e308", "1e-300", "5e-324"]
+SWEEP_TEXT = {
+    ("network", "arch"): ["conv2k3s2p1,dense3", "conv3k1,conv2k2s1p0,dense2",
+                          "conv2k5s1p0,dense3", "dense1"],
+    ("network", "input_shape"): ["1x3x3", "2x2x2", "1x1x1", "3x4x5"],
+    ("lif", "reset_mode"): ["literal-eq3", "hard-reset", "bogus"],
+}
+
+
+def _sweep_keys():
+    """(section, key) of every INI key a synthetic-stream run reads."""
+    import spikecl.cli as cli
+
+    keys = [(section, key) for section, given in cli._SECTIONS.items()
+            for key in given]
+    return keys + [("stream", key) for key in cli._STREAM_KINDS["synthetic"]]
+
+
+def _sweep_code(tmp_path, settings):
+    """Exit code of ``run`` on SWEEP_CONFIG with each (section, key, value)
+    of ``settings`` set, or the repr of the exception it raised, so one
+    sweep names every failure."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read_string(SWEEP_CONFIG)
+    for section, key, value in settings:
+        if section not in cfg:
+            cfg.add_section(section)
+        cfg[section][key] = value
+    path = tmp_path / "sweep.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    try:
+        with np.errstate(all="ignore"):
+            return main(["run", str(path)])
+    except Exception as exc:
+        return repr(exc)
+
+
 CSV_NAMES = ("accuracy_matrix.csv", "similarity.csv", "pruning_rates.csv",
              "energy.csv")
 
@@ -358,35 +398,39 @@ class TestRun:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_every_value_ends_in_an_exit_code(self, tmp_path, monkeypatch):
-        import spikecl.cli as cli
-
         monkeypatch.chdir(tmp_path)  # a relative [run] out lands here
-        keys = [(section, key) for section, given in cli._SECTIONS.items()
-                for key in given]
-        keys += [("stream", key) for key in cli._STREAM_KINDS["synthetic"]]
         outcomes = {}
-        for (section, key), value in itertools.product(
-                keys, ["-1", "0", "-0", "nan", "inf", "1e308", "1e-300",
-                       "5e-324"]):
-            cfg = configparser.ConfigParser(interpolation=None)
-            cfg.read_string(SWEEP_CONFIG)
-            if section not in cfg:
-                cfg.add_section(section)
-            cfg[section][key] = value
-            path = tmp_path / "sweep.ini"
-            with open(path, "w") as fh:
-                cfg.write(fh)
-            try:
-                with np.errstate(all="ignore"):
-                    code = main(["run", str(path)])
-            except Exception as exc:  # recorded, so one run names them all
-                code = repr(exc)
-            outcomes[f"[{section}] {key} = {value}"] = code
+        for (section, key), value in itertools.product(_sweep_keys(),
+                                                       SWEEP_VALUES):
+            outcomes[f"[{section}] {key} = {value}"] = _sweep_code(
+                tmp_path, [(section, key, value)])
         assert {k: c for k, c in outcomes.items()
                 if c not in (EXIT_OK, EXIT_CONFIG, EXIT_TRAINING)} == {}
         # a non-finite stream value is bad data, not a diverged training
         assert {k: c for k, c in outcomes.items() if k.startswith("[stream]")
                 and k.endswith(("nan", "inf")) and c != EXIT_CONFIG} == {}
+
+    def test_two_keys_set_at_once_end_in_an_exit_code(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        settings = [(section, key, value) for (section, key), value
+                    in itertools.product(_sweep_keys(), SWEEP_VALUES)]
+        settings += [(section, key, value)
+                     for (section, key), values in SWEEP_TEXT.items()
+                     for value in values]
+        rng = np.random.default_rng(1)
+        pairs = set()
+        while len(pairs) < 300:
+            a, b = sorted(rng.choice(len(settings), size=2, replace=False))
+            if settings[a][:2] != settings[b][:2]:
+                pairs.add((settings[a], settings[b]))
+        outcomes = {}
+        for pair in sorted(pairs):
+            outcomes[" and ".join(f"[{s}] {k} = {v}" for s, k, v in pair)] = (
+                _sweep_code(tmp_path, pair))
+        assert {k: c for k, c in outcomes.items()
+                if c not in (EXIT_OK, EXIT_CONFIG, EXIT_TRAINING)} == {}
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_literal_forms_come_from_ini_keys(self, tmp_path):
         cfg = configparser.ConfigParser()

@@ -11,9 +11,10 @@ from spikecl.errors import ContractError, NumericalError, ShapeError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import (Tensor, _accum, _col2im, _im2col, backward,
-                            conv2d, cross_entropy, finite_diff_check,
-                            gradients, softmax_cross_entropy)
+from spikecl.tensor import (_SAMPLE_BLOCK, Tensor, _accum, _col2im, _im2col,
+                            backward, conv2d, cross_entropy,
+                            finite_diff_check, gradients,
+                            softmax_cross_entropy)
 
 from lif_oracle import custom_unary
 
@@ -96,6 +97,31 @@ def _col2im_strided(cols, xshape, kh, kw, stride, padding):
             xp[:, :, i : i + stride * ho : stride,
                j : j + stride * wo : stride] += cols6[:, :, i, j]
     return xp[:, :, padding : padding + h, padding : padding + w]
+
+
+def _padded(cols):
+    """Each sample's ``cols``, flat, with one zero column appended: the
+    buffer ``_col2im`` reads."""
+    b = cols.shape[0]
+    return np.concatenate([cols.reshape(b, np.prod(cols.shape[1:], dtype=int)),
+                           np.zeros((b, 1))], axis=1)
+
+
+def _conv2d_kept_patches(x, kernels, g, stride, padding):
+    """Oracle: the ``conv2d`` that kept its forward patches for the
+    backward, took the kernel gradient by ``np.tensordot`` and copied the
+    input gradient's patches into ``_col2im``'s zero-padded buffer.
+    Returns (output, kernel gradient, input gradient) for output gradient
+    ``g``."""
+    b, c_out, (kh, kw) = x.shape[0], kernels.shape[0], kernels.shape[2:]
+    cols, ho, wo = _im2col(x, kh, kw, stride, padding)
+    wmat = kernels.reshape(c_out, x.shape[1] * kh * kw)
+    out = np.matmul(wmat, cols).reshape(b, c_out, ho, wo)
+    g = g.reshape(b, c_out, ho * wo)
+    dw = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+    dx = _col2im(_padded(np.matmul(wmat.T, g)), x.shape, kh, kw, stride,
+                 padding)
+    return out, dw.reshape(kernels.shape), dx
 
 
 # (kernel, stride, padding, input extent): the network's 3x3 geometries and
@@ -200,12 +226,36 @@ class TestConv2d:
         cols = rng.normal(size=_im2col(x, kh, kw, stride, padding)[0].shape)
         cols[cols < -0.5] = -0.0
         cols[:1] = -0.0  # sample 0 sums only -0.0 entries, to +0.0
-        got = _col2im(cols, shape, kh, kw, stride, padding)
+        got = _col2im(_padded(cols), shape, kh, kw, stride, padding)
         ref = _col2im_strided(cols, shape, kh, kw, stride, padding)
         assert got.shape == ref.shape == shape
         # int64 views: a signed-zero difference fails as well
         np.testing.assert_array_equal(got.view(np.int64),
                                       np.ascontiguousarray(ref).view(np.int64))
+
+    @pytest.mark.parametrize("kh,kw,stride,padding,shape", LOWERING_CASES + [
+        pytest.param(3, 2, 1, 1, (1, 2, 6, 8), id="one-sample"),
+        pytest.param(3, 3, 2, 1, (2 * _SAMPLE_BLOCK + 3, 2, 5, 5),
+                     id="three-blocks"),
+        pytest.param(1, 1, 1, 0, (5, 1, 4, 4), id="one-patch-column")])
+    @pytest.mark.parametrize("c_out", [4, 0], ids=["4-out", "no-out"])
+    def test_equals_the_kept_patches_oracle_bit_for_bit(self, kh, kw, stride,
+                                                        padding, shape, c_out):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape)
+        kern = rng.normal(size=(c_out, shape[1], kh, kw))
+        x[x < -1.0] = -0.0
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
+        out = conv2d(xt, kt, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        g[g < -1.0] = -0.0
+        backward((out * Tensor(g)).sum())  # 1.0 * g is g, bit for bit
+        refs = _conv2d_kept_patches(x, kern, g, stride, padding)
+        for got, ref in zip((out.data, kt.grad, xt.grad), refs):
+            assert got.shape == ref.shape
+            # int64 views: a signed-zero difference fails as well
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          ref.view(np.int64))
 
     @pytest.mark.parametrize("k,stride,padding,size", CONV_CASES)
     def test_sample_output_does_not_depend_on_its_batch(self, k, stride,
