@@ -52,7 +52,7 @@ from .errors import (ConfigError, ContractError, FormatError, NumericalError,
                      ShapeError)
 from .spiking import (LIFConfig, lif_step, lif_window, rate, run_window,
                       window_rate)
-from .tensor import Tensor, _conv_geometry, conv2d, conv_forward
+from .tensor import Tensor, _conv_geometry, conv2d, conv_forward, gather
 
 FORMAT_VERSION = 6
 
@@ -279,7 +279,7 @@ class Network:
         order: for every pass that needs no gradient."""
         h = np.asarray(x, dtype=np.float64)
         for li, layer, rows, cols in self._gathers(h.shape, task_id):
-            w, b = layer.w.data[rows[:, None], cols], layer.b.data[rows]
+            w, b = gather(layer.w.data, rows, cols), layer.b.data[rows]
             if layer.kind == "conv":
                 cur = conv_forward(h, w, layer.spec.stride,
                                    layer.spec.padding)[0]

@@ -15,11 +15,14 @@ the triangular surrogate: zero outside |u| > 1/lambda, otherwise
 (a C^1 ramp from 0 to 1) so that analytic gradients agree with finite
 differences; it exists for gradient-checking, not for training.
 
-``lif_step`` is one membrane update on numpy arrays.  ``lif_window`` runs it
-over a layer's whole window and ``rate`` turns the window's spikes into a
-rate; ``run_window`` and ``window_rate`` are the same kernels as graph nodes
-(SpikingJelly's multi-step mode), ``run_window``'s backward hand-written
-backpropagation through time with the surrogate.
+``lif_step`` is one membrane update on numpy arrays, into given arrays
+when asked.  ``lif_window`` runs it over a layer's whole window, writing
+each step into slices of preallocated ``(T, B, ...)`` arrays, and checks
+the membranes finite once per window; ``rate`` turns the window's spikes
+into a rate.  ``run_window`` and ``window_rate`` are the same kernels as
+graph nodes (SpikingJelly's multi-step mode), ``run_window``'s backward
+hand-written backpropagation through time with the surrogate, whose slope
+and 1 - spikes it computes once over the stacked window.
 """
 
 from __future__ import annotations
@@ -71,74 +74,87 @@ def smooth_spike_value(u_centered, lam):
     return np.where(u <= lo, 0.0, np.where(u >= hi, 1.0, ramp))
 
 
-def lif_step(membrane, spikes, current, cfg):
+def lif_step(membrane, spikes, current, cfg, out=None):
     """One membrane update and spike decision; returns the new
-    ``(membrane, spikes)`` arrays."""
+    ``(membrane, spikes)`` arrays, written into ``out`` (two arrays of the
+    membrane's shape that share no memory with the inputs) when given."""
     if current.shape != membrane.shape:
         raise ShapeError(
             f"input current shape {current.shape} does not match "
             f"membrane shape {membrane.shape}"
         )
-    if cfg.reset_mode == HARD_RESET:
-        membrane = membrane * (1.0 - spikes) * cfg.tau + current
-    else:
-        membrane = (1.0 - membrane) * cfg.tau + current
+    m, o = out if out is not None else (np.empty(membrane.shape),
+                                        np.empty(membrane.shape))
+    if cfg.reset_mode == HARD_RESET:  # membrane * (1 - spikes) * tau + current
+        np.subtract(1.0, spikes, out=m)
+        m *= membrane
+    else:  # (1 - membrane) * tau + current
+        np.subtract(1.0, membrane, out=m)
+    m *= cfg.tau
+    m += current
     if cfg.smooth:
-        return membrane, smooth_spike_value(membrane - cfg.v_th, cfg.lam)
-    return membrane, (membrane >= cfg.v_th).astype(np.float64)
+        o[...] = smooth_spike_value(m - cfg.v_th, cfg.lam)
+    else:
+        np.greater_equal(m, cfg.v_th, out=o)
+    return m, o
 
 
 def lif_window(step, cur, cfg, held=False):
     """One layer's ``cfg.window`` steps of ``step`` (``lif_step``) on arrays,
-    from rest.  ``cur`` is held, ``(B, ...)`` at every step, or stacked,
-    ``(T*B, ...)`` with step t's rows at ``[t*B, (t+1)*B)``.  Returns every
-    step's membrane and the stacked ``(T*B, ...)`` spikes."""
+    from rest, each written into a slice of two ``(T, B, ...)`` arrays, whose
+    membranes are checked finite once for the window.  ``cur`` is held,
+    ``(B, ...)`` at every step, or stacked, ``(T*B, ...)`` with step t's rows
+    at ``[t*B, (t+1)*B)``.  Returns the ``(T, B, ...)`` membranes and the
+    stacked ``(T*B, ...)`` spikes."""
     window = cfg.window
     rows = cur.shape[0] if held else cur.shape[0] // window
     if not held and rows * window != cur.shape[0]:
         raise ShapeError(f"stacked current has {cur.shape[0]} rows, not a "
                          f"multiple of the window {window}")
     shape = (rows,) + cur.shape[1:]
-    membranes = []
-    spikes = np.empty((window,) + shape)
+    membranes, spikes = np.empty((window,) + shape), np.empty((window,) + shape)
     m = o = np.zeros(shape)
     for t in range(window):
-        m, o = step(m, o, cur if held else cur[t * rows:(t + 1) * rows], cfg)
-        if not np.all(np.isfinite(m)):
-            raise NumericalError("membrane potential is not finite")
-        membranes.append(m)
-        spikes[t] = o
+        m, o = step(m, o, cur if held else cur[t * rows:(t + 1) * rows], cfg,
+                    out=(membranes[t], spikes[t]))
+    if not np.all(np.isfinite(membranes)):
+        raise NumericalError("membrane potential is not finite")
     return membranes, spikes.reshape((window * rows,) + shape[1:])
 
 
 def run_window(step, current, cfg, held=False):
     """``lif_window``'s spikes of a Tensor ``current``, as one graph node
     whose backward runs BPTT with the surrogate derivative; a held current's
-    gradient is the sum over the steps."""
+    gradient is the sum over the steps.  The surrogate slope (and, with
+    hard reset, 1 - spikes) is computed once over the stacked window."""
     membranes, stacked = lif_window(step, current.data, cfg, held)
-    spikes = stacked.reshape((cfg.window,) + membranes[0].shape)
+    spikes = stacked.reshape(membranes.shape)
 
     def vjp(grad):
         grad = grad.reshape(spikes.shape)
-        g_cur = None if held else np.empty(spikes.shape)
-        g_next = None  # dL/dU^{t+1}; the last step feeds no later one
-        for t in reversed(range(cfg.window)):
-            m, g_o = membranes[t], grad[t]
-            slope = surrogate_grad(m - cfg.v_th, cfg.lam)
-            if g_next is None:
-                g_m = g_o * slope
-            elif cfg.reset_mode == HARD_RESET:
-                g_keep = g_next * cfg.tau  # dL/d(U^t * (1 - O^t))
-                g_m = ((g_o - g_keep * m) * slope
-                       + g_keep * (1.0 - spikes[t]))
-            else:
-                g_m = g_o * slope - g_next * cfg.tau
-            if held:
-                g_cur = g_m if g_cur is None else g_cur + g_m
-            else:
-                g_cur[t] = g_m
-            g_next = g_m
-        return g_cur.reshape(current.shape)
+        slopes = surrogate_grad(membranes - cfg.v_th, cfg.lam)
+        keep = 1.0 - spikes if cfg.reset_mode == HARD_RESET else None
+        g_m = np.empty(spikes.shape)  # dL/dU^t, from the last step back
+        np.multiply(grad[-1], slopes[-1], out=g_m[-1])
+        for t in reversed(range(cfg.window - 1)):
+            g, g_next = g_m[t], g_m[t + 1] * cfg.tau
+            if keep is None:  # g_o * slope - g_next * tau
+                np.multiply(grad[t], slopes[t], out=g)
+                g -= g_next
+                continue
+            # (g_o - g_keep * m) * slope + g_keep * (1 - O^t), where
+            # g_keep = g_next * tau is dL/d(U^t * (1 - O^t))
+            np.multiply(g_next, membranes[t], out=g)
+            np.subtract(grad[t], g, out=g)
+            g *= slopes[t]
+            g_next *= keep[t]
+            g += g_next
+        if not held:
+            return g_m.reshape(current.shape)
+        g_cur = g_m[-1]  # summed from the last step back, in this order
+        for g in g_m[-2::-1]:
+            g_cur = g_cur + g
+        return g_cur
 
     return current.custom_op(stacked, vjp)
 

@@ -11,9 +11,16 @@ over the array kernel ``softmax_cross_entropy``.
 Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
 exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
 number stays a number, adding one node and no constant Tensor.  The only
-broadcast form is bias-add.  ``take`` gathers rows (and columns) of a
-parameter and adds its gradient into the parameter's full-shape ``.grad`` at
-those entries.  ``backward`` leaves gradients on leaves only.  ``conv2d``
+broadcast form is bias-add.  ``take`` gathers rows of a parameter, then
+columns of those rows (``gather``), each one pass.  Its first gradient
+write scatters columns into a (rows, full width) block and assigns the
+block by row into zeros of the full shape; a later write adds at the
+gathered entries.  A first gradient is ``g + 0.0``, one pass that gives the
++0.0 a sum from zeros gives for -0.0.  ``take``, ``transpose`` and
+``reshape`` only move values, so they skip the finiteness check: a
+non-finite value they pass on fails the check of the next node that
+computes from it, and every node that computes keeps its check.
+``backward`` leaves gradients on leaves only.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
 ``conv_forward`` is that forward on plain arrays, im2col a fixed block of
@@ -53,11 +60,14 @@ class Tensor:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _make(data, parents, backward_fn):
+    def _make(data, parents, backward_fn, moved=False):
+        """A node of value ``data``, checked finite unless it only ``moved``
+        values of its parents: a non-finite value moved on fails the check
+        of the next node that computes from it."""
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if not np.all(np.isfinite(data)):
+        if not moved and not np.all(np.isfinite(data)):
             raise NumericalError("operation produced non-finite values")
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents) if out.requires_grad else ()
@@ -128,15 +138,14 @@ class Tensor:
             if self.requires_grad:
                 _accum(self, out.grad.reshape(self.shape))
 
-        return Tensor._make(new, (self,), backward)
+        return Tensor._make(new, (self,), backward, moved=True)
 
     def take(self, rows, cols=None):
-        """Gather ``[rows][:, cols]`` by increasing index arrays; ``self``
-        when they cover every row and column.  The gradient is added into
-        ``self.grad`` at the gathered entries, from zeros of the full shape
-        at its first write, so each entry sums from +0.0 as in ``_accum``.
-        ``+=`` on a fancy index adds once per entry: increasing indices
-        repeat none."""
+        """``gather(self.data, rows, cols)`` as a node; ``self`` when the
+        indices cover every row and column.  Its gradient is ``_scatter``'s
+        at the first write into ``self.grad`` and is added at the gathered
+        entries after that (increasing indices repeat none, so ``+=`` on
+        the fancy index adds once per entry)."""
         if rows.size == self.shape[0] and (cols is None
                                            or cols.size == self.shape[1]):
             return self
@@ -145,10 +154,12 @@ class Tensor:
         def backward(out):
             if self.requires_grad:
                 if self.grad is None:
-                    self.grad = np.zeros(self.shape)
-                self.grad[index] += out.grad
+                    self.grad = _scatter(out.grad, self.shape, rows, cols)
+                else:
+                    self.grad[index] += out.grad
 
-        return Tensor._make(self.data[index], (self,), backward)
+        return Tensor._make(gather(self.data, rows, cols), (self,), backward,
+                            moved=True)
 
     def transpose(self):
         if self.data.ndim != 2:
@@ -158,7 +169,7 @@ class Tensor:
             if self.requires_grad:
                 _accum(self, out.grad.T)
 
-        return Tensor._make(self.data.T.copy(), (self,), backward)
+        return Tensor._make(self.data.T.copy(), (self,), backward, moved=True)
 
     def sum(self):
         def backward(out):
@@ -240,9 +251,36 @@ class Tensor:
 
 
 def _accum(t, g):
+    """Add ``g`` into ``t.grad``.  A first write is ``g + 0.0`` in one pass:
+    the sum from +0.0 that every entry starts at, so -0.0 lands as +0.0."""
     if t.grad is None:
-        t.grad = np.zeros(t.shape)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty(t.shape))
+    else:
+        t.grad += g
+
+
+def gather(a, rows, cols=None):
+    """``a[rows][:, cols]`` (``a[rows]`` without ``cols``): a gather of
+    whole rows, then of columns, each faster than one 2-D fancy index."""
+    a = a[rows]
+    return a if cols is None else a[:, cols]
+
+
+def _scatter(g, shape, rows, cols=None):
+    """``gather``'s adjoint into zeros of ``shape``, each entry summed from
+    +0.0 (-0.0 lands as +0.0): ``g + 0.0`` assigned into a (rows, full
+    width) block by column, then the block into the result by row; no
+    ``+=`` on a fancy index."""
+    g = g + 0.0
+    if cols is not None:
+        block = np.zeros((rows.size,) + shape[1:])
+        block[:, cols] = g
+        g = block
+    if rows.size == shape[0]:
+        return g
+    out = np.zeros(shape)
+    out[rows] = g
+    return out
 
 
 # -- convolution --------------------------------------------------------------

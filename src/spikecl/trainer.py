@@ -15,7 +15,9 @@ so its CIL accuracy equals its TIL accuracy.
 TIL heads and feature pathways are frozen once their task ends, so old-task
 TIL accuracy is exactly stable by construction.  Only the training batch
 loop builds or steps a ``Tensor``: every other pass, calibration included,
-runs on arrays.
+runs on arrays.  ``Adam`` keeps its moments in one flat vector over every
+trainable entry and steps it with one set of ufunc calls, in training and
+in calibration alike.
 """
 
 from __future__ import annotations
@@ -80,11 +82,20 @@ class TrainConfig:
 class Adam:
     """Adam over ``(array, first row)`` pairs, each array stepped in place
     (so whatever holds it sees every step) from its first row on; earlier
-    rows never move.  ``step(grads)`` takes one full-shape gradient a pair."""
+    rows never move.  ``step(grads)`` takes one full-shape gradient a pair.
+
+    The trainable rows of every pair lie end to end in one flat vector, so
+    a step copies the gradients in and runs Adam's ufuncs once over it;
+    each entry gets the same operations as a step per array, bit for bit."""
 
     def __init__(self, params, lr=1e-3):
-        self.entries = [(p, r0, np.zeros_like(p[r0:]), np.zeros_like(p[r0:]))
-                        for p, r0 in params]
+        # (trainable rows, a view, so a step lands in the array; first row;
+        # their slice of the flat vector) per pair
+        self.entries, n = [], 0
+        for p, r0 in params:
+            self.entries.append((p[r0:], r0, slice(n, n + p[r0:].size)))
+            n += p[r0:].size
+        self.m, self.v = np.zeros(n), np.zeros(n)
         self.lr = lr
         self.t = 0
 
@@ -92,11 +103,28 @@ class Adam:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for (p, r0, m, v), grad in zip(self.entries, grads, strict=True):
-            g = grad[r0:]
-            m += (1 - ADAM_BETA1) * (g - m)
-            v += (1 - ADAM_BETA2) * (g ** 2 - v)
-            p[r0:] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        g = np.empty(self.m.size)
+        for (p, r0, s), grad in zip(self.entries, grads, strict=True):
+            g[s].reshape(p.shape)[...] = grad[r0:]
+        # in place, each product with its factors swapped, which is exact:
+        # m += (1 - b1) * (g - m); v += (1 - b2) * (g**2 - v);
+        # g = lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        m, v = self.m, self.v
+        d = g - m
+        d *= 1 - ADAM_BETA1
+        m += d
+        np.square(g, out=g)
+        g -= v
+        g *= 1 - ADAM_BETA2
+        v += g
+        np.divide(v, b2t, out=d)
+        np.sqrt(d, out=d)
+        d += ADAM_EPS
+        np.divide(m, b1t, out=g)
+        g *= self.lr
+        g /= d
+        for p, _, s in self.entries:
+            p -= g[s].reshape(p.shape)
 
 
 class ReplayBuffer:

@@ -38,5 +38,10 @@ def test_same_tree_on_both_sides_times_every_round(tmp_path, monkeypatch):
         assert all(math.isfinite(v) and v > 0 for j in jobs for v in j.values())
     summary = interleave.summary(results)
     assert sorted(summary) == sorted(interleave.METRICS)
+    # the first and the last task's training time, as perfbench reads them
+    assert {"task_first_s", "task_last_s"} <= set(summary)
+    for jobs in results.values():
+        assert all(j["task_first_s"] < j["run_s"] > j["task_last_s"]
+                   for j in jobs)
     for parent, change, ratio, wins in summary.values():
         assert ratio == change / parent and 0 <= wins <= 3

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from spikecl.errors import ConfigError, NumericalError, ShapeError
 from spikecl.spiking import (HARD_RESET, LITERAL_EQ3, LIFConfig, lif_step,
-                             run_window, smooth_spike_value, surrogate_grad,
-                             window_rate)
+                             lif_window, run_window, smooth_spike_value,
+                             surrogate_grad, window_rate)
 from spikecl.tensor import Tensor, backward, finite_diff_check
 
 import lif_oracle
@@ -74,6 +74,34 @@ class TestLIFStep:
         cfg = LIFConfig()
         with pytest.raises(ShapeError, match="shape"):
             lif_step(np.zeros(2), np.zeros(2), np.zeros(3), cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        LIFConfig(tau=0.3), LIFConfig(tau=0.6, reset_mode=LITERAL_EQ3),
+        LIFConfig(v_th=0.4, smooth=True),
+        LIFConfig(tau=0.6, v_th=0.4, smooth=True, reset_mode=LITERAL_EQ3),
+    ], ids=["hard-reset", "literal-eq3", "smooth", "smooth-literal-eq3"])
+    def test_writing_into_out_equals_the_update_bit_for_bit(self, cfg):
+        rng, shape = np.random.default_rng(11), (40, 25)  # rounding shows
+        membrane = rng.normal(0.4, 0.6, size=shape)
+        spikes = (rng.random(shape) < 0.5).astype(float)
+        if cfg.smooth:
+            spikes = rng.random(shape)
+        current = rng.normal(0.3, 0.5, size=shape)
+        current[0, 0] = -0.0
+        # the update as one expression, in the order of the equations
+        if cfg.reset_mode == HARD_RESET:
+            u = membrane * (1.0 - spikes) * cfg.tau + current
+        else:
+            u = (1.0 - membrane) * cfg.tau + current
+        o = (smooth_spike_value(u - cfg.v_th, cfg.lam) if cfg.smooth
+             else (u >= cfg.v_th).astype(np.float64))
+        out = (np.full(shape, np.nan), np.full(shape, np.nan))
+        got = lif_step(membrane, spikes, current, cfg, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for want in ((u, o), lif_step(membrane, spikes, current, cfg)):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.view(np.int64),
+                                              b.view(np.int64))
 
 
 class TestSurrogate:
@@ -184,6 +212,19 @@ class TestRunWindow:
             run_window(lif_step, current, LIFConfig(tau=1.0, window=2),
                        held=True)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_current_from_a_middle_step_on_rejected(self, value):
+        # one check per window still sees a step that is not the first
+        cfg = LIFConfig(window=4)
+        cur = np.random.default_rng(12).normal(size=(4 * 3, 2))
+        cur[2 * 3:, 1] = value
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="membrane"):
+            lif_window(lif_step, cur, cfg)
+        membranes, _ = lif_window(lif_step, cur[:2 * 3], dataclasses.replace(
+            cfg, window=2))
+        assert np.isfinite(membranes).all()
+
     def test_rate_of_zero_units(self):
         # a layer whose every unit is pruned: 3 rows, no columns
         spikes = Tensor(np.zeros((2 * 3, 0)), requires_grad=True)
@@ -200,6 +241,29 @@ MODES = {
     "smooth-literal-eq3": LIFConfig(tau=0.6, v_th=0.4, window=4, smooth=True,
                                     reset_mode=LITERAL_EQ3),
 }
+
+
+def _bptt_per_step(membranes, spikes, grad, cfg, held):
+    """Oracle: ``run_window``'s backward as it ran with step-sized arrays,
+    the surrogate slope and 1 - spikes computed step by step."""
+    g_cur = None if held else np.empty(spikes.shape)
+    g_next = None
+    for t in reversed(range(cfg.window)):
+        m, g_o = membranes[t], grad[t]
+        slope = surrogate_grad(m - cfg.v_th, cfg.lam)
+        if g_next is None:
+            g_m = g_o * slope
+        elif cfg.reset_mode == HARD_RESET:
+            g_keep = g_next * cfg.tau
+            g_m = (g_o - g_keep * m) * slope + g_keep * (1.0 - spikes[t])
+        else:
+            g_m = g_o * slope - g_next * cfg.tau
+        if held:
+            g_cur = g_m if g_cur is None else g_cur + g_m
+        else:
+            g_cur[t] = g_m
+        g_next = g_m
+    return g_cur
 
 
 class TestRunWindowOracle:
@@ -250,6 +314,23 @@ class TestRunWindowOracle:
         expected = np.concatenate([l.grad for l in leaves])
         assert np.any(expected != 0.0)
         np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "stacked"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_backward_equals_the_per_step_loop_bit_for_bit(self, mode, held,
+                                                           window):
+        cfg, current, coef = self._case(mode, held, window, seed=2)
+        leaf = Tensor(current, requires_grad=True)
+        out = run_window(lif_step, leaf, cfg, held=held)
+        backward((out * Tensor(coef)).sum())
+        membranes, stacked = lif_window(lif_step, current, cfg, held)
+        want = _bptt_per_step(membranes, stacked.reshape(membranes.shape),
+                              coef.reshape(membranes.shape), cfg, held)
+        # the gradient's first write adds it to +0.0
+        want = want.reshape(current.shape) + 0.0
+        np.testing.assert_array_equal(leaf.grad.view(np.int64),
+                                      want.view(np.int64))
 
     @pytest.mark.parametrize("held", [True, False], ids=["held", "stacked"])
     @pytest.mark.parametrize("mode", ["smooth-hard-reset",

@@ -334,6 +334,31 @@ def _take_scatter(self, rows, cols=None):
     return Tensor._make(self.data[index], (self,), backward)
 
 
+def _take_fancy(self, rows, cols=None):
+    """Oracle: ``take`` as a 2-D fancy gather, its gradient added by ``+=``
+    on that index into zeros of the full shape."""
+    if rows.size == self.shape[0] and (cols is None
+                                       or cols.size == self.shape[1]):
+        return self
+    index = (rows,) if cols is None else (rows[:, None], cols)
+
+    def backward(out):
+        if self.requires_grad:
+            if self.grad is None:
+                self.grad = np.zeros(self.shape)
+            self.grad[index] += out.grad
+
+    return Tensor._make(self.data[index], (self,), backward)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def _negative_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
 def _network_loss():
     """Task 1's loss on a conv+dense network with an old unit pruned in
     each layer, so every layer and the head gather; and its parameters."""
@@ -565,6 +590,70 @@ class TestFiniteDiffCheck:
         assert w.take(np.arange(3), np.arange(4)) is w
         assert w.take(np.arange(3), np.arange(3)) is not w
         assert w.take(np.arange(2), np.arange(4)).shape == (2, 4, 2)
+
+
+def _mask(rng, n, case):
+    """Increasing indices into n: a seeded random subset, or a named one."""
+    if case == "empty":
+        return np.arange(0)
+    if case == "one":
+        return np.array([rng.integers(n)])
+    if case == "every":
+        return np.arange(n)
+    return np.flatnonzero(rng.random(n) < 0.6)
+
+
+TAKE_CASES = {  # id: (weight shape, rows, cols or None)
+    "dense": ((9, 11), "random", "random"),
+    "conv": ((7, 5, 3, 3), "random", "random"),
+    "dense-no-rows": ((9, 11), "empty", "random"),
+    "conv-no-cols": ((7, 5, 3, 3), "random", "empty"),
+    "dense-one-row": ((9, 11), "one", "random"),
+    "conv-every-row": ((7, 5, 3, 3), "every", "random"),
+    "bias": ((9,), "random", None),
+    "bias-one-row": ((9,), "one", None),
+}
+
+
+class TestTake:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", list(TAKE_CASES))
+    def test_equals_the_fancy_index_oracle_bit_for_bit(self, case, seed):
+        shape, row_case, col_case = TAKE_CASES[case]
+        rng = np.random.default_rng([seed, len(shape)])
+        rows = _mask(rng, shape[0], row_case)
+        cols = None if col_case is None else _mask(rng, shape[1], col_case)
+        data = rng.normal(size=shape)
+        upstream, results = None, []
+        for take in (Tensor.take, _take_fancy):
+            w = Tensor(data.copy(), requires_grad=True)
+            out = take(w, rows, cols)
+            if upstream is None:  # a first write, then one into .grad
+                upstream = [rng.normal(size=out.shape) for _ in range(2)]
+                for g in upstream:
+                    g[rng.random(out.shape) < 0.3] = -0.0
+                    g.flat[:1] = -0.0
+            seen = [out.data]
+            for g in upstream:
+                out.grad = g.copy()
+                out._backward(out)
+                seen.append(w.grad.copy())
+            results.append(seen)
+        got, want = results
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+        assert _negative_zeros(got[1]) == 0  # -0.0 landed as +0.0
+
+    def test_first_accumulation_turns_negative_zero_positive(self):
+        t = Tensor(np.ones(4), requires_grad=True)
+        g = np.array([-0.0, 0.0, -2.5, 1.0])
+        _accum(t, g)
+        np.testing.assert_array_equal(_bits(t.grad), _bits(np.zeros(4) + g))
+        assert _negative_zeros(t.grad) == 0 and t.grad is not g
+        _accum(t, g)
+        np.testing.assert_array_equal(_bits(t.grad),
+                                      _bits(np.zeros(4) + g + g))
 
 
 class TestOpsAndErrors:

@@ -12,9 +12,10 @@ the workload's INI as ``perfbench`` does, the order flipped every round.
 Round r learns input stream ``10 * SEED + r % streams``.  BLAS runs on one
 thread.
 
-It prints each tree's medians of ``run_s``, ``eval_s`` and
-``train_samples_per_s``, the ratio change / parent, and in how many rounds
-the change did better.  Both trees run in one process, so a process that
+It prints each tree's medians of ``run_s``, ``eval_s``, ``task_first_s``,
+``task_last_s`` (the first and the last task's training time, from the
+run's ``report.json``) and ``train_samples_per_s``, the ratio change /
+parent, and in how many rounds the change did better.  Both trees run in one process, so a process that
 runs slow or fast as a whole moves both alike, which separate benchmark
 processes cannot promise.  It is a diagnostic, not a benchmark result:
 the trees share one heap, so neither ``peak_rss_mb`` nor the page faults
@@ -42,8 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 SIDES = ("parent", "change")
-METRICS = {"run_s": "lower", "eval_s": "lower",
-           "train_samples_per_s": "higher"}
+METRICS = {"run_s": "lower", "eval_s": "lower", "task_first_s": "lower",
+           "task_last_s": "lower", "train_samples_per_s": "higher"}
 
 
 def _src(path):
@@ -86,8 +87,8 @@ def job(cli, ini, w, seed, work):
         raise SystemExit(f"error: {cli.__name__} exited {code} on seed {seed}")
     timings = json.loads((run_dir / "report.json").read_text())["timings_s"]
     task_s = [timings[f"task{i}"] for i in range(w["tasks"])]
-    return {"run_s": t1 - t0, "eval_s": t2 - t1,
-            "train_samples_per_s": (w["tasks"] * w["n_train"] * w["epochs"]
+    return {"run_s": t1 - t0, "eval_s": t2 - t1, "task_first_s": task_s[0],
+            "task_last_s": task_s[-1], "train_samples_per_s": (w["tasks"] * w["n_train"] * w["epochs"]
                                     / sum(task_s))}
 
 
