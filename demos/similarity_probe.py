@@ -8,10 +8,9 @@ similarity 0 and trigger almost no expansion; the others should not.
 
 import numpy as np
 
-from spikecl import (DenseSpec, ExpansionPolicy, GaussianClass, LIFConfig,
-                     SyntheticTaskSpec, TrainConfig, association,
-                     expansion_counts, learn_task, similarity_vector,
-                     synthetic_stream)
+from spikecl import (DenseSpec, GaussianClass, LIFConfig, SyntheticTaskSpec,
+                     TrainConfig, association, expansion_counts, learn_task,
+                     similarity_vector, synthetic_stream)
 
 SHAPE = (1, 3, 3)
 
@@ -50,12 +49,11 @@ def main():
     unrelated = synthetic_stream([wave_task()], SHAPE, seed=500)[0]
     unrelated.id = 1
 
-    policy = ExpansionPolicy(5.0, (12, 8))
     print(f"\n{'candidate':<12} {'kl':>8} {'similarity':>10} {'expansion':>12}")
     for name, task in [("duplicate", duplicate), ("permuted", permuted),
                        ("unrelated", unrelated)]:
         sims = similarity_vector(net, task, probe_size=128, seed=9)
-        counts = expansion_counts(association(sims), policy)
+        counts = expansion_counts(association(sims), 5.0, (12, 8))
         print(f"{name:<12} {sims[0].kl:>8.3f} {sims[0].s:>10.3f} "
               f"{str(counts):>12}")
 

@@ -9,7 +9,7 @@ and a batch experiment runner.
 
 from .metrics import AccuracyMatrix, EnergyReport, count_active, energy, flops_estimate, forgetting
 from .network import ConvSpec, DenseSpec, Network, init_first_task
-from .plasticity import ExpansionPolicy, association, expansion_counts
+from .plasticity import association, expansion_counts
 from .similarity import SimilarityRecord, compute_anchors, kl_estimate, similarity_score, similarity_vector
 from .spiking import LIFConfig, lif_step, run_window, surrogate_grad, window_rate
 from .streams import GaussianClass, SyntheticTaskSpec, TaskDescriptor, default_synthetic_stream, load_idx, mixed_alternating, permuted_stream, rotated_stream, split_stream, synthetic_stream

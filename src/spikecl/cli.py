@@ -3,15 +3,16 @@
 ``spikecl run <config.ini>`` executes a full task stream through the
 per-task learning loop, evaluates TIL/CIL, and writes a report directory:
 ``report.json``, CSV series (accuracy matrix, similarity, pruning rates,
-energy), and ``checkpoint.npz``.  When class labels are disjoint, the CIL
-heads are calibrated once, after the last task; otherwise each saved CIL copy
-equals its trained TIL head.
+energy), and ``checkpoint.npz``.  ``trainer.calibrate_heads`` sets the CIL
+head copies once, after the last task: fitted on a replay buffer when class
+labels are disjoint, else each saved copy equals its trained TIL head.
 ``spikecl evaluate <checkpoint> <config>`` re-runs the evaluation protocols
 on a saved network without training.
 
 One schema (``_SECTIONS``; ``_STREAM_KINDS`` for ``[stream]``, which takes
 ``kind`` and that kind's keys only) converts each INI value and names the
-keyword it sets; a key left out takes its callee's default.
+keyword it sets; a key left out takes its callee's default.  The output
+directory is made, and each dataset path checked, before any training.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 training error.
 """
@@ -30,7 +31,6 @@ from pathlib import Path
 from . import metrics, streams, trainer
 from .errors import ConfigError, DataError, FormatError, TrainingError
 from .network import ConvSpec, DenseSpec, Network
-from .plasticity import ExpansionPolicy
 from .spiking import LIFConfig
 from .trainer import (ReplayBuffer, TrainConfig, cil_evaluate, learn_task,
                       repeated_class, til_evaluate)
@@ -74,8 +74,8 @@ def parse_arch(text):
 
 # Each section's keys: INI key -> converter, or -> (keyword, converter) where
 # the callee names it otherwise.  Only set keys are passed on, so a default
-# lives at its callee: [lif] -> LIFConfig, [expansion] -> ExpansionPolicy,
-# [run] -> the runner, every other section -> TrainConfig.
+# lives at its callee: [lif] -> LIFConfig, [run] -> the runner, every other
+# section -> TrainConfig.
 _SECTIONS = {
     "DEFAULT": {},
     "run": {"seed": int, "out": str},
@@ -144,8 +144,8 @@ def _load_file_dataset(given, kind):
             raise ConfigError(f"[stream] missing key {key!r} for kind "
                               f"{kind!r}")
         paths[key] = given.pop(key)
-        if not Path(paths[key]).exists():
-            raise ConfigError(f"dataset file not found: {paths[key]}")
+        if not Path(paths[key]).is_file():
+            raise ConfigError(f"[stream] {key} = {paths[key]} is not a file")
     tx, ty, ex, ey = (streams.load_idx(paths[key]) for key in _IDX_KEYS)
     for images, labels, x, y in (("train_images", "train_labels", tx, ty),
                                  ("test_images", "test_labels", ex, ey)):
@@ -190,15 +190,15 @@ def build_train_config(cfg, seed):
     """The training settings of an INI; any invalid value is a ConfigError."""
     s = _settings(cfg)
     return TrainConfig(
-        **s["network"], **s["train"], **s["similarity"], **s["reuse"],
-        **s["replay"], lif=LIFConfig(**s["lif"]),
-        policy=ExpansionPolicy(**s["expansion"]), seed=seed)
+        **s["network"], **s["train"], **s["expansion"], **s["similarity"],
+        **s["reuse"], **s["replay"], lif=LIFConfig(**s["lif"]), seed=seed)
 
 
 def _read_config(path, seed, out, default_out):
-    """The checked INI at ``path`` with its run seed and output directory;
-    a ``seed`` or ``out`` that is not None overrides ``[run]``, and a
-    negative seed is a ConfigError."""
+    """The checked INI at ``path`` with its run seed and output directory,
+    which it creates; a ``seed`` or ``out`` that is not None overrides
+    ``[run]``.  A negative seed, or an output path that cannot be a
+    directory, is a ConfigError."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(interpolation=None)
@@ -210,7 +210,13 @@ def _read_config(path, seed, out, default_out):
     seed = given.get("seed", 0) if seed is None else seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return cfg, seed, given.get("out", default_out) if out is None else out
+    out = given.get("out", default_out) if out is None else out
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
+    return cfg, seed, out
 
 
 def _fmt(x):
@@ -239,7 +245,6 @@ def _cil_report(network, tasks, disjoint):
 def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
                    til, cil, timings):
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     width = max((len(r) for r in matrix.entries), default=0)
     _write_csv(out / "accuracy_matrix.csv",
                ["after_task"] + [f"task{j}" for j in range(width)],
@@ -258,21 +263,14 @@ def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
     _write_csv(out / "pruning_rates.csv", ["task", "old_task", "pruning_rate"],
                prune_rows)
     energy_rows = []
-    energy_json = []
     for t in tasks:
         rep = metrics.energy_report(network, t.id)
-        dnn = metrics.energy(rep.flops, "dnn")
         energy_rows.append([t.id, rep.connections_active, rep.neurons_active,
-                            rep.flops, rep.energy_pj, dnn, rep.pruning_rate])
-        energy_json.append({
-            "task": t.id, "connections": rep.connections_active,
-            "neurons": rep.neurons_active, "flops": rep.flops,
-            "energy_snn_pj": rep.energy_pj, "energy_dnn_pj": dnn,
-            "pruning_rate": rep.pruning_rate,
-        })
-    _write_csv(out / "energy.csv",
-               ["task", "connections", "neurons", "flops", "energy_snn_pj",
-                "energy_dnn_pj", "pruning_rate"], energy_rows)
+                            rep.flops, rep.energy_pj,
+                            metrics.energy(rep.flops, "dnn"), rep.pruning_rate])
+    energy_header = ["task", "connections", "neurons", "flops",
+                     "energy_snn_pj", "energy_dnn_pj", "pruning_rate"]
+    _write_csv(out / "energy.csv", energy_header, energy_rows)
     network.save(out / "checkpoint.npz")
     report = {
         "config": config_echo,
@@ -280,7 +278,7 @@ def _write_reports(out, config_echo, tasks, network, per_task_logs, matrix,
         "accuracy_matrix": matrix.entries,
         "til": {"per_task": til[0], "average": til[1]},
         "cil": cil,
-        "energy": energy_json,
+        "energy": [dict(zip(energy_header, row)) for row in energy_rows],
         "timings_s": timings,
         "artifacts": {
             name: _sha256(out / name)
@@ -321,15 +319,10 @@ def run(config_path, seed=None, out=None):
         accs, _ = til_evaluate(network, tasks[: task.id + 1])
         matrix.add_row(accs)
         logs.append(log)
-    if disjoint:
-        # looked up at call time, so a wrapper set on the trainer applies
-        t0 = time.perf_counter()
-        trainer.calibrate_heads(network, buffer, tcfg)
-        timings["calibrate_heads"] = time.perf_counter() - t0
-    else:
-        # no CIL fit: each saved copy is its trained TIL head
-        for head in network.heads.values():
-            head.sync_cil()
+    # looked up at call time, so a wrapper set on the trainer applies
+    t0 = time.perf_counter()
+    trainer.calibrate_heads(network, buffer, tcfg)
+    timings["calibrate_heads"] = time.perf_counter() - t0
     # the last row evaluated every task on the final network
     til = matrix.final(), matrix.average_final()
     cil = _cil_report(network, tasks, disjoint)

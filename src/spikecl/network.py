@@ -488,12 +488,11 @@ class Network:
             layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
             layer.b = Tensor(array(f"layer{li}/b", (rows[li],)),
                              requires_grad=True)
-            for t in tasks:  # the forward reads whole rows
-                own = net.owned(t)[li]
-                if layer.w.data[own.start:own.stop,
-                                 net._in_widths(t)[li] * layer.block:].any():
-                    raise FormatError(f"checkpoint array layer{li}/w has "
-                                      f"nonzero weights outside synapses")
+            # the forward reads whole rows
+            outside = ~np.repeat(net.synapses(li), layer.block, axis=1)
+            if layer.w.data[outside].any():
+                raise FormatError(f"checkpoint array layer{li}/w has "
+                                  f"nonzero weights outside synapses")
         for t, cls in classes.items():
             head_shape = (len(cls), net._widths(t)[-1])
             head = TaskHead(cls, array(f"task{t}/head_w", head_shape),

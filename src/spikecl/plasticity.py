@@ -1,7 +1,8 @@
 """Expansion sizing and gradient-driven reuse/pruning of old neurons.
 
 Expansion: the association magnitude A (minimum similarity to any old task)
-sizes each layer's new units as floor(M_l * (1 - exp(-alpha * A))).
+sizes each layer's new units as floor(M_l * (1 - exp(-alpha * A))), alpha
+and the caps M_l set by ``TrainConfig`` (default M_l: the first task's width).
 
 Reuse: while the new task trains, the absolute gradients reaching each old
 (frozen) unit's input synapses accumulate per epoch.  Once per epoch the
@@ -21,19 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-
-
-@dataclass
-class ExpansionPolicy:
-    alpha: float = 5.0
-    max_per_layer: tuple = ()
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha must be positive and finite: {self.alpha}")
-        if any(m < 0 for m in self.max_per_layer):
-            raise ConfigError("max expansion counts must be non-negative")
+from .errors import ContractError
 
 
 def association(sims):
@@ -43,10 +32,11 @@ def association(sims):
     return min(r.s for r in sims)
 
 
-def expansion_counts(a, policy):
-    """Per-layer expansion sizes floor(M_l * (1 - exp(-alpha * A)))."""
-    factor = 1.0 - math.exp(-policy.alpha * a)
-    return [int(math.floor(m * factor)) for m in policy.max_per_layer]
+def expansion_counts(a, alpha, caps):
+    """Per-layer expansion sizes floor(M_l * (1 - exp(-alpha * A))), M_l
+    the layer's entry of ``caps``."""
+    factor = 1.0 - math.exp(-alpha * a)
+    return [int(math.floor(m * factor)) for m in caps]
 
 
 def normalize_gradients(accum):

@@ -16,10 +16,11 @@ columns of those rows (``gather``), each one pass.  Its first gradient
 write scatters columns into a (rows, full width) block and assigns the
 block by row into zeros of the full shape; a later write adds at the
 gathered entries.  A first gradient is ``g + 0.0``, one pass that gives the
-+0.0 a sum from zeros gives for -0.0.  ``take``, ``transpose`` and
-``reshape`` only move values, so they skip the finiteness check: a
-non-finite value they pass on fails the check of the next node that
-computes from it, and every node that computes keeps its check.
++0.0 a sum from zeros gives for -0.0.  Values are checked finite at the
+training step's boundary, not per node: a ``Tensor`` built from data, the
+loss in ``cross_entropy``, each LIF window's membranes
+(``spiking.lif_window``) and Adam's update (``trainer.Adam``).  A
+non-finite value computed inside the step reaches one of them.
 ``backward`` leaves gradients on leaves only.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
@@ -60,15 +61,12 @@ class Tensor:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _make(data, parents, backward_fn, moved=False):
-        """A node of value ``data``, checked finite unless it only ``moved``
-        values of its parents: a non-finite value moved on fails the check
-        of the next node that computes from it."""
+    def _make(data, parents, backward_fn):
+        """A node of value ``data``, unchecked: the training step checks
+        values at its boundaries (see the module docstring)."""
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if not moved and not np.all(np.isfinite(data)):
-            raise NumericalError("operation produced non-finite values")
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward_fn if out.requires_grad else None
@@ -138,7 +136,7 @@ class Tensor:
             if self.requires_grad:
                 _accum(self, out.grad.reshape(self.shape))
 
-        return Tensor._make(new, (self,), backward, moved=True)
+        return Tensor._make(new, (self,), backward)
 
     def take(self, rows, cols=None):
         """``gather(self.data, rows, cols)`` as a node; ``self`` when the
@@ -158,8 +156,7 @@ class Tensor:
                 else:
                     self.grad[index] += out.grad
 
-        return Tensor._make(gather(self.data, rows, cols), (self,), backward,
-                            moved=True)
+        return Tensor._make(gather(self.data, rows, cols), (self,), backward)
 
     def transpose(self):
         if self.data.ndim != 2:
@@ -169,7 +166,7 @@ class Tensor:
             if self.requires_grad:
                 _accum(self, out.grad.T)
 
-        return Tensor._make(self.data.T.copy(), (self,), backward, moved=True)
+        return Tensor._make(self.data.T.copy(), (self,), backward)
 
     def sum(self):
         def backward(out):
@@ -463,8 +460,11 @@ def softmax_cross_entropy(logits, labels):
 
 
 def cross_entropy(logits, labels):
-    """``softmax_cross_entropy`` as a graph node over Tensor logits."""
+    """``softmax_cross_entropy`` as a graph node over Tensor logits; a
+    non-finite loss raises ``NumericalError``."""
     loss, grad = softmax_cross_entropy(logits.data, labels)
+    if not np.isfinite(loss):
+        raise NumericalError("loss is not finite")
     return logits.custom_op(np.asarray(loss), lambda g: float(g) * grad)
 
 

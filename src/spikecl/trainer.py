@@ -7,17 +7,19 @@ scores that drive per-epoch pruning.  Afterwards the task's feature anchors
 are stored and the replay buffer rebalanced.
 
 Class-incremental (CIL) evaluation reads calibrated copies of the heads.
-``calibrate_heads`` sets them once the stream has ended: each copy starts from
-its TIL head and, with two or more tasks, a short pass fits all copies jointly
-on the replay buffer.  A one-task stream keeps the copy equal to its TIL head,
-so its CIL accuracy equals its TIL accuracy.
+``calibrate_heads`` alone sets them, after the last task of every stream:
+each copy starts from its TIL head and, given a replay buffer and two or more
+tasks, a short pass fits all copies jointly on it.  Otherwise each copy stays
+its TIL head, so a one-task stream's CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
 TIL accuracy is exactly stable by construction.  Only the training batch
 loop builds or steps a ``Tensor``: every other pass, calibration included,
 runs on arrays.  ``Adam`` keeps its moments in one flat vector over every
 trainable entry and steps it with one set of ufunc calls, in training and
-in calibration alike.
+in calibration alike.  The step checks values finite at its boundary only:
+its input, each LIF window's membranes, the loss, and Adam's update before
+it moves a parameter; ``_diverged`` names the seed and stage of a failure.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, TrainingError
 from .network import (ConvSpec, DenseSpec, Network, head_logits,
                       init_first_task)
-from .plasticity import (ExpansionPolicy, accumulate_gradients, apply_pruning,
-                         association, build_relatedness, expansion_counts,
-                         pruning_rates, update_relatedness)
+from .plasticity import (accumulate_gradients, apply_pruning, association,
+                         build_relatedness, expansion_counts, pruning_rates,
+                         update_relatedness)
 from .similarity import check_gamma, compute_anchors, similarity_vector
 from .spiking import LIFConfig
 from .tensor import cross_entropy, gradients, softmax_cross_entropy
@@ -50,7 +52,8 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     lif: LIFConfig = field(default_factory=LIFConfig)
-    policy: ExpansionPolicy = field(default_factory=ExpansionPolicy)
+    alpha: float = 5.0
+    max_per_layer: tuple = ()  # empty: each layer's first-task width
     gamma: float = 0.9
     probe_size: int = 512
     beta: float = 1.0
@@ -62,6 +65,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be positive and finite: {self.alpha}")
+        if any(m < 0 for m in self.max_per_layer):
+            raise ConfigError("max expansion counts must be non-negative")
         for name in ("epochs", "batch_size", "probe_size", "replay_capacity",
                      "calib_epochs"):
             if getattr(self, name) <= 0:
@@ -73,7 +80,7 @@ class TrainConfig:
         check_gamma(self.gamma)
         # a ConfigError unless the architecture fits the input
         Network(self.arch, self.input_shape, self.lif, self.seed)
-        caps = self.policy.max_per_layer
+        caps = self.max_per_layer
         if caps and len(caps) != len(self.arch):
             raise ConfigError(
                 f"expected {len(self.arch)} expansion counts, got {len(caps)}")
@@ -82,7 +89,8 @@ class TrainConfig:
 class Adam:
     """Adam over ``(array, first row)`` pairs, each array stepped in place
     (so whatever holds it sees every step) from its first row on; earlier
-    rows never move.  ``step(grads)`` takes one full-shape gradient a pair.
+    rows never move.  ``step(grads)`` takes one full-shape gradient a pair;
+    a non-finite update raises ``NumericalError`` and moves nothing.
 
     The trainable rows of every pair lie end to end in one flat vector, so
     a step copies the gradients in and runs Adam's ufuncs once over it;
@@ -123,6 +131,8 @@ class Adam:
         np.divide(m, b1t, out=g)
         g *= self.lr
         g /= d
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("Adam update is not finite")
         for p, _, s in self.entries:
             p -= g[s].reshape(p.shape)
 
@@ -222,11 +232,8 @@ def _learn_task(network, task, cfg, buffer):
                                  probe_size=cfg.probe_size,
                                  seed=cfg.seed + task.id)
         a = association(sims)
-        policy = cfg.policy
-        if not policy.max_per_layer:
-            # default cap: the initial (first-task) size of each layer
-            policy = ExpansionPolicy(policy.alpha, tuple(network._widths(0)))
-        counts = expansion_counts(a, policy)
+        counts = expansion_counts(
+            a, cfg.alpha, cfg.max_per_layer or network._widths(0))
         network.expand(task, counts)
         state = build_relatedness(network, task.id, sims, beta=cfg.beta,
                                   bias0=cfg.bias0, bias_slope=cfg.bias_slope)
@@ -331,16 +338,17 @@ def cil_evaluate(network, tasks):
 def calibrate_heads(network, buffer, cfg):
     """Set every task's CIL head copy; call once, after the last task.
 
-    Each copy restarts from its TIL head.  With two or more tasks the copies
-    are then fitted jointly on the replay buffer, features frozen, each from
-    its own columns of the joined logits' gradient.  Non-finite values, the
-    fitted copies' logits included, end in a ``TrainingError`` naming the seed.
+    Each copy restarts from its TIL head.  Given a replay buffer (None on a
+    TIL-only stream) and two or more tasks, the copies are then fitted
+    jointly on it, features frozen, each from its own columns of the joined
+    logits' gradient.  Non-finite values, the fitted copies' logits
+    included, end in a ``TrainingError`` naming the seed.
     """
     tasks = sorted(network.masks)
     heads = [network.heads[t] for t in tasks]
     for h in heads:
         h.sync_cil()
-    if len(tasks) < 2:
+    if buffer is None or len(tasks) < 2:
         return
     bx, by = buffer.all_samples()
     col_of = {c: i for i, c in enumerate(c for h in heads for c in h.classes)}

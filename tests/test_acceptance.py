@@ -12,8 +12,7 @@ import pytest
 
 from spikecl.metrics import count_active, energy, flops_estimate
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
-from spikecl.plasticity import (ExpansionPolicy, association,
-                                expansion_counts)
+from spikecl.plasticity import association, expansion_counts
 from spikecl.similarity import (compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig, lif_step, surrogate_grad
@@ -93,7 +92,7 @@ def test_criterion_2_equation_fidelity():
             SimilarityRecord(1, 0.0, 0.29)]
     assert association(sims) == 0.29
     # expansion sizing reference value
-    counts = expansion_counts(0.29, ExpansionPolicy(5.0, (100,)))
+    counts = expansion_counts(0.29, 5.0, (100,))
     assert counts == [76] and math.floor(100 * (1 - math.exp(-1.45))) == 76
     # one-step membrane trace
     cfg = LIFConfig(tau=0.2, v_th=1.0)
@@ -167,11 +166,10 @@ def test_criterion_4_expansion_and_pruning_direction():
         cfg = _toy_cfg(seed)
         t0 = synthetic_stream([_line_task(n_train=120)], SHAPE3, seed=seed)[0]
         net, _ = learn_task(None, t0, cfg)
-        policy = ExpansionPolicy(5.0, (12, 8))
 
         def sized(task):
             sims = similarity_vector(net, task, probe_size=64, seed=seed + 7)
-            return expansion_counts(association(sims), policy)
+            return expansion_counts(association(sims), 5.0, (12, 8))
 
         dup = synthetic_stream([_line_task(n_train=120)], SHAPE3,
                                seed=seed + 100)[0]

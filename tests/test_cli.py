@@ -16,7 +16,6 @@ from spikecl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, build_stream,
                          _parse_shape)
 from spikecl.errors import ConfigError, TrainingError
 from spikecl.network import ConvSpec, DenseSpec
-from spikecl.plasticity import ExpansionPolicy
 from spikecl.spiking import LITERAL_EQ3, LIFConfig
 from spikecl.trainer import TrainConfig
 
@@ -549,13 +548,16 @@ class TestTilOnlyStream:
                                                             monkeypatch):
         import spikecl.trainer as trainer
 
-        original, calibrations = trainer.calibrate_heads, []
+        original, calibrations, fits = trainer.calibrate_heads, [], []
 
         def counted(*args, **kwargs):
             calibrations.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "calibrate_heads", counted)
+        # calibration's fit is the one caller of the trainer's binding
+        monkeypatch.setattr(trainer, "softmax_cross_entropy",
+                            lambda *args: fits.append(args))
         cfg = _write_permuted(tmp_path)
         skipped = {"accuracy": None,
                    "skipped": "class labels repeat across tasks "
@@ -563,7 +565,9 @@ class TestTilOnlyStream:
         report = run(cfg, out=tmp_path / "run")
         assert report["cil"] == skipped
         assert len(report["til"]["per_task"]) == 2
-        assert calibrations == []  # no replay on a TIL-only stream
+        # one call syncs the copies: no replay, so no fit, on a TIL-only stream
+        assert [args[1] for args in calibrations] == [None]
+        assert fits == []
         again = evaluate(tmp_path / "run" / "checkpoint.npz", cfg,
                          out=tmp_path / "eval")
         assert again["cil"] == skipped
@@ -638,14 +642,13 @@ class TestConfigSchema:
             epochs=3, batch_size=5, lr=0.25,
             lif=LIFConfig(tau=0.5, v_th=0.75, lam=3.5, window=6,
                           reset_mode=LITERAL_EQ3),
-            policy=ExpansionPolicy(alpha=1.5, max_per_layer=(2, 3)),
+            alpha=1.5, max_per_layer=(2, 3),
             gamma=0.5, probe_size=7, beta=0.5, bias0=0.25,
             bias_slope=0.125, replay_capacity=9, calib_epochs=2,
             calib_lr=0.5, seed=3)
         # every INI-settable field is off its default, so none can be lost
         for obj, default in ((expected, TrainConfig()),
-                             (expected.lif, LIFConfig()),
-                             (expected.policy, ExpansionPolicy())):
+                             (expected.lif, LIFConfig())):
             for f in dataclasses.fields(obj):
                 if f.name != "smooth":  # not an INI key
                     assert getattr(obj, f.name) != getattr(default, f.name)
@@ -736,6 +739,19 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "task 1 has no test sample" in err
 
+    def test_dataset_path_naming_a_directory_exits_config_error(
+            self, tmp_path, capsys):
+        self._write_split(tmp_path, {"train": (8, 8), "test": (4, 4)})
+        (tmp_path / "test-labels").unlink()
+        (tmp_path / "test-labels").mkdir()
+        cfg = self._split_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"[stream] test_labels = {tmp_path / 'test-labels'} is not " \
+               f"a file" in err
+
     def test_evaluate_stream_must_match_checkpoint_input(self, tmp_path,
                                                          capsys):
         self._write_split(tmp_path, {"train": (8, 8), "test": (4, 4)})
@@ -758,6 +774,32 @@ def saved_run(tmp_path_factory):
     with np.load(tmp / "out" / "checkpoint.npz") as data:
         arrays = dict(data)
     return tmp, cfg, arrays
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_unusable_out_exits_config_error_before_any_work(
+            self, saved_run, tmp_path, capsys, monkeypatch, command, below):
+        import spikecl.cli as cli
+
+        monkeypatch.setattr(cli, "learn_task", _refuse)
+        monkeypatch.setattr(cli, "til_evaluate", _refuse)
+        saved, cfg, _ = saved_run
+        out = tmp_path / "afile"
+        out.write_text("")
+        out = out / "sub" if below else out
+        args = ([command, str(cfg)] if command == "run" else
+                [command, str(saved / "out" / "checkpoint.npz"), str(cfg)])
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"cannot create output directory {out}" in err
 
 
 class TestCheckpointValidation:

@@ -8,7 +8,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from spikecl.errors import ConfigError, ContractError, FormatError, ShapeError
+from spikecl.errors import (ConfigError, ContractError, FormatError,
+                            NumericalError, ShapeError)
 from spikecl.metrics import count_active, energy_report
 from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
                              init_first_task)
@@ -175,6 +176,18 @@ class TestForward:
         np.testing.assert_array_equal(feats.data, np.zeros((3, 4)))
         np.testing.assert_allclose(logits.data,
                                    np.tile([0.3, -0.2], (3, 1)), rtol=1e-12)
+
+    @pytest.mark.parametrize("li", [0, 1])
+    def test_overflowing_dense_product_caught_by_the_membrane_check(self,
+                                                                    li):
+        net, t0 = _dense_net()
+        x = np.full((3,) + SHAPE, 4.0)
+        if li == 1:  # layer 0 spikes everywhere, layer 1 sums 1e308s
+            net.layers[0].w.data[:] = 1.0
+        net.layers[li].w.data[:] = 1e308
+        with pytest.raises(NumericalError, match="membrane"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            net.features_tensor(Tensor(x), 0)
 
     def test_unknown_task_rejected(self):
         net, _ = _dense_net()

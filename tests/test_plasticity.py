@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecl.errors import ConfigError, ContractError
+from spikecl.errors import ContractError
 from spikecl.network import ConvSpec, DenseSpec, init_first_task
-from spikecl.plasticity import (ExpansionPolicy, RelatednessState,
-                                accumulate_gradients, apply_pruning,
-                                association, bias_schedule, build_relatedness,
-                                expansion_counts, normalize_gradients,
-                                pruning_rates, update_relatedness)
+from spikecl.plasticity import (RelatednessState, accumulate_gradients,
+                                apply_pruning, association, bias_schedule,
+                                build_relatedness, expansion_counts,
+                                normalize_gradients, pruning_rates,
+                                update_relatedness)
 from spikecl.similarity import SimilarityRecord
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
@@ -42,25 +42,14 @@ class TestAssociation:
 
 class TestExpansionCounts:
     def test_zero_association_zero_everywhere(self):
-        policy = ExpansionPolicy(alpha=5.0, max_per_layer=(10, 20, 30))
-        assert expansion_counts(0.0, policy) == [0, 0, 0]
+        assert expansion_counts(0.0, 5.0, (10, 20, 30)) == [0, 0, 0]
 
     def test_reference_value_76(self):
-        policy = ExpansionPolicy(alpha=5.0, max_per_layer=(100,))
-        assert expansion_counts(0.29, policy) == [76]
+        assert expansion_counts(0.29, 5.0, (100,)) == [76]
         assert math.floor(100 * (1 - math.exp(-1.45))) == 76
 
     def test_saturation_below_max(self):
-        policy = ExpansionPolicy(alpha=5.0, max_per_layer=(100,))
-        assert expansion_counts(1.0, policy) == [99]
-
-    def test_invalid_policy(self):
-        with pytest.raises(ConfigError):
-            ExpansionPolicy(alpha=0.0)
-        with pytest.raises(ConfigError):
-            ExpansionPolicy(alpha=float("nan"))
-        with pytest.raises(ConfigError):
-            ExpansionPolicy(max_per_layer=(-1,))
+        assert expansion_counts(1.0, 5.0, (100,)) == [99]
 
 
 class TestNormalizeGradients:
@@ -398,8 +387,8 @@ class TestApplyPruning:
 @settings(max_examples=100, deadline=None)
 @given(a1=st.floats(0, 1), a2=st.floats(0, 1))
 def test_property_expansion_monotone(a1, a2):
-    policy = ExpansionPolicy(alpha=5.0, max_per_layer=(7, 33, 100))
-    c1, c2 = expansion_counts(a1, policy), expansion_counts(a2, policy)
+    caps = (7, 33, 100)
+    c1, c2 = expansion_counts(a1, 5.0, caps), expansion_counts(a2, 5.0, caps)
     if a1 <= a2:
         assert all(x <= y for x, y in zip(c1, c2))
 

@@ -680,9 +680,16 @@ class TestOpsAndErrors:
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeError, match="non-finite"):
             Tensor([np.inf])
-        with pytest.raises(NumericalError, match="non-finite"), \
-                np.errstate(over="ignore"):
-            Tensor(np.array([1e308])) * 10.0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_cross_entropy_rejects_a_non_finite_loss(self, value):
+        # a node's value is unchecked: the loss is the step's boundary
+        logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+        shifted = logits + 0.0
+        shifted.data[1, 0] = value
+        with pytest.raises(NumericalError, match="loss is not finite"), \
+                np.errstate(invalid="ignore"):
+            cross_entropy(shifted, np.array([0, 0]))
 
     def test_add_bias_conv_form(self):
         x = Tensor(np.zeros((2, 3, 4, 4)))

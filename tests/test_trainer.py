@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from spikecl.errors import ConfigError, ContractError, DataError
+from spikecl.errors import (ConfigError, ContractError, DataError,
+                            NumericalError)
 from spikecl.network import DenseSpec
-from spikecl.plasticity import ExpansionPolicy
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
@@ -93,6 +93,21 @@ class TestAdam:
             np.testing.assert_array_equal(a[:r0].view(np.int64),
                                           b[:r0].view(np.int64))
             assert a[r0:].size == 0 or not np.array_equal(a[r0:], b[r0:])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_moves_no_parameter(self, bad):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=(3, 2)), rng.normal(size=(4,))]
+        optim = Adam([(arrays[0], 1), (arrays[1], 0)], lr=0.1)
+        optim.step([rng.normal(size=a.shape) for a in arrays])
+        before = [a.copy() for a in arrays]
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        grads[1][2] = bad  # one entry, in the last array stepped
+        with pytest.raises(NumericalError, match="Adam update"), \
+                np.errstate(invalid="ignore"):
+            optim.step(grads)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestReplayBuffer:
@@ -325,7 +340,8 @@ class TestTrainConfig:
         ("epochs", 0), ("batch_size", 0), ("probe_size", 0), ("lr", -1.0),
         ("replay_capacity", 0), ("calib_epochs", 0), ("calib_lr", 0.0),
         ("lr", float("inf")), ("gamma", 0.0),
-        ("policy", ExpansionPolicy(5.0, (4,))),
+        ("max_per_layer", (4,)), ("max_per_layer", (-1, 1)),
+        ("alpha", 0.0), ("alpha", float("nan")), ("alpha", float("inf")),
         ("calib_lr", float("nan")), ("beta", float("nan")),
         ("bias0", float("inf")), ("bias_slope", float("nan")),
     ])
