@@ -197,13 +197,17 @@ def build_train_config(cfg, seed):
 def _read_config(path, seed, out, default_out):
     """The checked INI at ``path`` with its run seed and output directory,
     which it creates; a ``seed`` or ``out`` that is not None overrides
-    ``[run]``.  A negative seed, or an output path that cannot be a
-    directory, is a ConfigError."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
+    ``[run]``.  A config that cannot be read as text, a negative seed, or
+    an output path that is empty or cannot be a directory, is a
+    ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     cfg = configparser.ConfigParser(interpolation=None)
     try:
-        cfg.read(path)
+        cfg.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     given = _settings(cfg)["run"]
@@ -211,6 +215,8 @@ def _read_config(path, seed, out, default_out):
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     out = given.get("out", default_out) if out is None else out
+    if out == "":
+        raise ConfigError("output path is empty")
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

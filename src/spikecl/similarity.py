@@ -84,23 +84,14 @@ def similarity_score(kl):
     return 1.0 - math.exp(-2.0 * max(kl, 0.0))
 
 
-def _split_by_class(x, y, classes):
-    out = {}
-    for c in classes:
-        idx = np.flatnonzero(y == c)
-        if idx.size == 0:
-            raise DataError(f"probe subset has no samples of class {c}")
-        out[c] = idx
-    return out
-
-
 def similarity_vector(network, task, gamma=0.9, probe_size=512, seed=0):
     """Similarity of ``task`` against every stored old task.
 
     Probes a bounded subset of the task's training data, extracting features
-    under each old task's mask.  Half of each class's probe estimates the
-    within-task class means, the other half supplies the query means.
-    Returns an empty list for the first task.
+    under each old task's mask: ``min(probe_size, N)`` rows drawn at random,
+    then the first training row of each class the draw missed.  Half of each
+    class's probe estimates the within-task class means, the other half
+    supplies the query means.  Returns an empty list for the first task.
     """
     old_tasks = sorted(t for t in network.anchors if t != task.id)
     if not old_tasks:
@@ -108,8 +99,12 @@ def similarity_vector(network, task, gamma=0.9, probe_size=512, seed=0):
     rng = np.random.default_rng(seed)
     n = min(probe_size, task.train_x.shape[0])
     pick = rng.choice(task.train_x.shape[0], size=n, replace=False)
+    missed = [np.flatnonzero(task.train_y == c)[0] for c in task.classes
+              if not np.any(task.train_y[pick] == c)]
+    if missed:
+        pick = np.concatenate([pick, missed])
     x, y = task.train_x[pick], task.train_y[pick]
-    by_class = _split_by_class(x, y, task.classes)
+    by_class = {c: np.flatnonzero(y == c) for c in task.classes}
     records = []
     for p in old_tasks:
         feats = network.extract_features(x, p)

@@ -8,11 +8,10 @@ value computed outside the graph and its vector-Jacobian product: a layer's
 LIF window (``spiking.run_window``) is one node, and so is ``cross_entropy``
 over the array kernel ``softmax_cross_entropy``.
 
-Broadcasting is deliberately restricted: ``+`` and ``*`` take a Tensor of
-exactly the same shape or a Python number, and ``c - t`` a number ``c``; a
-number stays a number, adding one node and no constant Tensor.  The only
-broadcast form is bias-add.  ``take`` gathers rows of a parameter, then
-columns of those rows (``gather``), each one pass.  Its first gradient
+The nodes are the training chain's and no others: ``take``, ``transpose``,
+``reshape``, ``matmul``, ``conv2d``, ``add_bias`` (the one broadcast form),
+``custom_op`` and ``cross_entropy``.  ``take`` gathers rows of a parameter,
+then columns of those rows (``gather``), each one pass.  Its first gradient
 write scatters columns into a (rows, full width) block and assigns the
 block by row into zeros of the full shape; a later write adds at the
 gathered entries.  A first gradient is ``g + 0.0``, one pass that gives the
@@ -80,56 +79,9 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- elementwise arithmetic ----------------------------------------------
-
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return Tensor._make(self.data + float(other), (self,),
-                                lambda out: _accum(self, out.grad))
-        self._check_same_shape(other)
-
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, out.grad)
-            if other.requires_grad:
-                _accum(other, out.grad)
-
-        return Tensor._make(self.data + other.data, (self, other), backward)
-
-    def __rsub__(self, other):
-        """``c - self`` for a Python number ``c``."""
-        return Tensor._make(float(other) - self.data, (self,),
-                            lambda out: _accum(self, -out.grad))
-
-    def __mul__(self, other):
-        if not isinstance(other, Tensor):
-            c = float(other)
-            return Tensor._make(self.data * c, (self,),
-                                lambda out: _accum(self, out.grad * c))
-        self._check_same_shape(other)
-
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, out.grad * other.data)
-            if other.requires_grad:
-                _accum(other, out.grad * self.data)
-
-        return Tensor._make(self.data * other.data, (self, other), backward)
-
-    __rmul__ = __mul__
-
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         new = self.data.reshape(shape)
 
         def backward(out):
@@ -168,22 +120,6 @@ class Tensor:
 
         return Tensor._make(self.data.T.copy(), (self,), backward)
 
-    def sum(self):
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, np.full(self.shape, float(out.grad)))
-
-        return Tensor._make(np.asarray(self.data.sum()), (self,), backward)
-
-    def mean(self):
-        n = self.data.size
-
-        def backward(out):
-            if self.requires_grad:
-                _accum(self, np.full(self.shape, float(out.grad) / n))
-
-        return Tensor._make(np.asarray(self.data.mean()), (self,), backward)
-
     # -- linear algebra ------------------------------------------------------
 
     def matmul(self, other):
@@ -203,8 +139,6 @@ class Tensor:
                 _accum(other, self.data.T @ out.grad)
 
         return Tensor._make(self.data @ other.data, (self, other), backward)
-
-    __matmul__ = matmul
 
     def add_bias(self, bias):
         """Bias-add: (B,N)+(N,) or (B,C,H,W)+(C,)."""
@@ -510,31 +444,3 @@ def gradients(loss, params):
     backward(loss)
     return {p: (p.grad if p.grad is not None else np.zeros(p.shape)) for p in params}
 
-
-# -- finite-difference oracle -------------------------------------------------
-
-
-def finite_diff_check(f, params, step=1e-5):
-    """Max relative discrepancy between autodiff and central differences.
-
-    ``f()`` must rebuild the graph from the current ``.data`` of ``params``
-    and return a scalar Tensor.  Relative error per coordinate is
-    |analytic - central| / (|analytic| + |central| + 1e-12).
-    """
-    grads = gradients(f(), params)
-    worst = 0.0
-    for p in params:
-        analytic = grads[p]
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(f().data)
-            flat[i] = orig - step
-            lo = float(f().data)
-            flat[i] = orig
-            central = (hi - lo) / (2 * step)
-            a = analytic.ravel()[i]
-            err = abs(a - central) / (abs(a) + abs(central) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -1,8 +1,9 @@
 """The per-step LIF path on the autodiff graph: the oracle of ``run_window``.
 
-Every timestep is built from Tensor ops, so autodiff unrolls the window by
-itself: the membrane update is 5 ops for hard reset (3 for literal-eq3), and
-the spike is a ``custom_unary`` node whose local derivative is the surrogate.
+Every timestep is built from the elementwise forms of ``oracles``, so
+autodiff unrolls the window by itself: the membrane update is 5 ops for hard
+reset (3 for literal-eq3), and the spike is a ``custom_unary`` node whose
+local derivative is the surrogate.
 ``spikecl.spiking.run_window`` must give the same spikes exactly and the same
 gradients up to summation order.
 """
@@ -11,6 +12,8 @@ import numpy as np
 
 from spikecl.spiking import HARD_RESET, smooth_spike_value, surrogate_grad
 from spikecl.tensor import Tensor
+
+from oracles import add, mul, rsub
 
 
 def custom_unary(x, forward_fn, local_grad_fn):
@@ -44,9 +47,9 @@ def step(state, current, cfg):
     """One membrane update and spike on Tensors; returns the new state."""
     membrane, spikes = state
     if cfg.reset_mode == HARD_RESET:
-        membrane = cfg.tau * (membrane * (1.0 - spikes)) + current
+        membrane = add(mul(cfg.tau, mul(membrane, rsub(1.0, spikes))), current)
     else:
-        membrane = cfg.tau * (1.0 - membrane) + current
+        membrane = add(mul(cfg.tau, rsub(1.0, membrane)), current)
     return membrane, spike(membrane, cfg)
 
 
@@ -65,5 +68,5 @@ def rate(spikes, cfg):
     """Mean of the per-step spikes, summed in step order."""
     total = None
     for s in spikes:
-        total = s if total is None else total + s
-    return total * (1.0 / cfg.window)
+        total = s if total is None else add(total, s)
+    return mul(total, 1.0 / cfg.window)

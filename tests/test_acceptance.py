@@ -17,11 +17,12 @@ from spikecl.similarity import (compute_anchors, kl_estimate,
                                 similarity_score, similarity_vector)
 from spikecl.spiking import LIFConfig, lif_step, surrogate_grad
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec,
-                             default_synthetic_stream, gaussian_kl,
-                             synthetic_stream)
-from spikecl.tensor import Tensor, cross_entropy, finite_diff_check
+                             default_synthetic_stream, synthetic_stream)
+from spikecl.tensor import Tensor, cross_entropy
 from spikecl.trainer import (ReplayBuffer, TrainConfig, calibrate_heads,
                              cil_evaluate, learn_task, til_evaluate)
+
+from oracles import finite_diff_check, gaussian_kl
 
 SHAPE3 = (1, 3, 3)
 

@@ -182,6 +182,37 @@ class TestRun:
     def test_missing_config_exits_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("binary", [False, True],
+                             ids=["a-directory", "not-text"])
+    def test_config_that_is_not_a_readable_file_exits_config_error(
+            self, tmp_path, capsys, binary):
+        path = tmp_path / "cfg"
+        path.write_bytes(b"[run\xff") if binary else path.mkdir()
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert f"cannot read config {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["ini", "flag"])
+    def test_empty_out_exits_config_error(self, tmp_path, capsys,
+                                          monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.format(out="x" * flag, tasks=2, lr=0.01))
+        assert main(["run", str(path)] + ["--out", ""] * flag) == EXIT_CONFIG
+        assert "output path is empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize("settings", [
+        [("similarity", "probe_size", "1")],
+        # task 1's 3-row probe draws one class only at seed 4
+        [("run", "seed", "4"), ("stream", "n_train", "20"),
+         ("stream", "n_test", "10"), ("network", "arch", "dense8,dense4"),
+         ("network", "input_shape", "1x3x3"),
+         ("similarity", "probe_size", "3")]], ids=["one-row", "seed-4"])
+    def test_similarity_probe_covers_every_class(self, tmp_path, monkeypatch,
+                                                 settings):
+        monkeypatch.chdir(tmp_path)  # the run writes runs/latest
+        assert _sweep_code(tmp_path, settings) == EXIT_OK
+
     def test_training_error_exits_three(self, tmp_path, monkeypatch):
         import spikecl.cli as cli
 

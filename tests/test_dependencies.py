@@ -35,3 +35,26 @@ def test_the_guard_sees_a_foreign_import(tmp_path):
                     "def f():\n    import scipy.linalg\n")
     assert [m for _, m in _absolute_imports(path) if m not in ALLOWED] \
         == ["scipy"]
+
+
+def test_the_engine_holds_the_training_chain_only():
+    """``Tensor`` defines the training chain's forms alone, and every
+    module-level function of ``tensor.py`` is called in the package."""
+    tree = ast.parse((PACKAGE / "tensor.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    own = {n.name if isinstance(n, ast.FunctionDef) else n.targets[0].id
+           for n in cls.body if not isinstance(n, ast.Expr)}
+    assert own == {"__init__", "__slots__", "_make", "shape", "size",
+                   "reshape", "take", "transpose", "matmul", "add_bias",
+                   "custom_op"}
+    callers = {}  # a called name -> the functions that call it
+    for path in set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}:
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                for c in ast.walk(f):
+                    if isinstance(c, ast.Call):
+                        name = getattr(c.func, "id", getattr(c.func, "attr",
+                                                             None))
+                        callers.setdefault(name, set()).add(f.name)
+    assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+            and not callers.get(f.name, set()) - {f.name}] == []

@@ -35,7 +35,8 @@ def test_same_tree_on_both_sides_times_every_round(tmp_path, monkeypatch):
     assert sorted(results) == sorted(interleave.SIDES)
     for jobs in results.values():
         assert len(jobs) == 3
-        assert all(math.isfinite(v) and v > 0 for j in jobs for v in j.values())
+        assert all(math.isfinite(j[m]) and j[m] > 0 for j in jobs
+                   for m in interleave.METRICS)
     summary = interleave.summary(results)
     assert sorted(summary) == sorted(interleave.METRICS)
     # the first and the last task's training time, as perfbench reads them
@@ -45,3 +46,11 @@ def test_same_tree_on_both_sides_times_every_round(tmp_path, monkeypatch):
                    for j in jobs)
     for parent, change, ratio, wins in summary.values():
         assert ratio == change / parent and 0 <= wins <= 3
+    # one tree on both sides: every round's outputs agree
+    medians, differ = interleave.agreement(results)
+    assert differ == 0
+    assert sorted(medians) == sorted(interleave.OUTPUTS)
+    assert all(parent == change and 0 <= parent <= 1
+               for parent, change in medians.values())
+    results["change"][1]["outputs"] = ({}, {})  # as if round 1 broke
+    assert interleave.agreement(results)[1] == 1

@@ -19,6 +19,7 @@ from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
 from spikecl.trainer import Adam
 
 import lif_oracle
+from oracles import mul
 
 
 def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
@@ -252,7 +253,7 @@ def _expand_bits(layer, bits):
 
 def _masked(t, bits):
     """``t`` times constant bits broadcast to its shape."""
-    return t * Tensor(np.broadcast_to(bits, t.shape))
+    return mul(t, Tensor(np.broadcast_to(bits, t.shape)))
 
 
 def _connection_masked_forward(net, x, task_id):

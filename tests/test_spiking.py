@@ -11,9 +11,10 @@ from spikecl.errors import ConfigError, NumericalError, ShapeError
 from spikecl.spiking import (HARD_RESET, LITERAL_EQ3, LIFConfig, lif_step,
                              lif_window, run_window, smooth_spike_value,
                              surrogate_grad, window_rate)
-from spikecl.tensor import Tensor, backward, finite_diff_check
+from spikecl.tensor import Tensor, backward
 
 import lif_oracle
+from oracles import add, finite_diff_check, mul, total
 
 
 class TestLIFConfig:
@@ -123,7 +124,7 @@ class TestSurrogate:
         u = Tensor(np.array([[0.5, 0.75, 2.0]]), requires_grad=True)
         out = run_window(lif_step, u, LIFConfig(v_th=0.5, lam=2.0, window=1),
                          held=True)
-        backward(out.sum())
+        backward(total(out))
         np.testing.assert_allclose(
             u.grad, surrogate_grad(u.data - cfg.v_th, cfg.lam))
 
@@ -160,7 +161,7 @@ class TestRunWindow:
         x = Tensor(rng.normal(size=(5, 3)))
         for window in (2, 4, 8):
             cfg = LIFConfig(window=window)
-            out = window_rate(run_window(lif_step, x @ Tensor(w), cfg,
+            out = window_rate(run_window(lif_step, x.matmul(Tensor(w)), cfg,
                                          held=True), window)
             assert out.shape == (5, 4)
             assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
@@ -170,7 +171,8 @@ class TestRunWindow:
         w = rng.normal(size=(3, 4))
         xv = rng.normal(size=(2, 3))
         cfg = LIFConfig(tau=0.2, v_th=0.5, window=4)
-        out = run_window(lif_step, Tensor(xv) @ Tensor(w), cfg, held=True)
+        out = run_window(lif_step, Tensor(xv).matmul(Tensor(w)), cfg,
+                         held=True)
         # manual numpy trace of the same four steps
         u = np.zeros((2, 4))
         o = np.zeros((2, 4))
@@ -191,12 +193,12 @@ class TestRunWindow:
         cfg = LIFConfig(window=3)
 
         w1 = Tensor(wv, requires_grad=True)
-        spikes = run_window(lif_step, Tensor(xv) @ w1, cfg, held=True)
-        backward(window_rate(spikes, cfg.window).sum())
+        spikes = run_window(lif_step, Tensor(xv).matmul(w1), cfg, held=True)
+        backward(total(window_rate(spikes, cfg.window)))
 
         w2 = Tensor(wv, requires_grad=True)
-        steps = lif_oracle.unroll([Tensor(xv) @ w2] * cfg.window, cfg)
-        backward(lif_oracle.rate(steps, cfg).sum())
+        steps = lif_oracle.unroll([Tensor(xv).matmul(w2)] * cfg.window, cfg)
+        backward(total(lif_oracle.rate(steps, cfg)))
 
         np.testing.assert_allclose(w1.grad, w2.grad, rtol=1e-12)
 
@@ -230,7 +232,7 @@ class TestRunWindow:
         spikes = Tensor(np.zeros((2 * 3, 0)), requires_grad=True)
         out = window_rate(spikes, 2)
         assert out.shape == (3, 0)
-        backward(out.sum())
+        backward(total(out))
         assert spikes.grad.shape == (6, 0)
 
 
@@ -298,13 +300,13 @@ class TestRunWindowOracle:
         cfg, current, coef = self._case(mode, held, window)
         leaf = Tensor(current, requires_grad=True)
         out = run_window(lif_step, leaf, cfg, held=held)
-        backward((out * Tensor(coef)).sum())
+        backward(total(mul(out, Tensor(coef))))
 
         steps, leaves = self._oracle(cfg, current, held)
         loss = None
         for s, c in zip(steps, np.split(coef, window)):
-            term = (s * Tensor(c)).sum()
-            loss = term if loss is None else loss + term
+            term = total(mul(s, Tensor(c)))
+            loss = term if loss is None else add(loss, term)
         backward(loss)
 
         np.testing.assert_array_equal(
@@ -323,7 +325,7 @@ class TestRunWindowOracle:
         cfg, current, coef = self._case(mode, held, window, seed=2)
         leaf = Tensor(current, requires_grad=True)
         out = run_window(lif_step, leaf, cfg, held=held)
-        backward((out * Tensor(coef)).sum())
+        backward(total(mul(out, Tensor(coef))))
         membranes, stacked = lif_window(lif_step, current, cfg, held)
         want = _bptt_per_step(membranes, stacked.reshape(membranes.shape),
                               coef.reshape(membranes.shape), cfg, held)
@@ -341,7 +343,7 @@ class TestRunWindowOracle:
 
         def f():
             spikes = run_window(lif_step, leaf, cfg, held=held)
-            return (spikes * Tensor(coef)).sum()
+            return total(mul(spikes, Tensor(coef)))
 
         assert finite_diff_check(f, [leaf], step=1e-6) < 1e-5
 

@@ -8,9 +8,11 @@ import pytest
 
 from spikecl.errors import ConfigError, DataError, FormatError
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec, TaskDescriptor,
-                             default_synthetic_stream, gaussian_kl, load_idx,
+                             default_synthetic_stream, load_idx,
                              mixed_alternating, permuted_stream, rotate_images,
                              rotated_stream, split_stream, synthetic_stream)
+
+from oracles import gaussian_kl
 
 
 def _idx_images(path, images):

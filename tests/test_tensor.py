@@ -12,11 +12,11 @@ from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import (_SAMPLE_BLOCK, Tensor, _accum, _col2im, _im2col,
-                            backward, conv2d, cross_entropy,
-                            finite_diff_check, gradients,
+                            backward, conv2d, cross_entropy, gradients,
                             softmax_cross_entropy)
 
 from lif_oracle import custom_unary
+from oracles import add, average, finite_diff_check, mul, rsub, total
 
 
 def _matmul_oracle(a, b):
@@ -141,23 +141,23 @@ LOWERING_CASES = (
 
 class TestMatmul:
     def test_identity(self):
-        out = Tensor([[1.0, 0.0], [0.0, 1.0]]) @ Tensor([[3.0], [4.0]])
+        out = Tensor([[1.0, 0.0], [0.0, 1.0]]).matmul(Tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_row_times_column(self):
-        out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+        out = Tensor([[1.0, 2.0]]).matmul(Tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 3))
-        out = Tensor(a) @ Tensor(b)
+        out = Tensor(a).matmul(Tensor(b))
         np.testing.assert_allclose(out.data, _matmul_oracle(a, b), rtol=1e-12)
 
     def test_inner_dim_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+            Tensor(np.ones((2, 3))).matmul(Tensor(np.ones((2, 3))))
 
 
 class TestConv2d:
@@ -201,7 +201,7 @@ class TestConv2d:
                                        _conv_oracle(x[n], kern, stride,
                                                     padding), rtol=1e-12)
         g = rng.normal(size=out.shape)
-        backward((out * Tensor(g)).sum())
+        backward(total(mul(out, Tensor(g))))
         dx, dw = _conv_grad_oracle(x, kern, g, stride, padding)
         np.testing.assert_allclose(xt.grad, dx, rtol=1e-12)
         np.testing.assert_allclose(kt.grad, dw, rtol=1e-12)
@@ -249,7 +249,7 @@ class TestConv2d:
         out = conv2d(xt, kt, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
         g[g < -1.0] = -0.0
-        backward((out * Tensor(g)).sum())  # 1.0 * g is g, bit for bit
+        backward(total(mul(out, Tensor(g))))  # 1.0 * g is g, bit for bit
         refs = _conv2d_kept_patches(x, kern, g, stride, padding)
         for got, ref in zip((out.data, kt.grad, xt.grad), refs):
             assert got.shape == ref.shape
@@ -279,7 +279,7 @@ class TestConv2d:
 
         def f():
             out = conv2d(x, kern, stride=stride, padding=padding)
-            return (out * out * coef).sum()
+            return total(mul(mul(out, out), coef))
 
         assert finite_diff_check(f, [x, kern], step=1e-5) < 1e-5
 
@@ -390,8 +390,8 @@ def _shared_loss():
         reads = [p.take(np.array([0, 1, 3]), np.array([1, 4])),
                  p.take(np.array([1, 2]), np.array([0, 1, 4])),
                  q.take(np.array([0, 2, 4])), q]
-        terms = [(t * Tensor(c)).sum() for t, c in zip(reads, coefs)]
-        return terms[0] + terms[1] + terms[2] + terms[3]
+        terms = [total(mul(t, Tensor(c))) for t, c in zip(reads, coefs)]
+        return add(add(add(terms[0], terms[1]), terms[2]), terms[3])
 
     return loss, [p, q]
 
@@ -400,13 +400,13 @@ class TestBackward:
     def test_linear_gradient_is_input(self):
         x = np.array([[1.0, -2.0, 3.0]])
         w = Tensor(np.array([[0.5, 0.25, -1.0]]), requires_grad=True)
-        loss = (w * Tensor(x)).sum()
+        loss = total(mul(w, Tensor(x)))
         backward(loss)
         np.testing.assert_array_equal(w.grad, x)
 
     def test_constant_loss_zero_gradients(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
-        loss = (w * 0.0).sum()
+        loss = total(mul(w, 0.0))
         grads = gradients(loss, [w])
         np.testing.assert_array_equal(grads[w], np.zeros((2, 2)))
 
@@ -418,16 +418,17 @@ class TestBackward:
         b2 = Tensor(np.zeros(2), requires_grad=True)
 
         def f():
-            h = Tensor(x) @ w1
+            h = Tensor(x).matmul(w1)
             h = custom_unary(h, np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)
-            return ((h @ w2).add_bias(b2) * Tensor(np.ones((4, 2)))).mean()
+            return average(mul(h.matmul(w2).add_bias(b2),
+                               Tensor(np.ones((4, 2)))))
 
         assert finite_diff_check(f, [w1, w2, b2], step=1e-5) < 1e-4
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError, match="scalar"):
-            backward(w * 2.0)
+            backward(mul(w, 2.0))
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(4)
@@ -436,14 +437,14 @@ class TestBackward:
         a, b = 2.5, -1.25
 
         def loss1():
-            return (w * x).sum()
+            return total(mul(w, x))
 
         def loss2():
-            return (w @ x).mean()
+            return average(w.matmul(x))
 
         g1 = gradients(loss1(), [w])[w].copy()
         g2 = gradients(loss2(), [w])[w].copy()
-        combined = gradients(a * loss1() + b * loss2(), [w])[w]
+        combined = gradients(add(mul(a, loss1()), mul(b, loss2())), [w])[w]
         np.testing.assert_allclose(combined, a * g1 + b * g2, rtol=1e-12)
 
     def test_matches_recursive_walk_on_a_network_graph(self):
@@ -472,8 +473,8 @@ class TestBackward:
         rng = np.random.default_rng(5)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         gc.collect()
-        loss = custom_unary(Tensor(rng.normal(size=(4, 3))) @ w, np.tanh,
-                            lambda v: 1.0 - np.tanh(v) ** 2).mean()
+        loss = average(custom_unary(Tensor(rng.normal(size=(4, 3))).matmul(w),
+                                    np.tanh, lambda v: 1.0 - np.tanh(v) ** 2))
         backward(loss)
         del loss
         assert gc.collect() == 0
@@ -531,7 +532,7 @@ class TestFiniteDiffCheck:
         w = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
 
         def f():
-            return (w * w).sum()
+            return total(mul(w, w))
 
         assert finite_diff_check(f, [w], step=1e-5) < 1e-8
 
@@ -539,7 +540,7 @@ class TestFiniteDiffCheck:
         w = Tensor(np.ones(2), requires_grad=True)
 
         def f():
-            return (w * 0.0).sum() + 5.0
+            return add(total(mul(w, 0.0)), 5.0)
 
         assert finite_diff_check(f, [w], step=1e-5) == 0.0
 
@@ -551,7 +552,7 @@ class TestFiniteDiffCheck:
         x = Tensor(np.array([[0.9], [0.4]]))
 
         def f():
-            return run_window(lif_step, w @ x, cfg, held=True).sum()
+            return total(run_window(lif_step, w.matmul(x), cfg, held=True))
 
         assert finite_diff_check(f, [w], step=1e-5) < 1e-4
 
@@ -563,7 +564,7 @@ class TestFiniteDiffCheck:
 
         def f():
             block = w.take(rows, cols)
-            return (block * Tensor(coef) * block).sum()
+            return total(mul(mul(block, Tensor(coef)), block))
 
         np.testing.assert_array_equal(w.take(rows, cols).data,
                                       w.data[[0, 2, 3]][:, [1, 4]])
@@ -579,7 +580,7 @@ class TestFiniteDiffCheck:
 
         def f():
             part = b.take(rows)
-            return (part * Tensor(coef) * part).sum()
+            return total(mul(mul(part, Tensor(coef)), part))
 
         assert finite_diff_check(f, [b], step=1e-5) < 1e-8
         assert not gradients(f(), [b])[b][[0, 3]].any()
@@ -659,22 +660,22 @@ class TestTake:
 class TestOpsAndErrors:
     def test_elementwise_shape_mismatch(self):
         with pytest.raises(ShapeError, match="mismatch"):
-            Tensor(np.ones(3)) + Tensor(np.ones(4))
+            add(Tensor(np.ones(3)), Tensor(np.ones(4)))
         with pytest.raises(ShapeError, match="mismatch"):
-            Tensor(np.ones(3)) + Tensor(np.ones(()))
+            add(Tensor(np.ones(3)), Tensor(np.ones(())))
 
     @pytest.mark.parametrize("op,value,grad", [
-        (lambda t: 1.0 - t, 1.0 - np.arange(3.0), -1.0),
-        (lambda t: t * 0.2, np.arange(3.0) * 0.2, 0.2),
-        (lambda t: 0.2 * t, np.arange(3.0) * 0.2, 0.2),
-        (lambda t: t + 1.0, np.arange(3.0) + 1.0, 1.0),
+        (lambda t: rsub(1.0, t), 1.0 - np.arange(3.0), -1.0),
+        (lambda t: mul(t, 0.2), np.arange(3.0) * 0.2, 0.2),
+        (lambda t: mul(0.2, t), np.arange(3.0) * 0.2, 0.2),
+        (lambda t: add(t, 1.0), np.arange(3.0) + 1.0, 1.0),
     ], ids=["number-minus", "times-number", "number-times", "plus-number"])
     def test_number_operand_is_one_node(self, op, value, grad):
         t = Tensor(np.arange(3.0), requires_grad=True)
         out = op(t)
         assert out._parents == (t,)
         np.testing.assert_array_equal(out.data, value)
-        backward((out * Tensor(np.array([1.0, 2.0, 3.0]))).sum())
+        backward(total(mul(out, Tensor(np.array([1.0, 2.0, 3.0])))))
         np.testing.assert_array_equal(t.grad, grad * np.array([1.0, 2.0, 3.0]))
 
     def test_non_finite_rejected(self):
@@ -685,7 +686,7 @@ class TestOpsAndErrors:
     def test_cross_entropy_rejects_a_non_finite_loss(self, value):
         # a node's value is unchecked: the loss is the step's boundary
         logits = Tensor(np.zeros((2, 3)), requires_grad=True)
-        shifted = logits + 0.0
+        shifted = add(logits, 0.0)
         shifted.data[1, 0] = value
         with pytest.raises(NumericalError, match="loss is not finite"), \
                 np.errstate(invalid="ignore"):
@@ -727,8 +728,8 @@ class TestOpsAndErrors:
     def test_determinism(self):
         rng = np.random.default_rng(6)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        r1 = (Tensor(a) @ Tensor(b)).data
-        r2 = (Tensor(a) @ Tensor(b)).data
+        r1 = Tensor(a).matmul(Tensor(b)).data
+        r2 = Tensor(a).matmul(Tensor(b)).data
         assert np.array_equal(r1, r2)
 
 
@@ -743,8 +744,8 @@ def test_property_gradients_match_finite_differences(seed):
     b = Tensor(rng.normal(size=n), requires_grad=True)
 
     def f():
-        h = (Tensor(x) @ w).add_bias(b)
+        h = Tensor(x).matmul(w).add_bias(b)
         h = custom_unary(h, np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)
-        return (h * h).mean()
+        return average(mul(h, h))
 
     assert finite_diff_check(f, [w, b], step=1e-5) < 1e-4

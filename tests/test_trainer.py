@@ -13,6 +13,8 @@ from spikecl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                              cil_evaluate, learn_task, til_evaluate)
 from spikecl.tensor import Tensor, gradients
 
+from oracles import mul, total
+
 
 def _cfg(**overrides):
     base = dict(arch=[DenseSpec(12), DenseSpec(8)], input_shape=(1, 3, 3),
@@ -62,7 +64,7 @@ class TestAdam:
         before = p.data.copy()
         optim = Adam([(p.data, 2)], lr=0.1)
         for _ in range(5):
-            loss = (p * p).sum()
+            loss = total(mul(p, p))
             optim.step([gradients(loss, [p])[p]])
         np.testing.assert_array_equal(p.data[:2], before[:2])
         assert not np.array_equal(p.data[2:], before[2:])

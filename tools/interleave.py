@@ -15,7 +15,11 @@ thread.
 It prints each tree's medians of ``run_s``, ``eval_s``, ``task_first_s``,
 ``task_last_s`` (the first and the last task's training time, from the
 run's ``report.json``) and ``train_samples_per_s``, the ratio change /
-parent, and in how many rounds the change did better.  Both trees run in one process, so a process that
+parent, and in how many rounds the change did better.  Next to them it
+prints each tree's medians of ``til_avg`` and ``cil_acc``, from the same
+report, and in how many rounds the two trees' ``til`` and ``cil`` differ:
+both learn the same stream in a round, so a change that should move no
+output differs in none.  Both trees run in one process, so a process that
 runs slow or fast as a whole moves both alike, which separate benchmark
 processes cannot promise.  It is a diagnostic, not a benchmark result:
 the trees share one heap, so neither ``peak_rss_mb`` nor the page faults
@@ -45,6 +49,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 SIDES = ("parent", "change")
 METRICS = {"run_s": "lower", "eval_s": "lower", "task_first_s": "lower",
            "task_last_s": "lower", "train_samples_per_s": "higher"}
+OUTPUTS = ("til_avg", "cil_acc")
 
 
 def _src(path):
@@ -69,7 +74,8 @@ def load_cli(path, name):
 
 def job(cli, ini, w, seed, work):
     """One ``run`` + ``evaluate`` pair: {metric: value}, as
-    ``perfbench/bench.py:run_job`` times it."""
+    ``perfbench/bench.py:run_job`` times it, with the run's ``OUTPUTS`` and,
+    under ``"outputs"``, its ``til`` and ``cil`` reports."""
     run_dir, eval_dir = work / "run", work / "eval"
     for d in (run_dir, eval_dir):
         shutil.rmtree(d, ignore_errors=True)
@@ -85,11 +91,15 @@ def job(cli, ini, w, seed, work):
         t2 = time.perf_counter()
     if code != 0:
         raise SystemExit(f"error: {cli.__name__} exited {code} on seed {seed}")
-    timings = json.loads((run_dir / "report.json").read_text())["timings_s"]
-    task_s = [timings[f"task{i}"] for i in range(w["tasks"])]
+    report = json.loads((run_dir / "report.json").read_text())
+    task_s = [report["timings_s"][f"task{i}"] for i in range(w["tasks"])]
     return {"run_s": t1 - t0, "eval_s": t2 - t1, "task_first_s": task_s[0],
-            "task_last_s": task_s[-1], "train_samples_per_s": (w["tasks"] * w["n_train"] * w["epochs"]
-                                    / sum(task_s))}
+            "task_last_s": task_s[-1],
+            "train_samples_per_s": (w["tasks"] * w["n_train"] * w["epochs"]
+                                    / sum(task_s)),
+            "til_avg": report["til"]["average"],
+            "cil_acc": report["cil"]["accuracy"],
+            "outputs": (report["til"], report["cil"])}
 
 
 def interleave(clis, w, rounds, seed, work, ini_text):
@@ -120,6 +130,16 @@ def summary(results):
     return out
 
 
+def agreement(results):
+    """({output: (parent median, change median)} of ``OUTPUTS``, the number
+    of rounds in which the trees' ``til`` or ``cil`` differ)."""
+    medians = {name: tuple(statistics.median(j[name] for j in results[side])
+                           for side in SIDES) for name in OUTPUTS}
+    differ = sum(p["outputs"] != c["outputs"]
+                 for p, c in zip(*(results[side] for side in SIDES)))
+    return medians, differ
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -145,6 +165,10 @@ def main(argv=None):
     for metric, (mp, mc, ratio, wins) in summary(results).items():
         print(f"  {metric:20s} parent {mp:.6g}  change {mc:.6g}  "
               f"x{ratio:.3f}  change better in {wins}/{args.rounds}")
+    medians, differ = agreement(results)
+    for name, (mp, mc) in medians.items():
+        print(f"  {name:20s} parent {mp:.6g}  change {mc:.6g}")
+    print(f"  til/cil differ in {differ}/{args.rounds} rounds")
     return 0
 
 
