@@ -37,7 +37,8 @@ current is computed once and held; every later layer's product reads the
 window-stacked ``(T*B, ...)`` spikes of the layer below.  Training runs it
 on the graph (``features_tensor``); every pass that needs no gradient runs
 the same ops in the same order on arrays (``infer``), so its values are
-equal bit for bit.
+equal bit for bit.  Every parameter is an array; the graph's leaves are the
+entries a step gathers from them (``_leaf``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def head_logits(features, w, b):
     return logits
 
 
+def _leaf(p, rows, cols=None):
+    """A graph leaf holding ``gather(p, rows, cols)``: ``p`` itself, not a
+    copy, when the indices cover every row and column."""
+    whole = rows.size == len(p) and (cols is None or cols.size == p.shape[1])
+    return Tensor(p if whole else gather(p, rows, cols), requires_grad=True)
+
+
 def _he_init(rng, shape, fan_in):
     std = np.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape)
@@ -103,9 +111,8 @@ class Layer:
         self.block = block
         self.out_shape = tuple(out_shape)
         kernel = (spec.kernel, spec.kernel) if kind == "conv" else ()
-        self.w = Tensor(np.zeros((0, in_units * block) + kernel),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(0), requires_grad=True)
+        self.w = np.zeros((0, in_units * block) + kernel)
+        self.b = np.zeros(0)
 
     @property
     def width(self):
@@ -131,12 +138,11 @@ class Layer:
         new_in = old_in + n_new_in
         row = (new_in * self.block,) + self.w.shape[2:]
         w = np.zeros((old_out + n_new,) + row)
-        w[:old_out, : old_in * self.block] = self.w.data
+        w[:old_out, : old_in * self.block] = self.w
         if n_new:
             w[old_out:] = _he_init(rng, (n_new,) + row, math.prod(row))
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.concatenate([self.b.data, np.zeros(n_new)]),
-                        requires_grad=True)
+        self.w = w
+        self.b = np.concatenate([self.b, np.zeros(n_new)])
 
 
 class TaskMask:
@@ -149,15 +155,13 @@ class TaskMask:
 class TaskHead:
     def __init__(self, classes, w, b):
         self.classes = list(classes)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
-        # CIL inference uses calibrated copies so the TIL head stays frozen;
-        # they are fitted off the graph, so they are plain arrays.
+        self.w, self.b = w, b
+        # CIL inference uses calibrated copies so the TIL head stays frozen
         self.sync_cil()
 
     def sync_cil(self):
-        self.cil_w = self.w.data.copy()
-        self.cil_b = self.b.data.copy()
+        self.cil_w = self.w.copy()
+        self.cil_b = self.b.copy()
 
 
 class Network:
@@ -260,26 +264,28 @@ class Network:
 
     def features_tensor(self, x, task_id):
         """Rate-coded output of the task's active final-layer units over the
-        window, on the graph: each layer computes its ``_gathers`` only."""
-        h = x if isinstance(x, Tensor) else Tensor(x)
+        window, on the graph, and one ``(leaf, rows, cols)`` read per layer
+        weight and bias: each layer computes its ``_gathers`` only."""
+        h, reads = Tensor(x), []
         for li, layer, rows, cols in self._gathers(h.shape, task_id):
-            weff = layer.w.take(rows, cols)
+            w, b = _leaf(layer.w, rows, cols), _leaf(layer.b, rows)
+            reads += [(w, rows, cols), (b, rows, None)]
             if layer.kind == "conv":
-                cur = conv2d(h, weff, layer.spec.stride, layer.spec.padding)
+                cur = conv2d(h, w, layer.spec.stride, layer.spec.padding)
             else:
                 if len(h.shape) > 2:
                     h = h.reshape(h.shape[0], cols.size)
-                cur = h.matmul(weff.transpose())
-            h = run_window(lif_step, cur.add_bias(layer.b.take(rows)),
-                           self.lif, held=(li == 0))
-        return window_rate(h, self.lif.window)
+                cur = h.matmul(w.transpose())
+            h = run_window(lif_step, cur.add_bias(b), self.lif,
+                           held=(li == 0))
+        return window_rate(h, self.lif.window), reads
 
     def infer(self, x, task_id):
         """``features_tensor``'s value on arrays, by the same ops in the same
         order: for every pass that needs no gradient."""
         h = np.asarray(x, dtype=np.float64)
         for li, layer, rows, cols in self._gathers(h.shape, task_id):
-            w, b = gather(layer.w.data, rows, cols), layer.b.data[rows]
+            w, b = gather(layer.w, rows, cols), layer.b[rows]
             if layer.kind == "conv":
                 cur = conv_forward(h, w, layer.spec.stride,
                                    layer.spec.padding)[0]
@@ -291,13 +297,16 @@ class Network:
         return rate(h, self.lif.window)
 
     def forward_task(self, x, task_id):
-        """Masked forward; returns (logits over the task's classes, features
-        of its active final-layer units)."""
-        features = self.features_tensor(x, task_id)
+        """Masked forward of an input array on the graph; returns (logits
+        over the task's classes, reads): one ``(leaf, rows, cols)`` per
+        pair of ``parameters(task_id)``, in its order."""
+        features, reads = self.features_tensor(x, task_id)
         head = self.heads[task_id]
+        rows = np.arange(len(head.classes))
         cols = np.flatnonzero(self.masks[task_id].active[-1])
-        logits = features.matmul(head.w.transpose().take(cols))
-        return logits.add_bias(head.b), features
+        w, b = _leaf(head.w, rows, cols), _leaf(head.b, rows)
+        reads += [(w, rows, cols), (b, rows, None)]
+        return features.matmul(w.transpose()).add_bias(b), reads
 
     def extract_features(self, x, task_id):
         """``infer`` at the task's prefix width: a pruned unit reads 0."""
@@ -312,13 +321,14 @@ class Network:
         return head_logits(features, head.cil_w, head.cil_b)
 
     def parameters(self, task_id):
-        """(parameter, first trainable row) pairs while learning ``task_id``:
-        the head trains whole, a layer from the first unit the task owns."""
-        head = self.heads[task_id]
-        params = [(head.w, 0), (head.b, 0)]
+        """(array, first trainable row) pairs while learning ``task_id``, in
+        the order ``forward_task`` reads them: each layer's weight and bias
+        from the first unit the task owns, then the head, whole."""
+        params = []
         for layer, own in zip(self.layers, self.owned(task_id)):
-            params.extend([(layer.w, own.start), (layer.b, own.start)])
-        return params
+            params += [(layer.w, own.start), (layer.b, own.start)]
+        head = self.heads[task_id]
+        return params + [(head.w, 0), (head.b, 0)]
 
     # -- pruning -------------------------------------------------------------
 
@@ -395,14 +405,14 @@ class Network:
         arrays = {"__meta__": np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8)}
         for li, layer in enumerate(self.layers):
-            arrays[f"layer{li}/w"] = layer.w.data
-            arrays[f"layer{li}/b"] = layer.b.data
+            arrays[f"layer{li}/w"] = layer.w
+            arrays[f"layer{li}/b"] = layer.b
         for t, mask in self.masks.items():
             for li in range(len(self.layers)):
                 arrays[f"task{t}/active{li}"] = mask.active[li]
             head = self.heads[t]
-            arrays[f"task{t}/head_w"] = head.w.data
-            arrays[f"task{t}/head_b"] = head.b.data
+            arrays[f"task{t}/head_w"] = head.w
+            arrays[f"task{t}/head_b"] = head.b
             arrays[f"task{t}/cil_w"] = head.cil_w
             arrays[f"task{t}/cil_b"] = head.cil_b
         for t, anch in self.anchors.items():
@@ -485,12 +495,11 @@ class Network:
         for li, (layer, cols) in enumerate(zip(net.layers,
                                                net._in_widths(last))):
             w_shape = (rows[li], cols * layer.block) + layer.w.shape[2:]
-            layer.w = Tensor(array(f"layer{li}/w", w_shape), requires_grad=True)
-            layer.b = Tensor(array(f"layer{li}/b", (rows[li],)),
-                             requires_grad=True)
+            layer.w = array(f"layer{li}/w", w_shape)
+            layer.b = array(f"layer{li}/b", (rows[li],))
             # the forward reads whole rows
             outside = ~np.repeat(net.synapses(li), layer.block, axis=1)
-            if layer.w.data[outside].any():
+            if layer.w[outside].any():
                 raise FormatError(f"checkpoint array layer{li}/w has "
                                   f"nonzero weights outside synapses")
         for t, cls in classes.items():

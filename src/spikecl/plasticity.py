@@ -4,9 +4,9 @@ Expansion: the association magnitude A (minimum similarity to any old task)
 sizes each layer's new units as floor(M_l * (1 - exp(-alpha * A))), alpha
 and the caps M_l set by ``TrainConfig`` (default M_l: the first task's width).
 
-Reuse: while the new task trains, the absolute gradients reaching each old
-(frozen) unit's input synapses accumulate per epoch.  Once per epoch the
-relatedness score updates as
+Reuse: while the new task trains, the absolute gradients that each step
+returns for the old (frozen) units' input synapses accumulate.  Once per
+epoch the relatedness score updates as
 
     R <- 0.99 R - exp(-epoch / 2) * (2 * Norm(G) - rho)
 
@@ -97,25 +97,25 @@ def build_relatedness(network, task_id, sims, beta=1.0, bias0=0.2,
     return RelatednessState(task_id, unit_ids, unit_rho)
 
 
-def accumulate_gradients(state, network):
-    """Add |input-synapse gradients| of frozen units (current batch) to G.
+def accumulate_gradients(state, network, grads):
+    """Add |input-synapse gradients| of frozen units to G, from ``grads``,
+    the full-shape gradients of one ``trainer.step_gradients``.
 
     Only the rows before the task's first own unit are read: the old units.
     Only synapses still connected under the task's mask count: a pruned
     unit is absent from the task's forward, so its row and the columns it
     feeds get zero gradient, and an old row's columns past its task's
     prefix, which are not synapses but the gather reads for newer units,
-    are zeroed here.  Must be called after a backward pass and before the
-    step releases the gradients.
+    are zeroed here.
     """
     first = [own.start for own in network.owned(state.task_id)]
     tasks = [(network.owned(t), network._in_widths(t))
              for t in range(state.task_id)]
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
-        if ids.size == 0 or layer.w.grad is None:
+        if ids.size == 0:
             continue
-        g = np.abs(layer.w.grad[:first[li]])
+        g = np.abs(grads[2 * li][:first[li]])  # layer li's weight
         for owned, in_widths in tasks:
             rows = owned[li]
             g[rows.start:rows.stop, in_widths[li] * layer.block:] = 0.0

@@ -8,19 +8,19 @@ value computed outside the graph and its vector-Jacobian product: a layer's
 LIF window (``spiking.run_window``) is one node, and so is ``cross_entropy``
 over the array kernel ``softmax_cross_entropy``.
 
-The nodes are the training chain's and no others: ``take``, ``transpose``,
+The nodes are the training chain's and no others: ``transpose``,
 ``reshape``, ``matmul``, ``conv2d``, ``add_bias`` (the one broadcast form),
-``custom_op`` and ``cross_entropy``.  ``take`` gathers rows of a parameter,
-then columns of those rows (``gather``), each one pass.  Its first gradient
-write scatters columns into a (rows, full width) block and assigns the
-block by row into zeros of the full shape; a later write adds at the
-gathered entries.  A first gradient is ``g + 0.0``, one pass that gives the
-+0.0 a sum from zeros gives for -0.0.  Values are checked finite at the
-training step's boundary, not per node: a ``Tensor`` built from data, the
-loss in ``cross_entropy``, each LIF window's membranes
-(``spiking.lif_window``) and Adam's update (``trainer.Adam``).  A
-non-finite value computed inside the step reaches one of them.
-``backward`` leaves gradients on leaves only.  ``conv2d``
+``custom_op`` and ``cross_entropy``.  A graph's leaves are the parameter
+entries one training step reads: ``gather`` copies a parameter's rows, then
+columns of those rows, each one pass, and ``_scatter`` is its adjoint: it
+assigns a leaf's gradient by column into a (rows, full width) block and the
+block by row into zeros of the full shape.  A first gradient is
+``g + 0.0``, one pass that gives the +0.0 a sum from zeros gives for -0.0.
+Values are checked finite at the training step's boundary, not per node: a
+``Tensor`` built from data, the loss in ``cross_entropy``, each LIF
+window's membranes (``spiking.lif_window``) and Adam's update
+(``trainer.Adam``).  A non-finite value computed inside the step reaches
+one of them.  ``backward`` leaves gradients on leaves only.  ``conv2d``
 takes batched (B, C, H, W) input and lowers it to im2col plus one BLAS GEMM
 per sample, so a sample's output never depends on the rest of its batch;
 ``conv_forward`` is that forward on plain arrays, im2col a fixed block of
@@ -89,26 +89,6 @@ class Tensor:
                 _accum(self, out.grad.reshape(self.shape))
 
         return Tensor._make(new, (self,), backward)
-
-    def take(self, rows, cols=None):
-        """``gather(self.data, rows, cols)`` as a node; ``self`` when the
-        indices cover every row and column.  Its gradient is ``_scatter``'s
-        at the first write into ``self.grad`` and is added at the gathered
-        entries after that (increasing indices repeat none, so ``+=`` on
-        the fancy index adds once per entry)."""
-        if rows.size == self.shape[0] and (cols is None
-                                           or cols.size == self.shape[1]):
-            return self
-        index = (rows,) if cols is None else (rows[:, None], cols)
-
-        def backward(out):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = _scatter(out.grad, self.shape, rows, cols)
-                else:
-                    self.grad[index] += out.grad
-
-        return Tensor._make(gather(self.data, rows, cols), (self,), backward)
 
     def transpose(self):
         if self.data.ndim != 2:
@@ -438,9 +418,7 @@ def backward(loss):
 
 
 def gradients(loss, params):
-    """Backward pass returning {param: grad array}; missing grads are zeros."""
-    for p in params:
-        p.grad = None
+    """Backward into fresh leaves ``params``: {param: grad}, zeros if none."""
     backward(loss)
     return {p: (p.grad if p.grad is not None else np.zeros(p.shape)) for p in params}
 

@@ -13,13 +13,14 @@ tasks, a short pass fits all copies jointly on it.  Otherwise each copy stays
 its TIL head, so a one-task stream's CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
-TIL accuracy is exactly stable by construction.  Only the training batch
-loop builds or steps a ``Tensor``: every other pass, calibration included,
-runs on arrays.  ``Adam`` keeps its moments in one flat vector over every
-trainable entry and steps it with one set of ufunc calls, in training and
-in calibration alike.  The step checks values finite at its boundary only:
-its input, each LIF window's membranes, the loss, and Adam's update before
-it moves a parameter; ``_diverged`` names the seed and stage of a failure.
+TIL accuracy is exactly stable by construction.  Only ``step_gradients``
+builds a ``Tensor``: it returns a batch's loss and gradients as arrays.
+Every other pass, calibration included, runs on arrays.  ``Adam`` keeps
+its moments in one flat vector over every trainable entry and steps it
+with one set of ufunc calls, in training and in calibration alike.  The
+step checks values finite at its boundary only: its input, each LIF
+window's membranes, the loss, and Adam's update before it moves a
+parameter; ``_diverged`` names the seed and stage of a failure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .plasticity import (accumulate_gradients, apply_pruning, association,
                          update_relatedness)
 from .similarity import check_gamma, compute_anchors, similarity_vector
 from .spiking import LIFConfig
-from .tensor import cross_entropy, gradients, softmax_cross_entropy
+from .tensor import _scatter, cross_entropy, gradients, softmax_cross_entropy
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 EVAL_BATCH = 256  # rows per evaluation forward: a BLAS row can depend on it
@@ -243,8 +244,7 @@ def _learn_task(network, task, cfg, buffer):
         log["association"] = a
         log["expansion"] = counts
 
-    params = network.parameters(task.id)
-    optim = Adam([(p.data, r0) for p, r0 in params], lr=cfg.lr)
+    optim = Adam(network.parameters(task.id), lr=cfg.lr)
     x, y = task.train_x, _local_labels(task, task.train_y)
     for epoch in range(cfg.epochs):
         with _diverged(cfg, f"task {task.id}, epoch {epoch}"):
@@ -252,15 +252,12 @@ def _learn_task(network, task, cfg, buffer):
             epoch_loss = 0.0
             n_batches = 0
             for idx in _batches(x.shape[0], cfg.batch_size, rng):
-                logits, _ = network.forward_task(x[idx], task.id)
-                loss = cross_entropy(logits, y[idx])
-                gradients(loss, [p for p, _ in params])
+                loss, grads = step_gradients(network, x[idx], y[idx],
+                                             task.id)
                 if state is not None:
-                    accumulate_gradients(state, network)
-                optim.step([p.grad for p, _ in params])
-                for p, _ in params:  # a gradient lives for one step
-                    p.grad = None
-                epoch_loss += float(loss.data)
+                    accumulate_gradients(state, network, grads)
+                optim.step(grads)
+                epoch_loss += loss
                 n_batches += 1
             log["losses"].append(epoch_loss / max(n_batches, 1))
             if state is not None:
@@ -280,14 +277,28 @@ def _learn_task(network, task, cfg, buffer):
     return network, log
 
 
+def step_gradients(network, x, labels, task_id):
+    """(mean cross-entropy, one full-shape gradient per
+    ``network.parameters`` pair) of a batch: each leaf's gradient scattered
+    to its parameter's shape, unless the leaf is the parameter."""
+    logits, reads = network.forward_task(x, task_id)
+    loss = cross_entropy(logits, labels)
+    grads = gradients(loss, [leaf for leaf, _, _ in reads])
+    return float(loss.data), [
+        grads[leaf] if leaf.data is p
+        else _scatter(grads[leaf], p.shape, rows, cols)
+        for (p, _), (leaf, rows, cols) in zip(network.parameters(task_id),
+                                              reads, strict=True)]
+
+
 def _accuracy(network, task, x, y):
     local = _local_labels(task, y)
     head = network.heads[task.id]
-    w = head.w.data[:, network.masks[task.id].active[-1]]  # its active units
+    w = head.w[:, network.masks[task.id].active[-1]]  # its active units
     hits = 0
     for i in range(0, x.shape[0], EVAL_BATCH):
         logits = head_logits(network.infer(x[i : i + EVAL_BATCH], task.id),
-                             w, head.b.data)
+                             w, head.b)
         hits += int((np.argmax(logits, axis=1) == local[i : i + EVAL_BATCH]).sum())
     return hits / x.shape[0]
 

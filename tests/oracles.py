@@ -1,5 +1,7 @@
 """Test-side oracles: elementwise graph algebra, for ``lif_oracle`` and the
-tests' losses; central differences; the closed-form Gaussian KL.
+tests' losses; the training graph with the parameters as its leaves, read
+through the gather node the engine once had; central differences; the
+closed-form Gaussian KL.
 
 ``add`` and ``mul`` take two Tensors of one shape, or a Tensor and a number,
 which stays a number: one node, no constant Tensor.
@@ -10,7 +12,9 @@ import math
 import numpy as np
 
 from spikecl.errors import ShapeError
-from spikecl.tensor import Tensor, _accum, gradients
+from spikecl.spiking import lif_step, run_window, window_rate
+from spikecl.tensor import (Tensor, _accum, _scatter, conv2d, gather,
+                            gradients)
 
 
 def _pair(a, b, ufunc, vjps):
@@ -61,30 +65,77 @@ def average(t):
                        lambda g: np.full(t.shape, float(g) / t.size))
 
 
-def finite_diff_check(f, params, step=1e-5):
-    """Max relative discrepancy between autodiff and central differences.
+def take(t, rows, cols=None):
+    """The gather node the engine once had: ``t`` itself when the indices
+    cover every row and column, else ``gather(t.data, rows, cols)``, whose
+    gradient is ``_scatter``ed into zeros of ``t``'s shape."""
+    if rows.size == t.shape[0] and (cols is None or cols.size == t.shape[1]):
+        return t
+    return t.custom_op(gather(t.data, rows, cols),
+                       lambda g: _scatter(g, t.shape, rows, cols))
 
-    ``f()`` must rebuild the graph from the current ``.data`` of ``params``
-    and return a scalar Tensor.  Relative error per coordinate is
+
+def forward_task(net, x, task_id):
+    """``Network.forward_task`` as it was when every parameter was a leaf of
+    the graph and each read went through ``take``; returns (logits, the
+    leaves, over the arrays of ``net.parameters(task_id)`` in its order)."""
+    leaves = [Tensor(p, requires_grad=True)
+              for p, _ in net.parameters(task_id)]
+    h = Tensor(x)
+    for (li, layer, rows, cols), w, b in zip(net._gathers(h.shape, task_id),
+                                             leaves[:-2:2], leaves[1:-2:2]):
+        w = take(w, rows, cols)
+        if layer.kind == "conv":
+            cur = conv2d(h, w, layer.spec.stride, layer.spec.padding)
+        else:
+            if len(h.shape) > 2:
+                h = h.reshape(h.shape[0], cols.size)
+            cur = h.matmul(w.transpose())
+        h = run_window(lif_step, cur.add_bias(take(b, rows)), net.lif,
+                       held=(li == 0))
+    features = window_rate(h, net.lif.window)
+    head_w, head_b = leaves[-2:]
+    cols = np.flatnonzero(net.masks[task_id].active[-1])
+    logits = features.matmul(take(head_w.transpose(), cols))
+    return logits.add_bias(head_b), leaves
+
+
+def finite_diff_arrays(loss, arrays, grads, step=1e-5):
+    """Max relative discrepancy between ``grads``, one per array, and
+    central differences of ``loss()``, a float computed from the current
+    values of ``arrays``, which are perturbed in place one entry at a time.
+
+    Relative error per coordinate is
     |analytic - central| / (|analytic| + |central| + 1e-12).
     """
-    grads = gradients(f(), params)
     worst = 0.0
-    for p in params:
-        analytic = grads[p]
-        flat = p.data.ravel()
+    for p, analytic in zip(arrays, grads, strict=True):
+        flat = p.ravel()
+        assert np.shares_memory(flat, p)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = float(f().data)
+            hi = loss()
             flat[i] = orig - step
-            lo = float(f().data)
+            lo = loss()
             flat[i] = orig
             central = (hi - lo) / (2 * step)
             a = analytic.ravel()[i]
             err = abs(a - central) / (abs(a) + abs(central) + 1e-12)
             worst = max(worst, err)
     return worst
+
+
+def finite_diff_check(f, params, step=1e-5):
+    """``finite_diff_arrays`` for Tensors ``params``: ``f()`` must rebuild
+    the graph from their current ``.data`` and return a scalar Tensor.
+    Leaves each param's ``.grad`` as it found it, None."""
+    grads = gradients(f(), params)
+    for p in params:
+        p.grad = None
+    return finite_diff_arrays(lambda: float(f().data),
+                              [p.data for p in params],
+                              [grads[p] for p in params], step)
 
 
 def gaussian_kl(mean1, var1, mean2, var2):

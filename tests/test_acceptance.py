@@ -18,11 +18,11 @@ from spikecl.similarity import (compute_anchors, kl_estimate,
 from spikecl.spiking import LIFConfig, lif_step, surrogate_grad
 from spikecl.streams import (GaussianClass, SyntheticTaskSpec,
                              default_synthetic_stream, synthetic_stream)
-from spikecl.tensor import Tensor, cross_entropy
 from spikecl.trainer import (ReplayBuffer, TrainConfig, calibrate_heads,
-                             cil_evaluate, learn_task, til_evaluate)
+                             cil_evaluate, learn_task, step_gradients,
+                             til_evaluate)
 
-from oracles import finite_diff_check, gaussian_kl
+from oracles import finite_diff_arrays, gaussian_kl
 
 SHAPE3 = (1, 3, 3)
 
@@ -65,14 +65,14 @@ def test_criterion_1_gradient_correctness():
              DenseSpec(4)], (1, 5, 5), task, lif=lif, seed=seed)
         params = [p for p, _ in net.parameters(0)]
         n_params = sum(p.size for p in params)
-        x = Tensor(task.train_x[:2])
+        x = task.train_x[:2]
         labels = np.array([0, 1])
 
-        def f():
-            logits, _ = net.forward_task(x, 0)
-            return cross_entropy(logits, labels)
+        def loss():
+            return step_gradients(net, x, labels, 0)[0]
 
-        worst = max(worst, finite_diff_check(f, params, step=1e-5))
+        grads = step_gradients(net, x, labels, 0)[1]
+        worst = max(worst, finite_diff_arrays(loss, params, grads, step=1e-5))
     elapsed = time.perf_counter() - start
     assert n_params <= 1000
     assert worst < 1e-4

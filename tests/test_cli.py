@@ -1,6 +1,7 @@
 """Command-line runner: config parsing, report layout, exit codes, determinism."""
 
 import configparser
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -99,10 +100,22 @@ def _sweep_keys():
     return keys + [("stream", key) for key in cli._STREAM_KINDS["synthetic"]]
 
 
+@pytest.fixture(autouse=True)
+def _empty_working_directory(tmp_path_factory, monkeypatch):
+    """Each test starts in an empty directory of its own, which it must
+    leave empty: a run given no output path writes ``runs/latest`` where
+    it starts."""
+    home = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(home)
+    yield
+    assert [p.name for p in home.iterdir()] == []
+
+
 def _sweep_code(tmp_path, settings):
     """Exit code of ``run`` on SWEEP_CONFIG with each (section, key, value)
     of ``settings`` set, or the repr of the exception it raised, so one
-    sweep names every failure."""
+    sweep names every failure.  The run starts in ``tmp_path``, where a
+    relative ``[run] out``, the default ``runs/latest`` included, lands."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.read_string(SWEEP_CONFIG)
     for section, key, value in settings:
@@ -113,7 +126,7 @@ def _sweep_code(tmp_path, settings):
     with open(path, "w") as fh:
         cfg.write(fh)
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), contextlib.chdir(tmp_path):
             return main(["run", str(path)])
     except Exception as exc:
         return repr(exc)
@@ -176,7 +189,8 @@ class TestRun:
             "[stream]\nkind = permuted\ntrain_images = /nonexistent\n"
             "train_labels = /nonexistent\ntest_images = /nonexistent\n"
             "test_labels = /nonexistent\n")
-        assert main(["run", str(path)]) == EXIT_CONFIG
+        out = str(tmp_path / "out")
+        assert main(["run", str(path), "--out", out]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
     def test_missing_config_exits_config_error(self, tmp_path):
@@ -208,9 +222,7 @@ class TestRun:
          ("stream", "n_test", "10"), ("network", "arch", "dense8,dense4"),
          ("network", "input_shape", "1x3x3"),
          ("similarity", "probe_size", "3")]], ids=["one-row", "seed-4"])
-    def test_similarity_probe_covers_every_class(self, tmp_path, monkeypatch,
-                                                 settings):
-        monkeypatch.chdir(tmp_path)  # the run writes runs/latest
+    def test_similarity_probe_covers_every_class(self, tmp_path, settings):
         assert _sweep_code(tmp_path, settings) == EXIT_OK
 
     def test_training_error_exits_three(self, tmp_path, monkeypatch):
@@ -427,8 +439,7 @@ class TestRun:
         assert main([command, *paths, "--seed", "-1"]) == EXIT_CONFIG
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
-    def test_every_value_ends_in_an_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # a relative [run] out lands here
+    def test_every_value_ends_in_an_exit_code(self, tmp_path):
         outcomes = {}
         for (section, key), value in itertools.product(_sweep_keys(),
                                                        SWEEP_VALUES):
@@ -441,8 +452,7 @@ class TestRun:
                 and k.endswith(("nan", "inf")) and c != EXIT_CONFIG} == {}
 
     def test_two_keys_set_at_once_end_in_an_exit_code(self, tmp_path,
-                                                      monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
+                                                      capsys):
         settings = [(section, key, value) for (section, key), value
                     in itertools.product(_sweep_keys(), SWEEP_VALUES)]
         settings += [(section, key, value)

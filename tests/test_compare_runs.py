@@ -47,6 +47,17 @@ def test_package_lines_counts_every_module_line(tmp_path):
     assert compare_runs.package_lines(tmp_path) == 5
 
 
+def test_tests_lines_counts_the_tests_beside_src(tmp_path):
+    (tmp_path / "src").mkdir()
+    tests = tmp_path / "tests"
+    (tests / "data").mkdir(parents=True)
+    (tests / "test_a.py").write_text("def test_a():\n    pass\n")
+    (tests / "data" / "helper.py").write_text("X = 1\n")
+    (tests / "notes.txt").write_text("not\ncode\n")
+    assert compare_runs.tests_lines(tmp_path / "src") == 3
+    assert compare_runs.tests_lines(tests / "data") == 0  # no tests beside
+
+
 def test_differing_names_every_changed_leaf():
     parent = {"per_task": [{"losses": [0.1, 0.2], "task": 0}], "energy": 3}
     change = {"per_task": [{"losses": [0.1, 0.3], "task": 0}], "gain": 1}

@@ -45,8 +45,7 @@ def test_the_engine_holds_the_training_chain_only():
     own = {n.name if isinstance(n, ast.FunctionDef) else n.targets[0].id
            for n in cls.body if not isinstance(n, ast.Expr)}
     assert own == {"__init__", "__slots__", "_make", "shape", "size",
-                   "reshape", "take", "transpose", "matmul", "add_bias",
-                   "custom_op"}
+                   "reshape", "transpose", "matmul", "add_bias", "custom_op"}
     callers = {}  # a called name -> the functions that call it
     for path in set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}:
         for f in ast.walk(ast.parse(path.read_text())):

@@ -11,15 +11,15 @@ import pytest
 from spikecl.errors import (ConfigError, ContractError, FormatError,
                             NumericalError, ShapeError)
 from spikecl.metrics import count_active, energy_report
-from spikecl.network import (ConvSpec, DenseSpec, Network, _spec_units,
-                             init_first_task)
+from spikecl.network import (ConvSpec, DenseSpec, Network, _leaf,
+                             _spec_units, init_first_task)
 from spikecl.spiking import LITERAL_EQ3, LIFConfig, lif_step
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
-from spikecl.trainer import Adam
+from spikecl.trainer import Adam, step_gradients
 
 import lif_oracle
-from oracles import mul
+from oracles import mul, take
 
 
 def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
@@ -84,12 +84,12 @@ class TestInitFirstTask:
 class TestExpand:
     def test_zero_counts_adds_empty_populations_and_head(self):
         net, _ = _dense_net()
-        w_before = [l.w.data.copy() for l in net.layers]
+        w_before = [l.w.copy() for l in net.layers]
         t1 = _task(0, shape=SHAPE, seed=5)
         t1.id = 1
         net.expand(t1, [0, 0])
         for layer, w in zip(net.layers, w_before):
-            np.testing.assert_array_equal(layer.w.data, w)
+            np.testing.assert_array_equal(layer.w, w)
         assert [len(r) for r in net.owned(1)] == [0, 0]
         assert 1 in net.heads and 1 in net.masks
 
@@ -110,7 +110,7 @@ class TestExpand:
 
         def state():
             return (mask.active + net.connections(0)
-                    + [head.w.data, head.cil_w]
+                    + [head.w, head.cil_w]
                     + [net.anchors[0][c] for c in t0.classes])
 
         before = [a.copy() for a in state()]
@@ -140,21 +140,16 @@ class TestExpand:
         t1 = _task(1, shape=SHAPE, seed=5)
         net.expand(t1, [3, 2])
         starts = [r.start for r in net.owned(1)]
-        before = [(l.w.data.copy(), l.b.data.copy()) for l in net.layers]
-        pairs = net.parameters(1)
-        params = [p for p, _ in pairs]
-        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.1)
-        x = Tensor(t1.train_x[:4])
+        before = [(l.w.copy(), l.b.copy()) for l in net.layers]
+        optim = Adam(net.parameters(1), lr=0.1)
         labels = np.zeros(4, dtype=int)
         for _ in range(3):
-            logits, _ = net.forward_task(x, 1)
-            gradients(cross_entropy(logits, labels), params)
-            optim.step([p.grad for p in params])
+            optim.step(step_gradients(net, t1.train_x[:4], labels, 1)[1])
         # rows task 0 owns are frozen, task 1's rows moved
         for layer, r0, (w, b) in zip(net.layers, starts, before):
-            np.testing.assert_array_equal(layer.w.data[:r0], w[:r0])
-            np.testing.assert_array_equal(layer.b.data[:r0], b[:r0])
-        assert any(not np.array_equal(l.w.data[r0:], w[r0:])
+            np.testing.assert_array_equal(layer.w[:r0], w[:r0])
+            np.testing.assert_array_equal(layer.b[:r0], b[:r0])
+        assert any(not np.array_equal(l.w[r0:], w[r0:])
                    for l, r0, (w, _) in zip(net.layers, starts, before))
 
 
@@ -166,15 +161,17 @@ class TestForward:
         net.expand(t1, [3, 2])
         # same seed rebuilds exactly the pre-expansion (task-0) weights
         fresh, _ = _dense_net(seed=3)
-        a, _ = net.forward_task(Tensor(x), 0)
-        b, _ = fresh.forward_task(Tensor(x), 0)
+        a, _ = net.forward_task(x, 0)
+        b, _ = fresh.forward_task(x, 0)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_zero_input_gives_bias_logits(self):
         net, _ = _dense_net()
-        net.heads[0].b.data[:] = [0.3, -0.2]
-        logits, feats = net.forward_task(Tensor(np.zeros((3,) + SHAPE)), 0)
-        np.testing.assert_array_equal(feats.data, np.zeros((3, 4)))
+        net.heads[0].b[:] = [0.3, -0.2]
+        x = np.zeros((3,) + SHAPE)
+        logits, _ = net.forward_task(x, 0)
+        np.testing.assert_array_equal(net.features_tensor(x, 0)[0].data,
+                                      np.zeros((3, 4)))
         np.testing.assert_allclose(logits.data,
                                    np.tile([0.3, -0.2], (3, 1)), rtol=1e-12)
 
@@ -184,16 +181,24 @@ class TestForward:
         net, t0 = _dense_net()
         x = np.full((3,) + SHAPE, 4.0)
         if li == 1:  # layer 0 spikes everywhere, layer 1 sums 1e308s
-            net.layers[0].w.data[:] = 1.0
-        net.layers[li].w.data[:] = 1e308
+            net.layers[0].w[:] = 1.0
+        net.layers[li].w[:] = 1e308
         with pytest.raises(NumericalError, match="membrane"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            net.features_tensor(Tensor(x), 0)
+            net.features_tensor(x, 0)
 
     def test_unknown_task_rejected(self):
         net, _ = _dense_net()
         with pytest.raises(KeyError, match="unknown task"):
-            net.forward_task(Tensor(np.zeros((1,) + SHAPE)), 7)
+            net.forward_task(np.zeros((1,) + SHAPE), 7)
+
+    def test_a_read_of_every_row_and_column_is_the_parameter(self):
+        w = np.ones((3, 4, 2))
+        assert _leaf(w, np.arange(3)).data is w
+        assert _leaf(w, np.arange(3), np.arange(4)).data is w
+        assert _leaf(w, np.arange(3), np.arange(3)).data is not w
+        assert _leaf(w, np.arange(2), np.arange(4)).shape == (2, 4, 2)
+        assert _leaf(w, np.arange(3)).requires_grad
 
     def test_extract_features_deterministic_and_shaped(self):
         net, t0 = _dense_net()
@@ -213,7 +218,7 @@ class TestPruning:
 
     def test_old_task_logits_unchanged_after_pruning(self):
         net, t0, _ = self._expanded()
-        x = Tensor(t0.train_x[:4])
+        x = t0.train_x[:4]
         before, _ = net.forward_task(x, 0)
         net.prune_units(1, [(0, 3), (1, 1)])
         after, _ = net.forward_task(x, 0)
@@ -248,7 +253,7 @@ def _smooth_expanded(seed=0):
 def _expand_bits(layer, bits):
     """(width, in_units) bits repeated over each unit's block of columns."""
     cols = np.repeat(bits, layer.block, axis=1)
-    return cols.reshape(cols.shape + (1,) * (layer.w.data.ndim - 2))
+    return cols.reshape(cols.shape + (1,) * (layer.w.ndim - 2))
 
 
 def _masked(t, bits):
@@ -260,17 +265,21 @@ def _connection_masked_forward(net, x, task_id):
     """Oracle: the forward over the task's whole prefix that multiplies the
     weights by the expanded connection bits, each layer's current by the
     unit bits and the head by the final layer's bits; returns (logits,
-    prefix-width features)."""
+    prefix-width features, one leaf per ``net.parameters(task_id)`` array,
+    which it holds)."""
     mask = net.masks[task_id]
     cfg = net.lif
+    leaves = [Tensor(p, requires_grad=True)
+              for p, _ in net.parameters(task_id)]
     params = []
-    for layer, conn in zip(net.layers, net.connections(task_id)):
+    for layer, conn, w, b in zip(net.layers, net.connections(task_id),
+                                 leaves[:-2:2], leaves[1:-2:2]):
         rows = np.arange(conn.shape[0])
         cols = np.arange(conn.shape[1] * layer.block)
-        weff = _masked(layer.w.take(rows, cols), _expand_bits(layer, conn))
+        weff = _masked(take(w, rows, cols), _expand_bits(layer, conn))
         if layer.kind == "dense":
             weff = weff.transpose()
-        params.append((weff, layer.b.take(rows)))
+        params.append((weff, take(b, rows)))
 
     states = [lif_oracle.rest((x.shape[0], a.size) + l.out_shape)
               for a, l in zip(mask.active, net.layers)]
@@ -291,9 +300,10 @@ def _connection_masked_forward(net, x, task_id):
             h = states[li][1]
         outputs.append(h)
     features = lif_oracle.rate(outputs, cfg)
-    head = net.heads[task_id]
-    weff = _masked(head.w, mask.active[-1])
-    return features.matmul(weff.transpose()).add_bias(head.b), features
+    head_w, head_b = leaves[-2:]
+    weff = _masked(head_w, mask.active[-1])
+    return (features.matmul(weff.transpose()).add_bias(head_b), features,
+            leaves)
 
 
 class TestUnitGatedForward:
@@ -302,17 +312,16 @@ class TestUnitGatedForward:
     def test_matches_connection_masked_forward(self, build):
         net, t0, t1 = build(seed=1)
         pairs = net.parameters(1)
-        params = [p for p, _ in pairs]
-        optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
-        x = Tensor(t1.train_x)
+        optim = Adam(pairs, lr=0.05)
         labels = (t1.train_y - t1.classes[0]).astype(int)
         for step in range(6):
             if step == 3:
                 net.prune_units(1, [(0, 1), (1, 2)])
             for t, task in ((0, t0), (1, t1)):
-                x_t = Tensor(task.train_x)
-                logits, features = net.forward_task(x_t, t)
-                ref_logits, ref = _connection_masked_forward(net, x_t, t)
+                logits, _ = net.forward_task(task.train_x, t)
+                features, _ = net.features_tensor(task.train_x, t)
+                ref_logits, ref, _ = _connection_masked_forward(
+                    net, Tensor(task.train_x), t)
                 np.testing.assert_array_equal(logits.data, ref_logits.data)
                 np.testing.assert_array_equal(
                     features.data, ref.data[:, net.masks[t].active[-1]])
@@ -320,20 +329,18 @@ class TestUnitGatedForward:
                     net.extract_features(task.train_x, t), ref.data)
             exist = {id(l.w): _expand_bits(l, net.synapses(li))
                      for li, l in enumerate(net.layers)}
-            grads = []
-            for forward in (lambda: _connection_masked_forward(net, x, 1),
-                            lambda: net.forward_task(x, 1)):
-                logits, _ = forward()
-                gradients(cross_entropy(logits, labels), params)
-                grads.append([p.grad.copy() for p in params])
+            logits, _, leaves = _connection_masked_forward(
+                net, Tensor(t1.train_x), 1)
+            old = gradients(cross_entropy(logits, labels), leaves)
+            new = step_gradients(net, t1.train_x, labels, 1)[1]
             # gradients agree on every synapse, up to the order of the sum
             # over the window; past an old row's synapses only the gathered
             # forward has any, and Adam never applies them
-            for p, old, new in zip(params, *grads):
+            for (p, _), leaf, g in zip(pairs, leaves, new, strict=True):
                 np.testing.assert_allclose(
-                    np.where(exist.get(id(p), True), new, 0.0), old,
+                    np.where(exist.get(id(p), True), g, 0.0), old[leaf],
                     rtol=1e-12)
-            optim.step(grads[1])  # with the gradients of the gathered forward
+            optim.step(new)  # with the gradients of the gathered forward
 
     @pytest.mark.parametrize("build", [TestPruning()._expanded,
                                        _conv_expanded], ids=["dense", "conv"])
@@ -353,7 +360,7 @@ class TestUnitGatedForward:
 
         monkeypatch.setattr("spikecl.network.conv2d", spy_conv)
         monkeypatch.setattr(Tensor, "matmul", spy_matmul)
-        net.forward_task(Tensor(t1.train_x), 1)
+        net.forward_task(t1.train_x, 1)
         active = [int(a.sum()) for a in net.masks[1].active]
         assert all(n < l.width for n, l in zip(active, net.layers))
         inputs = [net.input_shape[0]] + active[:-1]
@@ -384,10 +391,10 @@ class TestUnitGatedForward:
         # pruning a unit equals cutting its outgoing weights
         cut = copy.deepcopy(net)
         cut.masks[1].active[0][1] = cut.masks[1].active[1][2] = True
-        cut.layers[1].w.data[:, 1] = 0.0
-        cut.heads[1].w.data[:, 2] = 0.0
-        logits, _ = net.forward_task(Tensor(x), 1)
-        expected, _ = cut.forward_task(Tensor(x), 1)
+        cut.layers[1].w[:, 1] = 0.0
+        cut.heads[1].w[:, 2] = 0.0
+        logits, _ = net.forward_task(x, 1)
+        expected, _ = cut.forward_task(x, 1)
         np.testing.assert_array_equal(logits.data, expected.data)
 
 
@@ -431,7 +438,7 @@ class TestInfer:
         net, t0, t1 = build(seed=1)
         net.lif = lif
         for t, task in ((0, t0), (1, t1)):
-            graph = net.features_tensor(Tensor(task.train_x), t).data
+            graph = net.features_tensor(task.train_x, t)[0].data
             assert graph.shape == (len(task.train_x),
                                    int(net.masks[t].active[-1].sum()))
             np.testing.assert_array_equal(net.infer(task.train_x, t), graph)
@@ -472,11 +479,11 @@ class TestFirstTaskIsExpansion:
         net = init_first_task(arch, shape, _task(0, shape=shape), seed=3)
         draws = _first_task_draws(arch, shape, 2, seed=3)
         for li, (layer, w) in enumerate(zip(net.layers, draws)):
-            np.testing.assert_array_equal(layer.w.data, w)
+            np.testing.assert_array_equal(layer.w, w)
             assert net.owned(0)[li] == range(layer.width)
             assert net.synapses(li).all()
-            assert not layer.b.data.any()
-        np.testing.assert_array_equal(net.heads[0].w.data, draws[-1])
+            assert not layer.b.any()
+        np.testing.assert_array_equal(net.heads[0].w, draws[-1])
 
     def test_empty_network_has_geometry_and_no_units(self):
         net = Network([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (2, 5, 5),
@@ -556,7 +563,7 @@ class TestDerivedState:
                                                   oracle.trainable_b[li])
                     np.testing.assert_array_equal(
                         np.broadcast_to(trainable.reshape(
-                            (-1,) + (1,) * (layer.w.data.ndim - 1)),
+                            (-1,) + (1,) * (layer.w.ndim - 1)),
                             layer.w.shape),
                         oracle.trainable_w[li])
             last = max(net.masks)
@@ -596,26 +603,25 @@ class TestPersistence:
             loaded = Network.load(path)
             assert loaded.lif == net.lif
             for la, lb in zip(net.layers, loaded.layers):
-                np.testing.assert_array_equal(la.w.data, lb.w.data)
-                np.testing.assert_array_equal(la.b.data, lb.b.data)
+                np.testing.assert_array_equal(la.w, lb.w)
+                np.testing.assert_array_equal(la.b, lb.b)
             for t in net.masks:
                 assert loaded.owned(t) == net.owned(t)
                 for a, b in zip(net.masks[t].active, loaded.masks[t].active):
                     np.testing.assert_array_equal(a, b)
                 for a, b in zip(net.connections(t), loaded.connections(t)):
                     np.testing.assert_array_equal(a, b)
-                np.testing.assert_array_equal(net.heads[t].w.data,
-                                              loaded.heads[t].w.data)
+                np.testing.assert_array_equal(net.heads[t].w,
+                                              loaded.heads[t].w)
             for c in net.anchors[0]:
                 np.testing.assert_array_equal(net.anchors[0][c],
                                               loaded.anchors[0][c])
             # forward is bit-identical through the round trip
             for t, task in ((0, t0), (1, t1)):
-                x = Tensor(task.train_x[:3])
-                a, fa = net.forward_task(x, t)
-                b, fb = loaded.forward_task(x, t)
-                np.testing.assert_array_equal(fa.data, fb.data)
-                np.testing.assert_array_equal(a.data, b.data)
+                x = task.train_x[:3]
+                for forward in (Network.forward_task, Network.features_tensor):
+                    a, b = (forward(n, x, t)[0].data for n in (net, loaded))
+                    np.testing.assert_array_equal(a, b)
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

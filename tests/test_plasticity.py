@@ -17,8 +17,7 @@ from spikecl.plasticity import (RelatednessState, accumulate_gradients,
 from spikecl.similarity import SimilarityRecord
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import Tensor, cross_entropy, gradients
-from spikecl.trainer import Adam
+from spikecl.trainer import Adam, step_gradients
 
 
 def _records(values):
@@ -285,7 +284,7 @@ class TestAccumulateGradients:
 def _accumulated(arch, shape, counts, doomed, oracle, seed):
     """G of every layer after 3 training steps of task 2 of a 3-task stream,
     tasks 1 and 2 expanded by ``counts`` and ``doomed`` pruned from task 2:
-    by ``accumulate_gradients`` and by ``oracle(state, network)``."""
+    by ``accumulate_gradients`` and by ``oracle(state, network, grads)``."""
     stream = default_synthetic_stream(n_tasks=3, classes_per_task=2,
                                       shape=shape, n_train=8, n_test=2,
                                       seed=seed)
@@ -297,29 +296,25 @@ def _accumulated(arch, shape, counts, doomed, oracle, seed):
     state = build_relatedness(net, 2, sims)
     expected = build_relatedness(net, 2, sims)
     net.prune_units(2, doomed)
-    pairs = net.parameters(2)
-    params = [p for p, _ in pairs]
-    optim = Adam([(p.data, r0) for p, r0 in pairs], lr=0.05)
-    x = Tensor(stream[2].train_x)
+    optim = Adam(net.parameters(2), lr=0.05)
     labels = (stream[2].train_y - stream[2].classes[0]).astype(int)
     for _ in range(3):
-        logits, _ = net.forward_task(x, 2)
-        gradients(cross_entropy(logits, labels), params)
-        accumulate_gradients(state, net)
-        oracle(expected, net)
-        optim.step([p.grad for p in params])
+        grads = step_gradients(net, stream[2].train_x, labels, 2)[1]
+        accumulate_gradients(state, net, grads)
+        oracle(expected, net, grads)
+        optim.step(grads)
     return state.grad_accum, expected.grad_accum
 
 
-def _accumulate_full_shape(state, network):
+def _accumulate_full_shape(state, network, grads):
     """Oracle: the accumulation that took |gradient| of every row and zeroed
     each task's rows past its input prefix, the current task's included."""
     tasks = [(network.owned(t), network._in_widths(t)) for t in network.masks]
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
-        if ids.size == 0 or layer.w.grad is None:
+        if ids.size == 0:
             continue
-        g = np.abs(layer.w.grad)
+        g = np.abs(grads[2 * li])
         for owned, in_widths in tasks:
             rows = owned[li]
             g[rows.start:rows.stop, in_widths[li] * layer.block:] = 0.0
@@ -327,17 +322,17 @@ def _accumulate_full_shape(state, network):
         state.grad_accum[li] += per_unit[ids]
 
 
-def _accumulate_masked(state, network):
+def _accumulate_masked(state, network, grads):
     """Oracle: the accumulation that multiplied in the task's connection
     bits, repeated over each input unit's block of weight columns."""
     conns = network.connections(state.task_id)
     for li, layer in enumerate(network.layers):
         ids = state.unit_ids[li]
-        if ids.size == 0 or layer.w.grad is None:
+        if ids.size == 0:
             continue
         bits = np.repeat(conns[li], layer.block, axis=1)
-        bits = bits.reshape(bits.shape + (1,) * (layer.w.data.ndim - 2))
-        g = np.abs(layer.w.grad) * bits
+        bits = bits.reshape(bits.shape + (1,) * (layer.w.ndim - 2))
+        g = np.abs(grads[2 * li]) * bits
         state.grad_accum[li] += g.sum(axis=tuple(range(1, g.ndim)))[ids]
 
 

@@ -12,11 +12,11 @@ from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.tensor import (_SAMPLE_BLOCK, Tensor, _accum, _col2im, _im2col,
-                            backward, conv2d, cross_entropy, gradients,
-                            softmax_cross_entropy)
+                            _scatter, backward, conv2d, cross_entropy, gather,
+                            gradients, softmax_cross_entropy)
 
 from lif_oracle import custom_unary
-from oracles import add, average, finite_diff_check, mul, rsub, total
+from oracles import add, average, finite_diff_check, mul, rsub, take, total
 
 
 def _matmul_oracle(a, b):
@@ -317,38 +317,11 @@ def _graph_nodes(loss):
     return nodes
 
 
-def _take_scatter(self, rows, cols=None):
-    """Oracle: ``take`` as it scattered its gradient into zeros of the full
-    shape, which ``_accum`` then added into ``.grad`` from zeros."""
-    if rows.size == self.shape[0] and (cols is None
-                                       or cols.size == self.shape[1]):
-        return self
-    index = (rows,) if cols is None else (rows[:, None], cols)
-
-    def backward(out):
-        if self.requires_grad:
-            grad = np.zeros(self.shape)
-            grad[index] = out.grad
-            _accum(self, grad)
-
-    return Tensor._make(self.data[index], (self,), backward)
-
-
-def _take_fancy(self, rows, cols=None):
-    """Oracle: ``take`` as a 2-D fancy gather, its gradient added by ``+=``
-    on that index into zeros of the full shape."""
-    if rows.size == self.shape[0] and (cols is None
-                                       or cols.size == self.shape[1]):
-        return self
-    index = (rows,) if cols is None else (rows[:, None], cols)
-
-    def backward(out):
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.zeros(self.shape)
-            self.grad[index] += out.grad
-
-    return Tensor._make(self.data[index], (self,), backward)
+def _fancy_scatter(g, shape, rows, cols=None):
+    """Oracle: ``_scatter`` as ``+=`` on a 2-D fancy index into zeros."""
+    out = np.zeros(shape)
+    out[(rows,) if cols is None else (rows[:, None], cols)] += g
+    return out
 
 
 def _bits(a):
@@ -361,7 +334,8 @@ def _negative_zeros(a):
 
 def _network_loss():
     """Task 1's loss on a conv+dense network with an old unit pruned in
-    each layer, so every layer and the head gather; and its parameters."""
+    each layer, so every layer and the head gather; and the graph's
+    leaves."""
     stream = default_synthetic_stream(n_tasks=2, shape=(1, 5, 5), n_train=6,
                                       n_test=2, seed=1)
     net = init_first_task([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5),
@@ -369,12 +343,8 @@ def _network_loss():
     net.expand(stream[1], [2, 2])
     net.prune_units(1, [(0, 1), (1, 0)])
     labels = (stream[1].train_y - stream[1].classes[0]).astype(int)
-
-    def loss():
-        logits, _ = net.forward_task(Tensor(stream[1].train_x), 1)
-        return cross_entropy(logits, labels)
-
-    return loss, [p for p, _ in net.parameters(1)]
+    logits, reads = net.forward_task(stream[1].train_x, 1)
+    return cross_entropy(logits, labels), [leaf for leaf, _, _ in reads]
 
 
 def _shared_loss():
@@ -385,15 +355,11 @@ def _shared_loss():
     q = Tensor(rng.normal(size=5), requires_grad=True)
     coefs = [rng.normal(size=s) for s in ((3, 2), (2, 3), (3,), (5,))]
     coefs[0][0, 0], coefs[1][1, 2], coefs[3][4] = -0.0, 0.0, -0.0
-
-    def loss():
-        reads = [p.take(np.array([0, 1, 3]), np.array([1, 4])),
-                 p.take(np.array([1, 2]), np.array([0, 1, 4])),
-                 q.take(np.array([0, 2, 4])), q]
-        terms = [total(mul(t, Tensor(c))) for t, c in zip(reads, coefs)]
-        return add(add(add(terms[0], terms[1]), terms[2]), terms[3])
-
-    return loss, [p, q]
+    reads = [take(p, np.array([0, 1, 3]), np.array([1, 4])),
+             take(p, np.array([1, 2]), np.array([0, 1, 4])),
+             take(q, np.array([0, 2, 4])), q]
+    terms = [total(mul(t, Tensor(c))) for t, c in zip(reads, coefs)]
+    return add(add(add(terms[0], terms[1]), terms[2]), terms[3]), [p, q]
 
 
 class TestBackward:
@@ -432,20 +398,23 @@ class TestBackward:
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(4)
-        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        data = rng.normal(size=(3, 3))
         x = Tensor(rng.normal(size=(3, 3)))
         a, b = 2.5, -1.25
 
-        def loss1():
+        def loss1(w):
             return total(mul(w, x))
 
-        def loss2():
+        def loss2(w):
             return average(w.matmul(x))
 
-        g1 = gradients(loss1(), [w])[w].copy()
-        g2 = gradients(loss2(), [w])[w].copy()
-        combined = gradients(add(mul(a, loss1()), mul(b, loss2())), [w])[w]
-        np.testing.assert_allclose(combined, a * g1 + b * g2, rtol=1e-12)
+        def grad(loss):  # of a fresh leaf: gradients adds into .grad
+            w = Tensor(data, requires_grad=True)
+            return gradients(loss(w), [w])[w]
+
+        combined = grad(lambda w: add(mul(a, loss1(w)), mul(b, loss2(w))))
+        np.testing.assert_allclose(combined, a * grad(loss1) + b * grad(loss2),
+                                   rtol=1e-12)
 
     def test_matches_recursive_walk_on_a_network_graph(self):
         stream = default_synthetic_stream(n_tasks=2, shape=(1, 5, 5),
@@ -454,16 +423,14 @@ class TestBackward:
                               stream[0], lif=LIFConfig(window=3), seed=0)
         net.expand(stream[1], [2, 2])
         net.prune_units(1, [(0, 1)])
-        params = [p for p, _ in net.parameters(1)]
         labels = (stream[1].train_y - stream[1].classes[0]).astype(int)
         results = []
         for walk in (backward, _backward_recursive):
-            for p in params:
-                p.grad = None
-            logits, _ = net.forward_task(Tensor(stream[1].train_x), 1)
+            logits, reads = net.forward_task(stream[1].train_x, 1)
+            params = [leaf for leaf, _, _ in reads]
             leaves = walk(cross_entropy(logits, labels))
             results.append(([params.index(t) for t in leaves],
-                            [p.grad.copy() for p in params]))
+                            [p.grad for p in params]))
         (order, grads), (order_ref, grads_ref) = results
         assert order == order_ref and len(order) == len(params)
         for g, g_ref in zip(grads, grads_ref):
@@ -483,28 +450,11 @@ class TestBackward:
     @pytest.mark.parametrize("build", [_network_loss, _shared_loss],
                              ids=["network", "shared"])
     def test_only_leaves_keep_gradients(self, build):
-        loss_fn, params = build()
-        loss = loss_fn()
+        loss, params = build()
         nodes = _graph_nodes(loss)  # before the walk, which drops them
         gradients(loss, params)
         assert all(p.grad is not None for p in params)
         assert [t for t in nodes if t._parents and t.grad is not None] == []
-
-    @pytest.mark.parametrize("build", [_network_loss, _shared_loss],
-                             ids=["network", "shared"])
-    def test_take_gradients_equal_the_scatter_oracle_bit_for_bit(
-            self, build, monkeypatch):
-        loss_fn, params = build()
-        grads = gradients(loss_fn(), params)
-        got = [grads[p].copy() for p in params]
-        with monkeypatch.context() as patch:
-            patch.setattr(Tensor, "take", _take_scatter)
-            for p in params:
-                p.grad = None
-            _backward_recursive(loss_fn())
-        for g, p in zip(got, params):
-            np.testing.assert_array_equal(g.view(np.int64),
-                                          p.grad.view(np.int64))
 
 
 def _backward_recursive(loss):
@@ -563,10 +513,10 @@ class TestFiniteDiffCheck:
         coef = rng.normal(size=(3, 2, 2, 2))
 
         def f():
-            block = w.take(rows, cols)
+            block = take(w, rows, cols)
             return total(mul(mul(block, Tensor(coef)), block))
 
-        np.testing.assert_array_equal(w.take(rows, cols).data,
+        np.testing.assert_array_equal(take(w, rows, cols).data,
                                       w.data[[0, 2, 3]][:, [1, 4]])
         assert finite_diff_check(f, [w], step=1e-5) < 1e-8
         grad = gradients(f(), [w])[w]  # zero outside the gathered block
@@ -579,18 +529,11 @@ class TestFiniteDiffCheck:
         coef = rng.normal(size=3)
 
         def f():
-            part = b.take(rows)
+            part = take(b, rows)
             return total(mul(mul(part, Tensor(coef)), part))
 
         assert finite_diff_check(f, [b], step=1e-5) < 1e-8
         assert not gradients(f(), [b])[b][[0, 3]].any()
-
-    def test_take_of_every_row_and_column_is_self(self):
-        w = Tensor(np.ones((3, 4, 2)), requires_grad=True)
-        assert w.take(np.arange(3)) is w
-        assert w.take(np.arange(3), np.arange(4)) is w
-        assert w.take(np.arange(3), np.arange(3)) is not w
-        assert w.take(np.arange(2), np.arange(4)).shape == (2, 4, 2)
 
 
 def _mask(rng, n, case):
@@ -616,7 +559,7 @@ TAKE_CASES = {  # id: (weight shape, rows, cols or None)
 }
 
 
-class TestTake:
+class TestGatherScatter:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("case", list(TAKE_CASES))
     def test_equals_the_fancy_index_oracle_bit_for_bit(self, case, seed):
@@ -625,26 +568,17 @@ class TestTake:
         rows = _mask(rng, shape[0], row_case)
         cols = None if col_case is None else _mask(rng, shape[1], col_case)
         data = rng.normal(size=shape)
-        upstream, results = None, []
-        for take in (Tensor.take, _take_fancy):
-            w = Tensor(data.copy(), requires_grad=True)
-            out = take(w, rows, cols)
-            if upstream is None:  # a first write, then one into .grad
-                upstream = [rng.normal(size=out.shape) for _ in range(2)]
-                for g in upstream:
-                    g[rng.random(out.shape) < 0.3] = -0.0
-                    g.flat[:1] = -0.0
-            seen = [out.data]
-            for g in upstream:
-                out.grad = g.copy()
-                out._backward(out)
-                seen.append(w.grad.copy())
-            results.append(seen)
-        got, want = results
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            np.testing.assert_array_equal(_bits(a), _bits(b))
-        assert _negative_zeros(got[1]) == 0  # -0.0 landed as +0.0
+        index = (rows,) if cols is None else (rows[:, None], cols)
+        read = gather(data, rows, cols)
+        np.testing.assert_array_equal(_bits(read), _bits(data[index]))
+        g = rng.normal(size=read.shape)
+        g[rng.random(read.shape) < 0.3] = -0.0
+        g.flat[:1] = -0.0
+        got = _scatter(g, shape, rows, cols)
+        want = _fancy_scatter(g, shape, rows, cols)
+        assert got.shape == want.shape == shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert _negative_zeros(got) == 0  # -0.0 landed as +0.0
 
     def test_first_accumulation_turns_negative_zero_positive(self):
         t = Tensor(np.ones(4), requires_grad=True)

@@ -5,14 +5,16 @@ import pytest
 
 from spikecl.errors import (ConfigError, ContractError, DataError,
                             NumericalError)
-from spikecl.network import DenseSpec
+from spikecl.network import ConvSpec, DenseSpec, init_first_task
 from spikecl.spiking import LIFConfig
 from spikecl.streams import default_synthetic_stream
 from spikecl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                              ReplayBuffer, TrainConfig, calibrate_heads,
-                             cil_evaluate, learn_task, til_evaluate)
-from spikecl.tensor import Tensor, gradients
+                             cil_evaluate, learn_task, step_gradients,
+                             til_evaluate)
+from spikecl.tensor import Tensor, cross_entropy, gradients
 
+import oracles
 from oracles import mul, total
 
 
@@ -60,14 +62,14 @@ class _TensorAdam:
 class TestAdam:
     def test_masked_entries_never_move(self):
         rng = np.random.default_rng(0)
-        p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        before = p.data.copy()
-        optim = Adam([(p.data, 2)], lr=0.1)
+        p = rng.normal(size=(4, 4))
+        before = p.copy()
+        optim = Adam([(p, 2)], lr=0.1)
         for _ in range(5):
-            loss = total(mul(p, p))
-            optim.step([gradients(loss, [p])[p]])
-        np.testing.assert_array_equal(p.data[:2], before[:2])
-        assert not np.array_equal(p.data[2:], before[2:])
+            leaf = Tensor(p, requires_grad=True)
+            optim.step([gradients(total(mul(leaf, leaf)), [leaf])[leaf]])
+        np.testing.assert_array_equal(p[:2], before[:2])
+        assert not np.array_equal(p[2:], before[2:])
 
     def test_matches_the_tensor_adam_bit_for_bit(self):
         rng = np.random.default_rng(3)
@@ -110,6 +112,95 @@ class TestAdam:
             optim.step(grads)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _gathering_net(arch, shape, n_tasks):
+    """The last task of an ``n_tasks`` stream on ``arch``: after the first,
+    each task adds 2 units a layer and prunes old unit 1 of every layer."""
+    stream = default_synthetic_stream(n_tasks=n_tasks, shape=shape,
+                                      n_train=6, n_test=2, seed=1)
+    net = init_first_task(arch, shape, stream[0], lif=LIFConfig(window=3),
+                          seed=1)
+    for task in stream[1:]:
+        net.expand(task, [2] * len(arch))
+        net.prune_units(task.id, [(li, 1) for li in range(len(arch))])
+    return net, stream[-1]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through dict keys and values,
+    sequence items and the attributes of the package's own objects."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set)):
+            stack += obj
+        elif type(obj).__module__.startswith("spikecl."):
+            stack += getattr(obj, "__dict__", {}).values()
+
+
+class TestStepGradients:
+    @pytest.mark.parametrize("arch,shape,n_tasks", [
+        ([DenseSpec(5), DenseSpec(4)], (1, 3, 3), 2),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 2),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 1),
+    ], ids=["dense-pruned", "conv-pruned", "first-task"])
+    def test_equals_the_parameter_leaf_graph_bit_for_bit(self, arch, shape,
+                                                         n_tasks):
+        net, task = _gathering_net(arch, shape, n_tasks)
+        labels = (task.train_y - task.classes[0]).astype(int)
+        pairs = net.parameters(task.id)
+        # a pruned unit in every layer gathers every read but the head's
+        # bias; a first task reads each parameter whole, with no copy
+        reads = net.forward_task(task.train_x, task.id)[1]
+        whole = [leaf.data is p for (p, _), (leaf, _, _) in zip(pairs, reads)]
+        assert whole == ([True] * len(pairs) if task.id == 0
+                         else [False] * (len(pairs) - 1) + [True])
+        loss, grads = step_gradients(net, task.train_x, labels, task.id)
+        logits, leaves = oracles.forward_task(net, task.train_x, task.id)
+        ref = cross_entropy(logits, labels)
+        want = gradients(ref, leaves)
+        assert loss == float(ref.data)
+        for (p, _), g, leaf in zip(pairs, grads, leaves, strict=True):
+            assert g.shape == p.shape
+            np.testing.assert_array_equal(g.view(np.int64),
+                                          want[leaf].view(np.int64))
+
+
+class TestModelState:
+    def test_holds_arrays_only_and_adam_steps_them_in_place(self):
+        stream = _stream(2)
+        cfg = _cfg(epochs=2)
+        buf = ReplayBuffer(cfg.replay_capacity)
+        net = None
+        for t in stream:
+            net, _ = learn_task(net, t, cfg, buf)
+        calibrate_heads(net, buf, cfg)
+        state = list(_reachable(net))
+        kinds = {type(o).__name__ for o in state}
+        assert {"Layer", "TaskHead", "TaskMask", "ndarray"} <= kinds
+        assert len(net.anchors) == 2
+        assert [o for o in state if isinstance(o, Tensor)] == []
+        # an Adam step moves the layers' own arrays, the old rows excepted
+        weights = [l.w for l in net.layers]
+        before = [w.copy() for w in weights]
+        labels = np.asarray([stream[1].classes.index(v)
+                             for v in stream[1].train_y[:16]])
+        grads = step_gradients(net, stream[1].train_x[:16], labels, 1)[1]
+        Adam(net.parameters(1), lr=0.1).step(grads)
+        moved = 0
+        for layer, w, old, own in zip(net.layers, weights, before,
+                                      net.owned(1)):
+            assert layer.w is w
+            np.testing.assert_array_equal(w[:own.start], old[:own.start])
+            moved += not np.array_equal(w[own.start:], old[own.start:])
+        assert moved == len(net.layers)
 
 
 class TestReplayBuffer:
@@ -172,10 +263,10 @@ class TestLearnTask:
         cfg = _cfg(epochs=4)
         net, _ = learn_task(None, stream[0], cfg)
         x = stream[0].test_x[:10]
-        snapshot = net.forward_task(Tensor(x), 0)[0].data.copy()
+        snapshot = net.forward_task(x, 0)[0].data.copy()
         for t in stream[1:]:
             net, _ = learn_task(net, t, cfg)
-        after = net.forward_task(Tensor(x), 0)[0].data
+        after = net.forward_task(x, 0)[0].data
         np.testing.assert_array_equal(snapshot, after)
 
     def test_out_of_order_rejected(self):
@@ -225,7 +316,7 @@ class TestEvaluation:
         accs, avg = til_evaluate(net, stream)
         t = stream[0]
         local = np.array([t.classes.index(v) for v in t.test_y])
-        logits, _ = net.forward_task(Tensor(t.test_x), 0)
+        logits, _ = net.forward_task(t.test_x, 0)
         plain = float((np.argmax(logits.data, axis=1) == local).mean())
         assert accs == [plain] and avg == plain
 
@@ -283,15 +374,15 @@ class TestEvaluation:
         cfg = _cfg(epochs=4)
         buf = ReplayBuffer(cfg.replay_capacity)
         net, _ = learn_task(None, stream[0], cfg, buf)
-        w_feat = [l.w.data.copy() for l in net.layers]
-        head0 = net.heads[0].w.data.copy()
+        w_feat = [l.w.copy() for l in net.layers]
+        head0 = net.heads[0].w.copy()
         mask0 = [m.copy() for m in net.masks[0].active]
         net, _ = learn_task(net, stream[1], cfg, buf)
         calibrate_heads(net, buf, cfg)
-        np.testing.assert_array_equal(net.heads[0].w.data, head0)
+        np.testing.assert_array_equal(net.heads[0].w, head0)
         for layer, before in zip(net.layers, w_feat):
             np.testing.assert_array_equal(
-                layer.w.data[: before.shape[0], : before.shape[1]], before)
+                layer.w[: before.shape[0], : before.shape[1]], before)
         for active, before in zip(net.masks[0].active, mask0):
             np.testing.assert_array_equal(active, before)
         # the CIL copies did move
@@ -317,14 +408,14 @@ class TestCalibration:
         for t in stream:
             heads = [n.heads[t.id] for n in nets]
             for name in ("w", "b"):
-                np.testing.assert_array_equal(getattr(heads[0], name).data,
-                                              getattr(heads[1], name).data)
+                np.testing.assert_array_equal(getattr(heads[0], name),
+                                              getattr(heads[1], name))
             for name in ("cil_w", "cil_b"):
                 np.testing.assert_array_equal(getattr(heads[0], name),
                                               getattr(heads[1], name))
-            assert not np.array_equal(heads[1].cil_w, heads[1].w.data)
+            assert not np.array_equal(heads[1].cil_w, heads[1].w)
         for a, b in zip(*(n.layers for n in nets)):
-            np.testing.assert_array_equal(a.w.data, b.w.data)
+            np.testing.assert_array_equal(a.w, b.w)
 
     def test_one_task_copies_the_til_head(self):
         stream = _stream(1)
@@ -333,8 +424,8 @@ class TestCalibration:
         net, _ = learn_task(None, stream[0], cfg, buf)
         calibrate_heads(net, buf, cfg)
         head = net.heads[0]
-        np.testing.assert_array_equal(head.cil_w, head.w.data)
-        np.testing.assert_array_equal(head.cil_b, head.b.data)
+        np.testing.assert_array_equal(head.cil_w, head.w)
+        np.testing.assert_array_equal(head.cil_b, head.b)
 
 
 class TestTrainConfig:

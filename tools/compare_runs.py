@@ -23,10 +23,10 @@ differs, why: its drift, max |change - parent| / max |parent|; or that it is
 missing on one side; or its shape change; or, for ``__meta__``, which JSON
 keys differ.  Each report's label carries its command's peak RSS, parent ->
 change, as information: it never fails the gate, and it is never below this
-tool's own peak RSS.  Last it prints the line count of each tree's ``spikecl``
-package and the difference.  Exits 1 when a CSV, ``til``/``cil`` or a
-command's exit code differs, else 0; checkpoint differences alone are
-reported, not failed.
+tool's own peak RSS.  Last it prints the line counts of each tree's
+``spikecl`` package and of its ``tests/`` directory, and their differences.
+Exits 1 when a CSV, ``til``/``cil`` or a command's exit code differs, else
+0; checkpoint differences alone are reported, not failed.
 """
 
 from __future__ import annotations
@@ -140,10 +140,19 @@ def _src(path):
     return src
 
 
+def _lines(root):
+    """Lines of the ``.py`` files under ``root``, none if it is missing."""
+    return sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
+
+
 def package_lines(src):
     """Lines of the ``.py`` files of the ``spikecl`` package under ``src``."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (src / "spikecl").rglob("*.py"))
+    return _lines(src / "spikecl")
+
+
+def tests_lines(src):
+    """Lines of the ``.py`` files of the ``tests`` directory beside ``src``."""
+    return _lines(src.parent / "tests")
 
 
 def run_child(argv, env=None):
@@ -322,9 +331,11 @@ def main(argv=None):
             print(f"    {name}: {_describe(d)}")
     else:
         print("every checkpoint array is equal")
-    lines = [package_lines(src) for src in (parent, change)]
-    print(f"src/spikecl lines: {lines[0]} -> {lines[1]} "
-          f"({lines[1] - lines[0]:+d})")
+    for name, count in (("src/spikecl", package_lines),
+                        ("tests", tests_lines)):
+        lines = [count(src) for src in (parent, change)]
+        print(f"{name} lines: {lines[0]} -> {lines[1]} "
+              f"({lines[1] - lines[0]:+d})")
     return 0 if ok else 1
 
 
