@@ -11,9 +11,9 @@ from .metrics import AccuracyMatrix, EnergyReport, count_active, energy, flops_e
 from .network import ConvSpec, DenseSpec, Network, init_first_task
 from .plasticity import association, expansion_counts
 from .similarity import SimilarityRecord, compute_anchors, kl_estimate, similarity_score, similarity_vector
-from .spiking import LIFConfig, lif_step, run_window, surrogate_grad, window_rate
+from .spiking import LIFConfig, lif_step, run_window, surrogate_grad
 from .streams import GaussianClass, SyntheticTaskSpec, TaskDescriptor, default_synthetic_stream, load_idx, mixed_alternating, permuted_stream, rotated_stream, split_stream, synthetic_stream
-from .tensor import Tensor, backward, conv2d, cross_entropy
+from .tensor import Tensor, backward, conv2d
 from .trainer import Adam, ReplayBuffer, TrainConfig, calibrate_heads, cil_evaluate, learn_task, til_evaluate
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ on a saved network without training.
 One schema (``_SECTIONS``; ``_STREAM_KINDS`` for ``[stream]``, which takes
 ``kind`` and that kind's keys only) converts each INI value and names the
 keyword it sets; a key left out takes its callee's default.  The output
-directory is made, and each dataset path checked, before any training.
+directory is made after the config, the stream and its inputs are checked,
+and before any training or evaluation, so a failed check leaves none.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 training error.
 """
@@ -195,11 +196,10 @@ def build_train_config(cfg, seed):
 
 
 def _read_config(path, seed, out, default_out):
-    """The checked INI at ``path`` with its run seed and output directory,
-    which it creates; a ``seed`` or ``out`` that is not None overrides
-    ``[run]``.  A config that cannot be read as text, a negative seed, or
-    an output path that is empty or cannot be a directory, is a
-    ConfigError."""
+    """The checked INI at ``path`` with its run seed and output path; a
+    ``seed`` or ``out`` that is not None overrides ``[run]``.  A config
+    that cannot be read as text, a negative seed, or an empty output path,
+    is a ConfigError."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -217,12 +217,16 @@ def _read_config(path, seed, out, default_out):
     out = given.get("out", default_out) if out is None else out
     if out == "":
         raise ConfigError("output path is empty")
+    return cfg, seed, out
+
+
+def _make_out(out):
+    """Create the output directory; one that cannot be is a ConfigError."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: "
                           f"{exc.strerror}") from exc
-    return cfg, seed, out
 
 
 def _fmt(x):
@@ -310,6 +314,7 @@ def run(config_path, seed=None, out=None):
     tasks = build_stream(cfg, seed)
     tcfg = build_train_config(cfg, seed)
     _check_inputs(tasks, tcfg.input_shape)
+    _make_out(out)
     # class-incremental replay only means something when labels are disjoint
     disjoint = repeated_class(tasks) is None
     buffer = ReplayBuffer(tcfg.replay_capacity) if disjoint else None
@@ -354,6 +359,7 @@ def evaluate(checkpoint_path, config_path, seed=None, out=None):
                 f"{network.heads[t.id].classes} vs stream {list(t.classes)}"
             )
     _check_inputs(tasks, network.input_shape)
+    _make_out(out)
     t0 = time.perf_counter()
     til = til_evaluate(network, tasks)
     cil = _cil_report(network, tasks, repeated_class(tasks) is None)

@@ -35,10 +35,10 @@ The forward runs layer by layer over the whole window: per layer one product
 and one LIF recurrence.  Layer 0's input is the same at every step, so its
 current is computed once and held; every later layer's product reads the
 window-stacked ``(T*B, ...)`` spikes of the layer below.  Training runs it
-on the graph (``features_tensor``); every pass that needs no gradient runs
-the same ops in the same order on arrays (``infer``), so its values are
-equal bit for bit.  Every parameter is an array; the graph's leaves are the
-entries a step gathers from them (``_leaf``).
+on the graph, to the last layer's spikes (``forward_task``); every pass that
+needs no gradient runs the same ops in the same order on arrays (``infer``),
+so its values are equal bit for bit.  The head runs on arrays only.  Every
+parameter is an array; the graph's leaves are the entries a step gathers.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ import numpy as np
 
 from .errors import (ConfigError, ContractError, FormatError, NumericalError,
                      ShapeError)
-from .spiking import (LIFConfig, lif_step, lif_window, rate, run_window,
-                      window_rate)
+from .spiking import LIFConfig, lif_step, lif_window, rate, run_window
 from .tensor import Tensor, _conv_geometry, conv2d, conv_forward, gather
 
 FORMAT_VERSION = 6
@@ -76,12 +75,20 @@ def _spec_units(spec):
 
 
 def head_logits(features, w, b):
-    """``features @ w.T + b`` on arrays in ``forward_task``'s op order,
-    checked finite."""
+    """``features @ w.T + b``, checked finite: the one head forward.  It
+    reads a copy of ``w.T``, as a dense layer does: BLAS rounds a product
+    with the transposed view differently on many shapes, and slower."""
     logits = features @ w.T.copy() + b
     if not np.all(np.isfinite(logits)):
         raise NumericalError("logits are not finite")
     return logits
+
+
+def head_gradients(features, grad):
+    """``head_logits``' weight and bias gradients from ``grad``, the
+    logits' gradient: the one head gradient, each summed from +0.0."""
+    g = grad + 0.0  # contiguous, and -0.0 as +0.0
+    return (features.T @ g).T + 0.0, g.sum(axis=0) + 0.0
 
 
 def _leaf(p, rows, cols=None):
@@ -262,11 +269,14 @@ class Network:
                                     + np.arange(layer.block)).ravel()
             below = rows
 
-    def features_tensor(self, x, task_id):
-        """Rate-coded output of the task's active final-layer units over the
-        window, on the graph, and one ``(leaf, rows, cols)`` read per layer
-        weight and bias: each layer computes its ``_gathers`` only."""
+    def forward_task(self, x, task_id):
+        """Masked forward of an input array, checked finite, on the graph:
+        the task's active final-layer units' ``(T*B, n)`` spikes, and one
+        ``(leaf, rows, cols)`` read per layer weight and bias: each layer
+        computes its ``_gathers`` only."""
         h, reads = Tensor(x), []
+        if not np.all(np.isfinite(h.data)):
+            raise NumericalError("input is not finite")
         for li, layer, rows, cols in self._gathers(h.shape, task_id):
             w, b = _leaf(layer.w, rows, cols), _leaf(layer.b, rows)
             reads += [(w, rows, cols), (b, rows, None)]
@@ -278,11 +288,11 @@ class Network:
                 cur = h.matmul(w.transpose())
             h = run_window(lif_step, cur.add_bias(b), self.lif,
                            held=(li == 0))
-        return window_rate(h, self.lif.window), reads
+        return h, reads
 
     def infer(self, x, task_id):
-        """``features_tensor``'s value on arrays, by the same ops in the same
-        order: for every pass that needs no gradient."""
+        """The ``rate`` of ``forward_task``'s spikes on arrays, by the same
+        ops in the same order: for every pass that needs no gradient."""
         h = np.asarray(x, dtype=np.float64)
         for li, layer, rows, cols in self._gathers(h.shape, task_id):
             w, b = gather(layer.w, rows, cols), layer.b[rows]
@@ -295,18 +305,6 @@ class Network:
                 cur += b
             h = lif_window(lif_step, cur, self.lif, held=(li == 0))[1]
         return rate(h, self.lif.window)
-
-    def forward_task(self, x, task_id):
-        """Masked forward of an input array on the graph; returns (logits
-        over the task's classes, reads): one ``(leaf, rows, cols)`` per
-        pair of ``parameters(task_id)``, in its order."""
-        features, reads = self.features_tensor(x, task_id)
-        head = self.heads[task_id]
-        rows = np.arange(len(head.classes))
-        cols = np.flatnonzero(self.masks[task_id].active[-1])
-        w, b = _leaf(head.w, rows, cols), _leaf(head.b, rows)
-        reads += [(w, rows, cols), (b, rows, None)]
-        return features.matmul(w.transpose()).add_bias(b), reads
 
     def extract_features(self, x, task_id):
         """``infer`` at the task's prefix width: a pruned unit reads 0."""

@@ -19,8 +19,8 @@ differences; it exists for gradient-checking, not for training.
 when asked.  ``lif_window`` runs it over a layer's whole window, writing
 each step into slices of preallocated ``(T, B, ...)`` arrays, and checks
 the membranes finite once per window; ``rate`` turns the window's spikes
-into a rate.  ``run_window`` and ``window_rate`` are the same kernels as
-graph nodes (SpikingJelly's multi-step mode), ``run_window``'s backward
+into a rate, on arrays in training too.  ``run_window`` is ``lif_window``
+as a graph node (SpikingJelly's multi-step mode), its backward
 hand-written backpropagation through time with the surrogate, whose slope
 and 1 - spikes it computes once over the stacked window.
 """
@@ -167,9 +167,3 @@ def rate(spikes, window):
     for s in steps[1:]:
         total = total + s
     return total * (1.0 / window)
-
-
-def window_rate(spikes, window):
-    """``rate`` of window-stacked spikes as a graph node."""
-    return spikes.custom_op(rate(spikes.data, window), lambda grad: (
-        np.concatenate([grad * (1.0 / window)] * window)))

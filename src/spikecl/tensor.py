@@ -5,19 +5,20 @@ when an input requires a gradient, remembers how it was produced so that
 ``backward`` can run the chain rule over the (acyclic) graph.  Only the
 training step builds one.  A caller defines an op with ``custom_op`` from a
 value computed outside the graph and its vector-Jacobian product: a layer's
-LIF window (``spiking.run_window``) is one node, and so is ``cross_entropy``
-over the array kernel ``softmax_cross_entropy``.
+LIF window (``spiking.run_window``) is one node, and so is the loss on the
+last window's spikes (``trainer.step_gradients``): the graph ends there.
 
 The nodes are the training chain's and no others: ``transpose``,
-``reshape``, ``matmul``, ``conv2d``, ``add_bias`` (the one broadcast form),
-``custom_op`` and ``cross_entropy``.  A graph's leaves are the parameter
+``reshape``, ``matmul``, ``conv2d``, ``add_bias`` (the one broadcast form)
+and ``custom_op``.  A graph's leaves are the parameter
 entries one training step reads: ``gather`` copies a parameter's rows, then
 columns of those rows, each one pass, and ``_scatter`` is its adjoint: it
 assigns a leaf's gradient by column into a (rows, full width) block and the
 block by row into zeros of the full shape.  A first gradient is
 ``g + 0.0``, one pass that gives the +0.0 a sum from zeros gives for -0.0.
-Values are checked finite at the training step's boundary, not per node: a
-``Tensor`` built from data, the loss in ``cross_entropy``, each LIF
+Values are checked finite at the training step's boundary, not per node
+nor per ``Tensor``: the input (``Network.forward_task``), the loss
+(``trainer.step_gradients``), each LIF
 window's membranes (``spiking.lif_window``) and Adam's update
 (``trainer.Adam``).  A non-finite value computed inside the step reaches
 one of them.  ``backward`` leaves gradients on leaves only.  ``conv2d``
@@ -40,7 +41,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 
 class Tensor:
@@ -50,8 +51,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
-            raise NumericalError("tensor contains non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -362,7 +361,7 @@ def softmax_cross_entropy(logits, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(
-            f"cross_entropy expects (B,K) logits and (B,) labels, "
+            f"softmax_cross_entropy expects (B,K) logits and (B,) labels, "
             f"got {logits.shape} and {labels.shape}"
         )
     z = logits - logits.max(axis=1, keepdims=True)
@@ -371,15 +370,6 @@ def softmax_cross_entropy(logits, labels):
     probs = np.exp(logp)
     probs[rows, labels] -= 1.0
     return -logp[rows, labels].mean(), probs / rows.size
-
-
-def cross_entropy(logits, labels):
-    """``softmax_cross_entropy`` as a graph node over Tensor logits; a
-    non-finite loss raises ``NumericalError``."""
-    loss, grad = softmax_cross_entropy(logits.data, labels)
-    if not np.isfinite(loss):
-        raise NumericalError("loss is not finite")
-    return logits.custom_op(np.asarray(loss), lambda g: float(g) * grad)
 
 
 # -- backward traversal -------------------------------------------------------

@@ -14,8 +14,8 @@ its TIL head, so a one-task stream's CIL accuracy equals its TIL accuracy.
 
 TIL heads and feature pathways are frozen once their task ends, so old-task
 TIL accuracy is exactly stable by construction.  Only ``step_gradients``
-builds a ``Tensor``: it returns a batch's loss and gradients as arrays.
-Every other pass, calibration included, runs on arrays.  ``Adam`` keeps
+builds a ``Tensor``, over the feature layers: it returns a batch's loss and
+gradients as arrays.  Every other pass runs on arrays.  ``Adam`` keeps
 its moments in one flat vector over every trainable entry and steps it
 with one set of ufunc calls, in training and in calibration alike.  The
 step checks values finite at its boundary only: its input, each LIF
@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, TrainingError
-from .network import (ConvSpec, DenseSpec, Network, head_logits,
-                      init_first_task)
+from .network import (ConvSpec, DenseSpec, Network, head_gradients,
+                      head_logits, init_first_task)
 from .plasticity import (accumulate_gradients, apply_pruning, association,
                          build_relatedness, expansion_counts, pruning_rates,
                          update_relatedness)
 from .similarity import check_gamma, compute_anchors, similarity_vector
-from .spiking import LIFConfig
-from .tensor import _scatter, cross_entropy, gradients, softmax_cross_entropy
+from .spiking import LIFConfig, rate
+from .tensor import _scatter, gradients, softmax_cross_entropy
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 EVAL_BATCH = 256  # rows per evaluation forward: a BLAS row can depend on it
@@ -279,16 +279,30 @@ def _learn_task(network, task, cfg, buffer):
 
 def step_gradients(network, x, labels, task_id):
     """(mean cross-entropy, one full-shape gradient per
-    ``network.parameters`` pair) of a batch: each leaf's gradient scattered
-    to its parameter's shape, unless the leaf is the parameter."""
-    logits, reads = network.forward_task(x, task_id)
-    loss = cross_entropy(logits, labels)
-    grads = gradients(loss, [leaf for leaf, _, _ in reads])
-    return float(loss.data), [
+    ``network.parameters`` pair) of a batch.  The graph ends at the last
+    layer's spikes: the rate, head and loss run on arrays, and one node on
+    the spikes carries the loss and the rate's gradient into the walk."""
+    spikes, reads = network.forward_task(x, task_id)
+    head, window = network.heads[task_id], network.lif.window
+    active = network.masks[task_id].active[-1]
+    w, features = head.w[:, active], rate(spikes.data, window)
+    loss, grad = softmax_cross_entropy(head_logits(features, w, head.b),
+                                       labels)
+    if not np.isfinite(loss):
+        raise NumericalError("loss is not finite")
+    # w as head_logits reads it: a product with w itself may round otherwise
+    g_rate = (grad @ w.T.copy().T) * (1.0 / window)
+    seed = spikes.custom_op(np.asarray(loss), lambda g: np.concatenate(
+        [float(g) * g_rate] * window))
+    grads = gradients(seed, [leaf for leaf, _, _ in reads])
+    g_w, g_b = head_gradients(features, grad)
+    g_head = np.zeros(head.w.shape)
+    g_head[:, active] = g_w
+    layers = zip(network.parameters(task_id)[:-2], reads, strict=True)
+    return float(loss), [
         grads[leaf] if leaf.data is p
         else _scatter(grads[leaf], p.shape, rows, cols)
-        for (p, _), (leaf, rows, cols) in zip(network.parameters(task_id),
-                                              reads, strict=True)]
+        for (p, _), (leaf, rows, cols) in layers] + [g_head, g_b]
 
 
 def _accuracy(network, task, x, y):
@@ -377,10 +391,7 @@ def calibrate_heads(network, buffer, cfg):
                     [network.cil_logits(f, t) for f, t in zip(batch, tasks)],
                     axis=1)
                 grad = softmax_cross_entropy(logits, target[idx])[1]
-                grads = []
-                for f, lo, hi in zip(batch, bounds, bounds[1:]):
-                    g = grad[:, lo:hi].copy()  # contiguous, as on the graph
-                    grads += [(f.T @ g).T, g.sum(axis=0)]
-                optim.step(grads)
+                optim.step([g for f, lo, hi in zip(batch, bounds, bounds[1:])
+                            for g in head_gradients(f, grad[:, lo:hi])])
         for f, t in zip(feats, tasks):  # the last step's copies
             network.cil_logits(f, t)

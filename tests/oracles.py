@@ -1,7 +1,7 @@
 """Test-side oracles: elementwise graph algebra, for ``lif_oracle`` and the
 tests' losses; the training graph with the parameters as its leaves, read
-through the gather node the engine once had; central differences; the
-closed-form Gaussian KL.
+through the gather node the engine once had and ending in its rate, head
+and loss nodes; central differences; the closed-form Gaussian KL.
 
 ``add`` and ``mul`` take two Tensors of one shape, or a Tensor and a number,
 which stays a number: one node, no constant Tensor.
@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from spikecl.errors import ShapeError
-from spikecl.spiking import lif_step, run_window, window_rate
+from spikecl.errors import NumericalError, ShapeError
+from spikecl.spiking import lif_step, rate, run_window
 from spikecl.tensor import (Tensor, _accum, _scatter, conv2d, gather,
-                            gradients)
+                            gradients, softmax_cross_entropy)
 
 
 def _pair(a, b, ufunc, vjps):
@@ -73,6 +73,22 @@ def take(t, rows, cols=None):
         return t
     return t.custom_op(gather(t.data, rows, cols),
                        lambda g: _scatter(g, t.shape, rows, cols))
+
+
+def window_rate(spikes, window):
+    """The rate node the engine once had: ``rate`` of window-stacked
+    spikes, its gradient 1/T of the rate's at every step."""
+    return spikes.custom_op(rate(spikes.data, window), lambda grad: (
+        np.concatenate([grad * (1.0 / window)] * window)))
+
+
+def cross_entropy(logits, labels):
+    """The loss node the engine once had: ``softmax_cross_entropy`` over
+    Tensor logits; a non-finite loss raises ``NumericalError``."""
+    loss, grad = softmax_cross_entropy(logits.data, labels)
+    if not np.isfinite(loss):
+        raise NumericalError("loss is not finite")
+    return logits.custom_op(np.asarray(loss), lambda g: float(g) * grad)
 
 
 def forward_task(net, x, task_id):

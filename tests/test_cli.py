@@ -590,15 +590,23 @@ class TestTilOnlyStream:
         import spikecl.trainer as trainer
 
         original, calibrations, fits = trainer.calibrate_heads, [], []
+        loss, inside = trainer.softmax_cross_entropy, []
 
         def counted(*args, **kwargs):
             calibrations.append(args)
-            return original(*args, **kwargs)
+            inside.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def spy(*args):  # training calls it too: a call inside is a fit
+            if inside:
+                fits.append(args)
+            return loss(*args)
 
         monkeypatch.setattr(trainer, "calibrate_heads", counted)
-        # calibration's fit is the one caller of the trainer's binding
-        monkeypatch.setattr(trainer, "softmax_cross_entropy",
-                            lambda *args: fits.append(args))
+        monkeypatch.setattr(trainer, "softmax_cross_entropy", spy)
         cfg = _write_permuted(tmp_path)
         skipped = {"accuracy": None,
                    "skipped": "class labels repeat across tasks "
@@ -841,6 +849,21 @@ class TestOutputPath:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"cannot create output directory {out}" in err
+
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_a_failed_check_leaves_no_output_directory(
+            self, saved_run, tmp_path, capsys, command):
+        saved, _, _ = saved_run
+        cfg = tmp_path / "missing.ini"
+        cfg.write_text("[stream]\nkind = permuted\n" + "".join(
+            f"{key} = {tmp_path / 'absent'}\n"
+            for key in ("train_images", "train_labels", "test_images",
+                        "test_labels")))
+        args = ([command, str(cfg)] if command == "run" else
+                [command, str(saved / "out" / "checkpoint.npz"), str(cfg)])
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "is not a file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCheckpointValidation:

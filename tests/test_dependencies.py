@@ -57,3 +57,19 @@ def test_the_engine_holds_the_training_chain_only():
                         callers.setdefault(name, set()).add(f.name)
     assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
             and not callers.get(f.name, set()) - {f.name}] == []
+
+
+def test_custom_nodes_are_the_lif_window_and_the_loss():
+    """In ``src/``, ``custom_op`` builds two kinds of node: a layer's LIF
+    window (``spiking.run_window``) and the loss on the last window's
+    spikes (``trainer.step_gradients``); the readout after them runs on
+    arrays."""
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                callers |= {f"{path.stem}.{f.name}" for c in ast.walk(f)
+                            if isinstance(c, ast.Call)
+                            and getattr(c.func, "id", getattr(
+                                c.func, "attr", None)) == "custom_op"}
+    assert callers == {"spiking.run_window", "trainer.step_gradients"}

@@ -12,14 +12,14 @@ from spikecl.errors import (ConfigError, ContractError, FormatError,
                             NumericalError, ShapeError)
 from spikecl.metrics import count_active, energy_report
 from spikecl.network import (ConvSpec, DenseSpec, Network, _leaf,
-                             _spec_units, init_first_task)
-from spikecl.spiking import LITERAL_EQ3, LIFConfig, lif_step
+                             _spec_units, head_logits, init_first_task)
+from spikecl.spiking import LITERAL_EQ3, LIFConfig, lif_step, rate
 from spikecl.streams import default_synthetic_stream
-from spikecl.tensor import Tensor, conv2d, cross_entropy, gradients
+from spikecl.tensor import Tensor, conv2d, gradients
 from spikecl.trainer import Adam, step_gradients
 
 import lif_oracle
-from oracles import mul, take
+from oracles import cross_entropy, mul, take
 
 
 def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
@@ -32,6 +32,18 @@ def _task(tid=0, n_classes=2, shape=(1, 4, 4), n=12, seed=0):
 
 DENSE_ARCH = [DenseSpec(6), DenseSpec(4)]
 SHAPE = (1, 2, 2)
+
+
+def _features(net, x, task_id):
+    """The rate of ``forward_task``'s spikes."""
+    return rate(net.forward_task(x, task_id)[0].data, net.lif.window)
+
+
+def _logits(net, x, task_id):
+    """``head_logits`` over ``_features``, as the training step reads them."""
+    head = net.heads[task_id]
+    return head_logits(_features(net, x, task_id),
+                       head.w[:, net.masks[task_id].active[-1]], head.b)
 
 
 def _dense_net(seed=0, window=2):
@@ -78,7 +90,7 @@ class TestInitFirstTask:
     def test_unbatched_input_rejected(self):
         net, t0 = _dense_net()
         with pytest.raises(ShapeError, match="does not match network input"):
-            net.features_tensor(t0.train_x[0], 0)
+            net.forward_task(t0.train_x[0], 0)
 
 
 class TestExpand:
@@ -161,18 +173,15 @@ class TestForward:
         net.expand(t1, [3, 2])
         # same seed rebuilds exactly the pre-expansion (task-0) weights
         fresh, _ = _dense_net(seed=3)
-        a, _ = net.forward_task(x, 0)
-        b, _ = fresh.forward_task(x, 0)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(_logits(net, x, 0),
+                                      _logits(fresh, x, 0))
 
     def test_zero_input_gives_bias_logits(self):
         net, _ = _dense_net()
         net.heads[0].b[:] = [0.3, -0.2]
         x = np.zeros((3,) + SHAPE)
-        logits, _ = net.forward_task(x, 0)
-        np.testing.assert_array_equal(net.features_tensor(x, 0)[0].data,
-                                      np.zeros((3, 4)))
-        np.testing.assert_allclose(logits.data,
+        np.testing.assert_array_equal(_features(net, x, 0), np.zeros((3, 4)))
+        np.testing.assert_allclose(_logits(net, x, 0),
                                    np.tile([0.3, -0.2], (3, 1)), rtol=1e-12)
 
     @pytest.mark.parametrize("li", [0, 1])
@@ -185,7 +194,7 @@ class TestForward:
         net.layers[li].w[:] = 1e308
         with pytest.raises(NumericalError, match="membrane"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            net.features_tensor(x, 0)
+            net.forward_task(x, 0)
 
     def test_unknown_task_rejected(self):
         net, _ = _dense_net()
@@ -199,6 +208,20 @@ class TestForward:
         assert _leaf(w, np.arange(3), np.arange(3)).data is not w
         assert _leaf(w, np.arange(2), np.arange(4)).shape == (2, 4, 2)
         assert _leaf(w, np.arange(3)).requires_grad
+
+    def test_a_read_is_not_checked_finite(self):
+        # parameters are finite by construction: no pass per step checks them
+        w = np.full((3, 4), np.nan)
+        assert _leaf(w, np.arange(3)).data is w
+        assert np.isnan(_leaf(w, np.arange(2), np.arange(3)).data).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_input_rejected(self, value):
+        net, t0 = _dense_net()
+        x = t0.train_x[:3].copy()
+        x[1, 0, 1, 0] = value
+        with pytest.raises(NumericalError, match="input is not finite"):
+            net.forward_task(x, 0)
 
     def test_extract_features_deterministic_and_shaped(self):
         net, t0 = _dense_net()
@@ -219,10 +242,9 @@ class TestPruning:
     def test_old_task_logits_unchanged_after_pruning(self):
         net, t0, _ = self._expanded()
         x = t0.train_x[:4]
-        before, _ = net.forward_task(x, 0)
+        before = _logits(net, x, 0)
         net.prune_units(1, [(0, 3), (1, 1)])
-        after, _ = net.forward_task(x, 0)
-        np.testing.assert_array_equal(before.data, after.data)
+        np.testing.assert_array_equal(before, _logits(net, x, 0))
         # the head reads exactly the active final-layer units
         mask = net.masks[1]
         assert vars(mask).keys() == {"active"}
@@ -318,13 +340,13 @@ class TestUnitGatedForward:
             if step == 3:
                 net.prune_units(1, [(0, 1), (1, 2)])
             for t, task in ((0, t0), (1, t1)):
-                logits, _ = net.forward_task(task.train_x, t)
-                features, _ = net.features_tensor(task.train_x, t)
                 ref_logits, ref, _ = _connection_masked_forward(
                     net, Tensor(task.train_x), t)
-                np.testing.assert_array_equal(logits.data, ref_logits.data)
+                np.testing.assert_array_equal(_logits(net, task.train_x, t),
+                                              ref_logits.data)
                 np.testing.assert_array_equal(
-                    features.data, ref.data[:, net.masks[t].active[-1]])
+                    _features(net, task.train_x, t),
+                    ref.data[:, net.masks[t].active[-1]])
                 np.testing.assert_array_equal(
                     net.extract_features(task.train_x, t), ref.data)
             exist = {id(l.w): _expand_bits(l, net.synapses(li))
@@ -348,7 +370,7 @@ class TestUnitGatedForward:
         net, _, t1 = build(seed=1)
         net.prune_units(1, [(0, 1), (1, 2)])
         seen = []  # (input rows, (rows, columns) of the weight) per product
-        conv, matmul = conv2d, Tensor.matmul
+        conv, matmul, head = conv2d, Tensor.matmul, head_logits
 
         def spy_conv(x, kernels, *args):
             seen.append((x.shape[0], kernels.shape[:2]))
@@ -358,9 +380,15 @@ class TestUnitGatedForward:
             seen.append((a.shape[0], b.shape[::-1]))
             return matmul(a, b)
 
+        def spy_head(features, w, b):
+            seen.append((features.shape[0], w.shape))
+            return head(features, w, b)
+
         monkeypatch.setattr("spikecl.network.conv2d", spy_conv)
         monkeypatch.setattr(Tensor, "matmul", spy_matmul)
-        net.forward_task(t1.train_x, 1)
+        monkeypatch.setattr("spikecl.trainer.head_logits", spy_head)
+        labels = (t1.train_y - t1.classes[0]).astype(int)
+        step_gradients(net, t1.train_x, labels, 1)
         active = [int(a.sum()) for a in net.masks[1].active]
         assert all(n < l.width for n, l in zip(active, net.layers))
         inputs = [net.input_shape[0]] + active[:-1]
@@ -393,9 +421,7 @@ class TestUnitGatedForward:
         cut.masks[1].active[0][1] = cut.masks[1].active[1][2] = True
         cut.layers[1].w[:, 1] = 0.0
         cut.heads[1].w[:, 2] = 0.0
-        logits, _ = net.forward_task(x, 1)
-        expected, _ = cut.forward_task(x, 1)
-        np.testing.assert_array_equal(logits.data, expected.data)
+        np.testing.assert_array_equal(_logits(net, x, 1), _logits(cut, x, 1))
 
 
 def _emptied(arch, shape, counts, li, seed=0):
@@ -438,7 +464,7 @@ class TestInfer:
         net, t0, t1 = build(seed=1)
         net.lif = lif
         for t, task in ((0, t0), (1, t1)):
-            graph = net.features_tensor(task.train_x, t)[0].data
+            graph = _features(net, task.train_x, t)
             assert graph.shape == (len(task.train_x),
                                    int(net.masks[t].active[-1].sum()))
             np.testing.assert_array_equal(net.infer(task.train_x, t), graph)
@@ -619,9 +645,9 @@ class TestPersistence:
             # forward is bit-identical through the round trip
             for t, task in ((0, t0), (1, t1)):
                 x = task.train_x[:3]
-                for forward in (Network.forward_task, Network.features_tensor):
-                    a, b = (forward(n, x, t)[0].data for n in (net, loaded))
-                    np.testing.assert_array_equal(a, b)
+                for forward in (_features, _logits):
+                    np.testing.assert_array_equal(forward(net, x, t),
+                                                  forward(loaded, x, t))
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -12,7 +12,7 @@ from spikecl.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam,
                              ReplayBuffer, TrainConfig, calibrate_heads,
                              cil_evaluate, learn_task, step_gradients,
                              til_evaluate)
-from spikecl.tensor import Tensor, cross_entropy, gradients
+from spikecl.tensor import Tensor, gradients
 
 import oracles
 from oracles import mul, total
@@ -114,16 +114,21 @@ class TestAdam:
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _gathering_net(arch, shape, n_tasks):
+def _gathering_net(arch, shape, n_tasks, empty=False):
     """The last task of an ``n_tasks`` stream on ``arch``: after the first,
-    each task adds 2 units a layer and prunes old unit 1 of every layer."""
+    each task adds 2 units a layer and prunes old unit 1 of every layer;
+    with ``empty``, it adds none to the last layer and prunes every old
+    unit there, which leaves that layer no active unit."""
     stream = default_synthetic_stream(n_tasks=n_tasks, shape=shape,
                                       n_train=6, n_test=2, seed=1)
     net = init_first_task(arch, shape, stream[0], lif=LIFConfig(window=3),
                           seed=1)
     for task in stream[1:]:
-        net.expand(task, [2] * len(arch))
-        net.prune_units(task.id, [(li, 1) for li in range(len(arch))])
+        last = len(arch) - 1
+        net.expand(task, [2] * last + [0 if empty else 2])
+        net.prune_units(task.id, [(li, 1) for li in range(last)] + [
+            (last, u) for u in (range(task.id * arch[-1].units) if empty
+                                else [1])])
     return net, stream[-1]
 
 
@@ -146,31 +151,46 @@ def _reachable(root):
 
 
 class TestStepGradients:
-    @pytest.mark.parametrize("arch,shape,n_tasks", [
-        ([DenseSpec(5), DenseSpec(4)], (1, 3, 3), 2),
-        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 2),
-        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 1),
-    ], ids=["dense-pruned", "conv-pruned", "first-task"])
+    @pytest.mark.parametrize("arch,shape,n_tasks,empty", [
+        ([DenseSpec(5), DenseSpec(4)], (1, 3, 3), 2, False),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 2, False),
+        ([ConvSpec(3, 3, 2, 1), DenseSpec(4)], (1, 5, 5), 1, False),
+        ([DenseSpec(5), DenseSpec(4)], (1, 3, 3), 2, True),
+        # BLAS rounds the head's products by operand layout at this width
+        ([DenseSpec(5), DenseSpec(253)], (1, 3, 3), 1, False),
+    ], ids=["dense-pruned", "conv-pruned", "first-task", "empty-final-layer",
+            "wide-final-layer"])
     def test_equals_the_parameter_leaf_graph_bit_for_bit(self, arch, shape,
-                                                         n_tasks):
-        net, task = _gathering_net(arch, shape, n_tasks)
+                                                         n_tasks, empty):
+        net, task = _gathering_net(arch, shape, n_tasks, empty)
         labels = (task.train_y - task.classes[0]).astype(int)
         pairs = net.parameters(task.id)
-        # a pruned unit in every layer gathers every read but the head's
-        # bias; a first task reads each parameter whole, with no copy
+        # the graph reads the layers, not the head; a pruned unit in every
+        # layer gathers each read, a first task reads each whole, no copy
         reads = net.forward_task(task.train_x, task.id)[1]
         whole = [leaf.data is p for (p, _), (leaf, _, _) in zip(pairs, reads)]
-        assert whole == ([True] * len(pairs) if task.id == 0
-                         else [False] * (len(pairs) - 1) + [True])
+        assert whole == [task.id == 0] * (len(pairs) - 2)
         loss, grads = step_gradients(net, task.train_x, labels, task.id)
         logits, leaves = oracles.forward_task(net, task.train_x, task.id)
-        ref = cross_entropy(logits, labels)
+        ref = oracles.cross_entropy(logits, labels)
         want = gradients(ref, leaves)
         assert loss == float(ref.data)
         for (p, _), g, leaf in zip(pairs, grads, leaves, strict=True):
             assert g.shape == p.shape
             np.testing.assert_array_equal(g.view(np.int64),
                                           want[leaf].view(np.int64))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_a_non_finite_loss_from_finite_logits_rejected(self, value):
+        # logits 2e308 apart are finite, but one's log-probability is not:
+        # the loss is checked at the step's boundary
+        net, task = _gathering_net([DenseSpec(5), DenseSpec(4)], (1, 3, 3), 1)
+        net.heads[0].b[:] = [value, -value]
+        labels = (task.train_y - task.classes[0]).astype(int)
+        assert set(labels) == {0, 1}
+        with pytest.raises(NumericalError, match="loss is not finite"), \
+                np.errstate(over="ignore"):
+            step_gradients(net, task.train_x, labels, 0)
 
 
 class TestModelState:
@@ -263,10 +283,10 @@ class TestLearnTask:
         cfg = _cfg(epochs=4)
         net, _ = learn_task(None, stream[0], cfg)
         x = stream[0].test_x[:10]
-        snapshot = net.forward_task(x, 0)[0].data.copy()
+        snapshot = oracles.forward_task(net, x, 0)[0].data.copy()
         for t in stream[1:]:
             net, _ = learn_task(net, t, cfg)
-        after = net.forward_task(x, 0)[0].data
+        after = oracles.forward_task(net, x, 0)[0].data
         np.testing.assert_array_equal(snapshot, after)
 
     def test_out_of_order_rejected(self):
@@ -316,7 +336,7 @@ class TestEvaluation:
         accs, avg = til_evaluate(net, stream)
         t = stream[0]
         local = np.array([t.classes.index(v) for v in t.test_y])
-        logits, _ = net.forward_task(t.test_x, 0)
+        logits, _ = oracles.forward_task(net, t.test_x, 0)
         plain = float((np.argmax(logits.data, axis=1) == local).mean())
         assert accs == [plain] and avg == plain
 
